@@ -18,6 +18,7 @@ from .errors import (
 from .physical import DimensionlessParams, PhysicalParams, dimensionless
 from .potential import (
     PiecewiseConstantPotential,
+    Shape,
     SquareBarrier,
     TabulatedPotential,
     asymptotic_level,
@@ -33,9 +34,10 @@ from .quadrature import (
     integrate_adaptive,
     integrate_damped_fourier,
 )
-from .kernel import EffectiveHamiltonianSample, effective_potential, sinhc
+from .kernel import effective_potential, sinhc
 from .lowmomentum import (
     LowMomentumModel,
+    Profile,
     VqMax,
     evaluation_domain,
     inverse_mass,

@@ -274,12 +274,12 @@ def _cmd_validate(args) -> int:
     model = LowMomentumModel(params, barrier)
 
     def smoothing_agreement():
-        # the closed erf form against the convolution route on an identical
-        # piecewise-constant barrier
+        # the segment closed forms against the Fourier-kernel route at p = 0
+        # on the piecewise-constant twin of the barrier
         pw = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
         pw_model = LowMomentumModel(params, pw)
         worst = max(
-            abs(smoothed_potential(model, q) - smoothed_potential(pw_model, q))
+            abs(smoothed_potential(pw_model, q) - effective_potential(params, pw, q, 0.0))
             for q in (-1.5, -0.4, 0.0, 0.7, 2.0)
         )
         return worst < 1e-8, f"max diff {worst:.3e}"
@@ -347,7 +347,7 @@ def _cmd_validate(args) -> int:
         ok = below == REFLECTED and above == SURPASSED and eff.t == 0.0
         return ok, f"below={below}, above={above}, t={eff.t:g}"
 
-    check("smoothed potential: closed form vs convolution", smoothing_agreement)
+    check("piecewise twin: closed form vs Fourier kernel at p=0", smoothing_agreement)
     check("inverse mass vs smoothed-potential curvature", mass_curvature)
     check("effective potential at p=0 equals smoothed potential", zero_momentum_reduction)
     check("single-state transmission vs transfer matrix", oracle_pairing)

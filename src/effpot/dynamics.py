@@ -42,18 +42,12 @@ from .errors import (
 )
 from .lowmomentum import (
     LowMomentumModel,
+    Profile,
     evaluation_domain,
     inverse_mass,
-    inverse_mass_gradient,
-    smoothed_gradient,
     smoothed_potential,
-    vq_gradient,
 )
-from .potential import (
-    PiecewiseConstantPotential,
-    SquareBarrier,
-    support_interval,
-)
+from .potential import support_interval
 
 SURPASSED = "surpassed"
 REFLECTED = "reflected"
@@ -127,24 +121,15 @@ def _assemble(model, t, q, p, energy0, outcome, drift=None) -> Trajectory:
     )
 
 
-def _steps_of(pot):
-    """Breakpoints and segment levels for potentials made of constant pieces."""
-    if isinstance(pot, SquareBarrier):
-        return [-pot.l, pot.l], [0.0, pot.v0, 0.0]
-    if isinstance(pot, PiecewiseConstantPotential):
-        return list(pot.breakpoints), list(pot.values)
-    return None
-
-
 # ---------------------------------------------------------------- exact limit
 
 
 def _integrate_exact(model, q0, p0, t_end, t_eval, energy0):
     """Event-driven propagation for the piecewise-constant classical limit."""
-    steps = _steps_of(model.pot)
-    if steps is None:
+    shape = model.pot.shape
+    if not shape.steps:
         raise DomainError("exact classical propagation needs a piecewise-constant potential")
-    breaks, levels = steps
+    breaks, levels = shape.x, shape.levels
     if q0 in breaks:
         raise DomainError("start the trajectory strictly between potential steps")
     lo_edge, hi_edge = evaluation_domain(model)
@@ -227,6 +212,24 @@ def _integrate_exact(model, q0, p0, t_end, t_eval, energy0):
 # ------------------------------------------------------------ smooth stepping
 
 
+def _rhs(profile, eps):
+    """Equations of motion on one profile: canonical (q, p) when eps is None,
+    else the Newtonian (q, dq/dt) form at energy eps."""
+    at = profile.at  # on Python floats: several times cheaper than on numpy scalars
+    if eps is None:
+        def rhs(t, y):
+            q, p = y.tolist()
+            _, vp, minv, minvp = at(q)
+            return [p * minv, -vp - 0.5 * minvp * p * p]
+    else:
+        # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
+        def rhs(t, y):
+            q, u = y.tolist()
+            v, vp, minv, minvp = at(q)
+            return [u, -(vp * minv + (v - eps) * minvp)]
+    return rhs
+
+
 def _rk_segment(rhs, t0, y0, t_max, sc, events, max_step):
     sol = solve_ivp(
         rhs,
@@ -285,113 +288,55 @@ def _integrate_rk(model, q0, s0, t_end, sc, t_eval, rhs, p_report, v_init, energ
     return _assemble(model, ts, qs, ps, energy0, outcome)
 
 
-class _ThinWallForms:
-    """Closed forms for V, V', 1/M, (1/M)' evaluated in wall-local coordinates.
+def _wall_zones(model):
+    """(wall-local profile, wall, xi bounds, q bounds) per merged wall neighborhood.
 
     In the thin-wall regime the state coordinate q carries absolute roundoff
     of order eps_mach * |q| that the steep wall force (~ V0/sigma) converts
-    into an energy random walk near the conservation gate. Working in
-    xi = q - wall makes the dominant erf/Gaussian argument exact (nearby
-    doubles subtract exactly), so only genuine truncation error remains.
-    The forms are Gaussian-smoothed step sums, equal to the model's own
-    closed/convolved values.
+    into an energy random walk near the conservation gate. A zone integrates
+    xi = q - wall on a profile built in those coordinates, where the
+    dominant erf/Gaussian argument is exact (nearby doubles subtract
+    exactly), so only genuine truncation error remains.
     """
-
-    def __init__(self, model):
-        steps = _steps_of(model.pot)
-        if steps is None:
-            raise DomainError(
-                "the smoothing width is far below the potential's feature size; "
-                "thin-wall stepping supports piecewise-constant potentials only"
-            )
-        self.breaks, levels = steps
-        self.base = levels[0]
-        self.dvs = [b - a for a, b in zip(levels[:-1], levels[1:])]
-        params = model.params
-        self.m = params.m
-        self.w = 2.0 * params.m / (params.beta * params.hbar**2)
-        self.sqrt_w = math.sqrt(self.w)
-        self.gauss_coeff = math.sqrt(self.w / math.pi)
-        curvature = params.beta**2 * params.hbar**2 / (12.0 * params.m**2)
-        self.mass_coeff = curvature * 2.0 * self.w * self.gauss_coeff
-
-    def eval(self, j: int, xi: float):
-        """(V, V', 1/M, (1/M)') at q = breaks[j] + xi, exact in xi."""
-        v = self.base
-        vp = 0.0
-        minv = 1.0 / self.m
-        minvp = 0.0
-        bj = self.breaks[j]
-        for k, (bk, dv) in enumerate(zip(self.breaks, self.dvs)):
-            x = xi if k == j else xi + (bj - bk)
-            g = math.exp(-self.w * x * x)
-            v += 0.5 * dv * (1.0 + math.erf(self.sqrt_w * x))
-            vp += dv * self.gauss_coeff * g
-            minv += self.mass_coeff * dv * x * g
-            minvp += self.mass_coeff * dv * (1.0 - 2.0 * self.w * x * x) * g
-        return v, vp, minv, minvp
-
-
-def _wall_zones(model, forms):
-    """(active wall index, xi bounds, q bounds) per merged wall neighborhood."""
     half = ZONE_SIGMAS * model.smoothing_sigma
     groups = []
-    for j, b in enumerate(forms.breaks):
+    for b in model.pot.shape.x:
         if groups and b - half <= groups[-1][2]:
-            j0, lo, _ = groups[-1]
-            groups[-1] = (j0, lo, b + half)
+            groups[-1][2] = b + half
         else:
-            groups.append((j, b - half, b + half))
+            groups.append([b, b - half, b + half])
     return [
-        (j, lo - forms.breaks[j], hi - forms.breaks[j], lo, hi) for j, lo, hi in groups
+        (Profile(model.params, model.pot.shape, origin=b), b, lo - b, hi - b, lo, hi)
+        for b, lo, hi in groups
     ]
 
 
-def _integrate_thin(model, q0, s0, t_end, sc, t_eval, kind, eps, energy0):
+def _integrate_thin(model, q0, s0, t_end, sc, t_eval, eps, energy0):
     if t_eval is not None:
         raise ValueError("sample-time resampling is not supported in the thin-wall regime")
-    forms = _ThinWallForms(model)
-    zones = _wall_zones(model, forms)
+    zones = _wall_zones(model)
     lo_edge, hi_edge = evaluation_domain(model)
     sigma = model.smoothing_sigma
     m = model.params.m
-    newton = kind == "newtonian"
+    newton = eps is not None
     e_scale = max(abs(energy0), DRIFT_FLOOR)
 
-    def zone_rhs(j):
-        if newton:
-            def rhs(t, y):
-                xi, u = y
-                v, vp, minv, minvp = forms.eval(j, xi)
-                return [u, -(vp * minv + (v - eps) * minvp)]
-            # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
-        else:
-            def rhs(t, y):
-                xi, p = y
-                _, vp, minv, minvp = forms.eval(j, xi)
-                return [p * minv, -vp - 0.5 * minvp * p * p]
-        return rhs
-
-    def zone_energy(j, xi, s):
-        v, _, minv, _ = forms.eval(j, xi)
+    def zone_energy(profile, xi, s):
+        v, _, minv, _ = profile.at(xi)
         if newton:
             return 0.5 * s * s / minv + v
         return 0.5 * s * s * minv + v
 
-    def zone_momentum(j, xi, s):
-        if not newton:
-            return s
-        _, _, minv, _ = forms.eval(j, xi)
-        return s / minv
+    def zone_momentum(profile, xi, s):
+        return s / profile.at(xi)[2] if newton else s
 
     t, q, s = 0.0, q0, s0
     ts, qs, ps, drifts = [t], [q], [], []
-    start_zone = next((z for z in zones if z[3] <= q <= z[4]), None)
+    start_zone = next((z for z in zones if z[4] <= q <= z[5]), None)
     if start_zone is not None:
-        j0 = start_zone[0]
-        xi0 = q - forms.breaks[j0]
-        ps.append(zone_momentum(j0, xi0, s))
-        drifts.append(abs(zone_energy(j0, xi0, s) - energy0) / e_scale)
+        profile, bj = start_zone[:2]
+        ps.append(zone_momentum(profile, q - bj, s))
+        drifts.append(abs(zone_energy(profile, q - bj, s) - energy0) / e_scale)
     else:
         p_init = s if not newton else s / inverse_mass(model, q)
         ps.append(p_init)
@@ -401,12 +346,11 @@ def _integrate_thin(model, q0, s0, t_end, sc, t_eval, kind, eps, energy0):
     for _ in range(MAX_EVENTS):
         if t >= t_end:
             break
-        zone = next((z for z in zones if z[3] <= q <= z[4]), None)
+        zone = next((z for z in zones if z[4] <= q <= z[5]), None)
         if zone is not None:
-            j, xi_lo, xi_hi, q_lo, q_hi = zone
-            bj = forms.breaks[j]
+            profile, bj, xi_lo, xi_hi = zone[:4]
             xi = q - bj  # exact: q and bj are within a couple of ulps here
-            v = s * forms.eval(j, xi)[2] if not newton else s
+            v = s * profile.at(xi)[2] if not newton else s
             if v == 0.0:
                 break
             # event surfaces sit outside the membership edges so a flight
@@ -422,20 +366,20 @@ def _integrate_thin(model, q0, s0, t_end, sc, t_eval, kind, eps, energy0):
             leave_low.terminal = leave_high.terminal = True
             span = min(t_end, t + 1e4 * (xi_hi - xi_lo) / abs(v))
             sol = _rk_segment(
-                zone_rhs(j), t, [xi, s], span, sc, [leave_low, leave_high],
+                _rhs(profile, eps), t, [xi, s], span, sc, [leave_low, leave_high],
                 max_step=2.0 * sigma / abs(v),
             )
             for tt, xx, sv in zip(sol.t[1:], sol.y[0][1:], sol.y[1][1:]):
                 ts.append(float(tt))
                 qs.append(bj + float(xx))
-                ps.append(zone_momentum(j, float(xx), float(sv)))
-                drifts.append(abs(zone_energy(j, float(xx), float(sv)) - energy0) / e_scale)
+                ps.append(zone_momentum(profile, float(xx), float(sv)))
+                drifts.append(abs(zone_energy(profile, float(xx), float(sv)) - energy0) / e_scale)
             t, xi, s = float(sol.t[-1]), float(sol.y[0][-1]), float(sol.y[1][-1])
             if sol.status == 0 and t >= t_end:
                 break
             if sol.status == 0:
                 raise DidNotResolve("no exit from a wall zone within the time budget")
-            v = s * forms.eval(j, xi)[2] if not newton else s
+            v = s * profile.at(xi)[2] if not newton else s
             if v == 0.0:
                 break
             # the event surface is already outside the membership edges, so
@@ -446,7 +390,7 @@ def _integrate_thin(model, q0, s0, t_end, sc, t_eval, kind, eps, energy0):
             if v == 0.0:
                 break
             ahead = []
-            for _, _, _, q_lo, q_hi in zones:
+            for *_, q_lo, q_hi in zones:
                 if v > 0 and q_lo > q:
                     ahead.append(q_lo)
                 if v < 0 and q_hi < q:
@@ -485,11 +429,11 @@ def _integrate_thin(model, q0, s0, t_end, sc, t_eval, kind, eps, energy0):
 
 def _is_thin_wall(model) -> bool:
     sigma = model.smoothing_sigma
-    if sigma <= 0 or _steps_of(model.pot) is None:
+    shape = model.pot.shape
+    if sigma <= 0 or not shape.steps:
         return False
-    breaks, _ = _steps_of(model.pot)
-    gaps = [b2 - b1 for b1, b2 in zip(breaks[:-1], breaks[1:])]
-    spacing = min(gaps) if gaps else (support_interval(model.pot)[1] - support_interval(model.pot)[0])
+    breaks = shape.x
+    spacing = min((b2 - b1 for b1, b2 in zip(breaks[:-1], breaks[1:])), default=0.0)
     return sigma < spacing / THIN_WALL_FRACTION
 
 
@@ -503,8 +447,8 @@ def _default_t_end(model, v_init: float) -> float:
 def _guard_resolvable(model) -> None:
     # a smoothing width thousands of times below the support size forces a
     # max step far too small for plain adaptive integration, and only
-    # piecewise-constant potentials have the wall-local closed forms the
-    # segmented path needs
+    # piecewise-constant potentials have the force-free gaps between walls
+    # that the segmented path flies across
     sigma = model.smoothing_sigma
     if sigma <= 0 or _is_thin_wall(model):
         return
@@ -539,11 +483,6 @@ def integrate_hamiltonian(
             t_end = _default_t_end(model, p0 / model.params.m)
         return _integrate_exact(model, q0, p0, t_end, t_eval, energy0)
 
-    def rhs(t, y):
-        q, p = y
-        mi = inverse_mass(model, q)
-        return [p * mi, -smoothed_gradient(model, q) - 0.5 * inverse_mass_gradient(model, q) * p * p]
-
     def p_report(q, p):
         return p
 
@@ -551,8 +490,9 @@ def integrate_hamiltonian(
     if t_end is None:
         t_end = _default_t_end(model, v_init)
     if _is_thin_wall(model):
-        return _integrate_thin(model, q0, p0, t_end, sc, t_eval, "hamiltonian", None, energy0)
+        return _integrate_thin(model, q0, p0, t_end, sc, t_eval, None, energy0)
     _guard_resolvable(model)
+    rhs = _rhs(model.profile, None)
     return _integrate_rk(model, q0, p0, t_end, sc, t_eval, rhs, p_report, v_init, energy0)
 
 
@@ -584,18 +524,15 @@ def integrate_newtonian(
             t_end = _default_t_end(model, v0)
         return _integrate_exact(model, q0, m * v0, t_end, t_eval, eps)
 
-    def rhs(t, y):
-        q, u = y
-        return [u, -vq_gradient(model, q, eps) / m]
-
     def p_report(q, u):
         return u / inverse_mass(model, q)
 
     if t_end is None:
         t_end = _default_t_end(model, v0)
     if _is_thin_wall(model):
-        return _integrate_thin(model, q0, v0, t_end, sc, t_eval, "newtonian", eps, eps)
+        return _integrate_thin(model, q0, v0, t_end, sc, t_eval, eps, eps)
     _guard_resolvable(model)
+    rhs = _rhs(model.profile, eps)
     return _integrate_rk(model, q0, v0, t_end, sc, t_eval, rhs, p_report, v0, eps)
 
 

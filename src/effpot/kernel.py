@@ -8,15 +8,15 @@ using the potential's form factor:
     V_eff(q, p) = (1/pi) * Int_0^inf sinhc(beta hbar p k / (2m))
                   * exp(-beta hbar^2 k^2 / (8m)) * Re[e^{ikq} F(k)] dk
 
-with F(k) the form factor of the deviation from the asymptotic level, which
-is added back afterwards. This evaluator is the ground truth against which
-the momentum-quadratic reduced model is validated; the dynamics never use it.
+with F(k) the exact form factor of the deviation from the asymptotic level,
+which is added back afterwards. This evaluator is the ground truth against
+which the momentum-quadratic reduced model is validated; the dynamics never
+use it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .physical import PhysicalParams
@@ -41,20 +41,6 @@ def sinhc(x: float) -> float:
         except OverflowError:
             return math.inf
     return math.sinh(ax) / ax
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonianSample:
-    """One phase-space sample of the effective potential and its Hamiltonian."""
-
-    q: float
-    p: float
-    veff: float
-    eps_eff: float
-
-    @classmethod
-    def at(cls, params: PhysicalParams, q: float, p: float, veff: float):
-        return cls(q=q, p=p, veff=veff, eps_eff=p * p / (2.0 * params.m) + veff)
 
 
 def effective_potential(

@@ -7,18 +7,20 @@ sigma = sqrt(beta hbar^2 / (4 m)) and an inverse mass
 
     1/M(q) = 1/m - (beta^2 hbar^2 / (12 m^2)) V''(q),
 
-where V'' is the second derivative of the smoothed potential. For the square
-barrier both have closed error-function forms; for general potentials they
-are computed as position-space convolutions with the Gaussian kernel and its
-second derivative. The model is only meaningful while M(q) stays positive,
-which is checked on a dense grid at construction.
+where V'' is the second derivative of the smoothed potential. Every
+potential is constant or linear between breakpoints (potential.Shape), and
+the Gaussian smoothing of such a segment is a few error-function and
+Gaussian terms, so V, V', 1/M and (1/M)' are closed-form sums over the
+segments (``Profile``), for one position or a whole array of them. The model
+is only meaningful while M(q) stays positive, which is checked on a dense
+grid at construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,16 +30,83 @@ from .errors import DomainError, NonPositiveMass
 from .physical import PhysicalParams
 from .potential import (
     ClassicalPotential,
+    Shape,
     SquareBarrier,
-    asymptotic_level,
     classical_max,
     eval_classical,
     support_interval,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
 SCAN_POINTS = 2001
-CONVOLUTION_TAILS = 8.0  # Gaussian tail cut for convolution windows
+
+
+class Profile:
+    """V, V', 1/M and (1/M)' as closed-form sums over a potential's segments.
+
+    A constant segment of height h on (a, b) contributes
+    V = h/2 (erf(c (q - a)) + erf(c (b - q))) with c = 1/(sqrt(2) sigma) and
+    1/M - 1/m = h/(3 hbar) sqrt(2 beta/(pi m)) ((b - q) e_b + (q - a) e_a)
+    with e_x = exp(-w (q - x)^2), w = 2m/(beta hbar^2); a linear segment adds
+    the smoothing of its ramp. Positions are measured from ``origin``: the
+    thin-wall integrator works in coordinates local to a wall, where the
+    segment ends at that wall are exactly 0.
+    """
+
+    def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
+        m, beta, hbar = params.m, params.beta, params.hbar
+        sigma = math.sqrt(beta / (4.0 * m)) * hbar
+        mass_root = math.sqrt(2.0 * beta / (math.pi * m))
+        self.level = shape.level
+        self.inv_m = 1.0 / m
+        self.c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
+        self.w = 2.0 * m / (beta * hbar * hbar)
+        self.gauss = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+        self.mass_coeff = mass_root / (3.0 * hbar)
+        self.constant, self.linear = [], []
+        x = shape.x
+        for a, b, va, vb in zip(x[:-1], x[1:], shape.left, shape.right):
+            ha, hb = va - shape.level, vb - shape.level
+            a, b = a - origin, b - origin
+            if ha != hb:
+                self.linear.append((a, b, ha, hb, (hb - ha) / (b - a)))
+            elif ha != 0.0:
+                # same operation order as the square barrier's closed forms in
+                # the reference figures, so those keep every bit
+                self.constant.append((a, b, 0.5 * ha, self.gauss * ha, (ha / (3.0 * hbar)) * mass_root))
+
+    def at(self, q: float):
+        """(V, V', 1/M, (1/M)') at one position, on math scalars."""
+        return self._sum(q, math.exp, 0.0)
+
+    def on(self, q: np.ndarray):
+        """(V, V', 1/M, (1/M)') at every position of an array."""
+        q = np.asarray(q, dtype=float)
+        return self._sum(q, np.exp, np.zeros_like(q))
+
+    def _sum(self, q, exp, zero):
+        c, w = self.c, self.w
+        v = vp = mi = mip = zero
+        for a, b, half, grad, coeff in self.constant:
+            lp, lm = q - a, b - q
+            ea, eb = exp(-w * lp * lp), exp(-w * lm * lm)
+            v = v + half * (erf(c * lp) + erf(c * lm))
+            vp = vp + grad * (ea - eb)
+            mi = mi + coeff * (lm * eb + lp * ea)
+            mip = mip + coeff * (eb * (2.0 * w * lm * lm - 1.0) + ea * (1.0 - 2.0 * w * lp * lp))
+        gauss, coeff, var = self.gauss, self.mass_coeff, 0.5 / w
+        for a, b, ha, hb, slope in self.linear:
+            lp, lm = q - a, b - q
+            ea, eb = exp(-w * lp * lp), exp(-w * lm * lm)
+            inside = 0.5 * (erf(c * lp) + erf(c * lm))
+            v = v + (ha + slope * lp) * inside + slope * var * gauss * (ea - eb)
+            vp = vp + gauss * (ha * ea - hb * eb) + slope * inside
+            mi = mi + coeff * (ha * lp * ea + hb * lm * eb - slope * var * (ea - eb))
+            mip = mip + coeff * (
+                ha * ea * (1.0 - 2.0 * w * lp * lp)
+                + hb * eb * (2.0 * w * lm * lm - 1.0)
+                + slope * (lp * ea + lm * eb)
+            )
+        return self.level + v, vp, self.inv_m + mi, mip
 
 
 @dataclass(frozen=True)
@@ -46,25 +115,28 @@ class LowMomentumModel:
 
     Construction verifies mass positivity on the evaluation domain and fails
     with NonPositiveMass otherwise, so downstream code can assume M(q) > 0.
+    At hbar = 0 there is no smoothing and profile is None.
     """
 
     params: PhysicalParams
     pot: ClassicalPotential
     smoothing_sigma: float = 0.0
+    profile: Optional[Profile] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = math.sqrt(self.params.beta / (4.0 * self.params.m)) * self.params.hbar
         object.__setattr__(self, "smoothing_sigma", sigma)
         if self.params.hbar > 0:
-            lo, hi = evaluation_domain(self)
-            qs = np.linspace(lo, hi, SCAN_POINTS)
-            for q in qs:
-                val = _inverse_mass_unchecked(self, float(q))
-                if val <= 0:
-                    raise NonPositiveMass(
-                        f"inverse mass {val:.4g} at q = {q:.4g}; "
-                        "the reduced model is invalid at these parameters"
-                    )
+            profile = Profile(self.params, self.pot.shape)
+            object.__setattr__(self, "profile", profile)
+            qs = np.linspace(*evaluation_domain(self), SCAN_POINTS)
+            inv_mass = profile.on(qs)[2]
+            bad = np.flatnonzero(inv_mass <= 0)
+            if bad.size:
+                raise NonPositiveMass(
+                    f"inverse mass {inv_mass[bad[0]]:.4g} at q = {qs[bad[0]]:.4g}; "
+                    "the reduced model is invalid at these parameters"
+                )
 
 
 def evaluation_domain(model: LowMomentumModel):
@@ -76,125 +148,61 @@ def evaluation_domain(model: LowMomentumModel):
     return a - pad, b + pad
 
 
-def _gauss(s: float, sigma: float) -> float:
-    return math.exp(-s * s / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
-
-
-def _convolve(model: LowMomentumModel, q: float, kernel, cfg: QuadratureConfig) -> float:
-    """Integral of kernel(q - q') * (V(q') - base) over the potential support."""
-    sigma = model.smoothing_sigma
-    a, b = support_interval(model.pot)
-    lo = max(a, q - CONVOLUTION_TAILS * sigma)
-    hi = min(b, q + CONVOLUTION_TAILS * sigma)
-    if lo >= hi:
-        return 0.0
-    base = asymptotic_level(model.pot)
-
-    def f(x: float) -> float:
-        return kernel(q - x, sigma) * (eval_classical(model.pot, x) - base)
-
-    return integrate_adaptive(f, lo, hi, cfg)
-
-
-def smoothed_potential(model: LowMomentumModel, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def smoothed_potential(model: LowMomentumModel, q: float) -> float:
     """Gaussian-smoothed potential V(q); the bare potential when hbar = 0."""
-    params, pot = model.params, model.pot
-    if params.hbar == 0:
-        return eval_classical(pot, q)
-    if isinstance(pot, SquareBarrier):
-        s = math.sqrt(params.beta) * params.hbar
-        c = math.sqrt(2.0 * params.m) / s
-        return 0.5 * pot.v0 * (erf(c * (pot.l + q)) + erf(c * (pot.l - q)))
-    return asymptotic_level(pot) + _convolve(model, q, _gauss, cfg)
+    if model.profile is None:
+        return eval_classical(model.pot, q)
+    return model.profile.at(q)[0]
 
 
-def smoothed_gradient(model: LowMomentumModel, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """dV/dq; closed form for the square barrier, centered differences otherwise."""
-    params, pot = model.params, model.pot
-    if params.hbar == 0:
+def smoothed_gradient(model: LowMomentumModel, q: float) -> float:
+    """dV/dq of the smoothed potential."""
+    if model.profile is None:
         raise DomainError("the bare potential is discontinuous; no gradient at hbar = 0")
-    sigma = model.smoothing_sigma
-    if isinstance(pot, SquareBarrier):
-        w = 1.0 / (2.0 * sigma * sigma)
-        c = pot.v0 / (math.sqrt(2.0 * math.pi) * sigma)
-        return c * (math.exp(-w * (pot.l + q) ** 2) - math.exp(-w * (pot.l - q) ** 2))
-    h = sigma / 100.0
-    return (smoothed_potential(model, q + h, cfg) - smoothed_potential(model, q - h, cfg)) / (2.0 * h)
+    return model.profile.at(q)[1]
 
 
-def _inverse_mass_unchecked(model: LowMomentumModel, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    params, pot = model.params, model.pot
-    m = params.m
-    if params.hbar == 0:
-        return 1.0 / m
-    if isinstance(pot, SquareBarrier):
-        # two-Gaussian form of the closed expression; immune to cosh overflow
-        w = 2.0 * m / (params.beta * params.hbar * params.hbar)
-        c = (pot.v0 / (3.0 * params.hbar)) * math.sqrt(2.0 * params.beta / (math.pi * m))
-        lp, lm = pot.l + q, pot.l - q
-        return 1.0 / m + c * (lm * math.exp(-w * lm * lm) + lp * math.exp(-w * lp * lp))
-    curvature = _convolve(model, q, _gauss_second_derivative, cfg)
-    return 1.0 / m - params.beta**2 * params.hbar**2 / (12.0 * m * m) * curvature
-
-
-def _gauss_second_derivative(s: float, sigma: float) -> float:
-    s2 = sigma * sigma
-    return (s * s - s2) / (s2 * s2) * _gauss(s, sigma)
-
-
-def inverse_mass(model: LowMomentumModel, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def inverse_mass(model: LowMomentumModel, q: float) -> float:
     """1/M(q). Raises NonPositiveMass when the reduced model breaks down."""
-    val = _inverse_mass_unchecked(model, q, cfg)
+    val = 1.0 / model.params.m if model.profile is None else model.profile.at(q)[2]
     if val <= 0:
         raise NonPositiveMass(f"inverse mass {val:.4g} at q = {q:.4g}")
     return val
 
 
-def mass(model: LowMomentumModel, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def mass(model: LowMomentumModel, q: float) -> float:
     """Position-dependent mass M(q) > 0."""
-    return 1.0 / inverse_mass(model, q, cfg)
+    return 1.0 / inverse_mass(model, q)
 
 
-def inverse_mass_gradient(model: LowMomentumModel, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """d(1/M)/dq; closed form for the square barrier, centered differences otherwise."""
-    params, pot = model.params, model.pot
-    if params.hbar == 0:
+def inverse_mass_gradient(model: LowMomentumModel, q: float) -> float:
+    """d(1/M)/dq; zero at hbar = 0."""
+    if model.profile is None:
         return 0.0
-    sigma = model.smoothing_sigma
-    if isinstance(pot, SquareBarrier):
-        w = 1.0 / (2.0 * sigma * sigma)
-        c = (pot.v0 / (3.0 * params.hbar)) * math.sqrt(2.0 * params.beta / (math.pi * params.m))
-        lp, lm = pot.l + q, pot.l - q
-        return c * (
-            math.exp(-w * lm * lm) * (2.0 * w * lm * lm - 1.0)
-            + math.exp(-w * lp * lp) * (1.0 - 2.0 * w * lp * lp)
-        )
-    h = sigma / 100.0
-    return (
-        _inverse_mass_unchecked(model, q + h, cfg) - _inverse_mass_unchecked(model, q - h, cfg)
-    ) / (2.0 * h)
+    return model.profile.at(q)[3]
 
 
-def vq_potential(model: LowMomentumModel, q: float, eps: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     """Reduced potential for Newtonian motion at conserved energy eps:
     (m/M(q)) (V(q) - eps) + eps. Equals the bare potential when hbar = 0."""
-    m_inv = inverse_mass(model, q, cfg)
-    v = smoothed_potential(model, q, cfg)
+    m_inv = inverse_mass(model, q)
+    v = smoothed_potential(model, q)
     return model.params.m * m_inv * (v - eps) + eps
 
 
-def vq_gradient(model: LowMomentumModel, q: float, eps: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def vq_gradient(model: LowMomentumModel, q: float, eps: float) -> float:
     """Spatial derivative of the reduced potential at fixed eps."""
-    m = model.params.m
-    m_inv = inverse_mass(model, q, cfg)
-    v = smoothed_potential(model, q, cfg)
-    return m * (smoothed_gradient(model, q, cfg) * m_inv + (v - eps) * inverse_mass_gradient(model, q, cfg))
+    if model.profile is None:
+        raise DomainError("the bare potential is discontinuous; no gradient at hbar = 0")
+    v, vp, m_inv, m_inv_p = model.profile.at(q)
+    if m_inv <= 0:
+        raise NonPositiveMass(f"inverse mass {m_inv:.4g} at q = {q:.4g}")
+    return model.params.m * (vp * m_inv + (v - eps) * m_inv_p)
 
 
-def _grid_golden_max(f, lo: float, hi: float, n: int = SCAN_POINTS):
-    """Dense grid argmax refined by golden-section search; returns (argmax, max)."""
-    qs = np.linspace(lo, hi, n)
-    vals = np.array([f(float(q)) for q in qs])
+def _refine_max(f, qs: np.ndarray, vals: np.ndarray):
+    """Grid argmax refined by golden-section search on f; returns (argmax, max)."""
+    n = qs.size
     i = int(vals.argmax())
     if i == 0 or i == n - 1:
         return float(qs[i]), float(vals[i])
@@ -219,7 +227,7 @@ class VqMax(NamedTuple):
     displaced: bool     # True when the maximum left the barrier center
 
 
-def vq_max_square(model: LowMomentumModel, eps: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> VqMax:
+def vq_max_square(model: LowMomentumModel, eps: float) -> VqMax:
     """Maximum of the reduced potential for a square barrier.
 
     The closed form evaluates the reduced potential at the barrier center.
@@ -233,15 +241,18 @@ def vq_max_square(model: LowMomentumModel, eps: float, cfg: QuadratureConfig = D
     params = model.params
     if params.hbar == 0:
         return VqMax(value=pot.v0, numeric_max=pot.v0, argmax=0.0, displaced=False)
-    center_mass_ratio = params.m * _inverse_mass_unchecked(model, 0.0)
-    value = center_mass_ratio * (smoothed_potential(model, 0.0, cfg) - eps) + eps
+    value = vq_potential(model, 0.0, eps)
     lo, hi = evaluation_domain(model)
-    argmax, numeric_max = _grid_golden_max(lambda q: vq_potential(model, q, eps, cfg), lo, hi)
+    qs = np.linspace(lo, hi, SCAN_POINTS)
+    v, _, m_inv, _ = model.profile.on(qs)
+    argmax, numeric_max = _refine_max(
+        lambda q: vq_potential(model, q, eps), qs, params.m * m_inv * (v - eps) + eps
+    )
     resolution = (hi - lo) / (SCAN_POINTS - 1)
     return VqMax(value=value, numeric_max=numeric_max, argmax=argmax, displaced=abs(argmax) > resolution)
 
 
-def tunneling_threshold(model: LowMomentumModel, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def tunneling_threshold(model: LowMomentumModel) -> float:
     """Smallest energy at which the reduced barrier no longer reflects.
 
     An energy eps clears the reduced potential everywhere exactly when it
@@ -256,6 +267,6 @@ def tunneling_threshold(model: LowMomentumModel, cfg: QuadratureConfig = DEFAULT
         return classical_max(pot)
     if isinstance(pot, SquareBarrier):
         return pot.v0 * erf(math.sqrt(2.0 * params.m) * pot.l / (math.sqrt(params.beta) * params.hbar))
-    lo, hi = evaluation_domain(model)
-    _, peak = _grid_golden_max(lambda q: smoothed_potential(model, q, cfg), lo, hi)
+    qs = np.linspace(*evaluation_domain(model), SCAN_POINTS)
+    _, peak = _refine_max(lambda q: smoothed_potential(model, q), qs, model.profile.on(qs)[0])
     return peak

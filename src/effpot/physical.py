@@ -24,6 +24,8 @@ class PhysicalParams:
     hbar: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.m, self.beta, self.hbar)):
+            raise ValueError(f"parameters must be finite, got {self}")
         if not self.m > 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if not self.beta > 0:

@@ -1,8 +1,12 @@
-"""Classical 1-D potentials and their Fourier form factors.
+"""Classical 1-D potentials as one shape description, and their form factors.
 
-All potentials must approach equal constant levels on both sides; only the
-deviation from that asymptotic level is ever smoothed or Fourier transformed,
-which is what makes the smoothing integrals converge. Potentials with unequal
+Every potential is an asymptotic level plus segments between breakpoints on
+which it is constant or linear (``Shape``): a square barrier is one constant
+segment, a piecewise-constant potential several, and a tabulated potential
+the linear segments between its samples, at the asymptotic level outside the
+grid. Only the deviation from the asymptotic level is ever smoothed or
+Fourier transformed, which is what makes the smoothing integrals converge;
+both are closed-form sums over the segments. Potentials with unequal
 left/right asymptotes are rejected.
 """
 
@@ -10,10 +14,57 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+
+# below this |k| times the segment half-width, the odd part of a linear
+# segment's transform is summed as a series (the closed form cancels)
+FILON_SERIES_BELOW = 0.25
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Asymptotic level plus segments (x[k], x[k+1]).
+
+    On segment k the potential runs linearly from left[k] at x[k] to right[k]
+    at x[k+1]; the two are equal on a constant segment. Outside (x[0], x[-1])
+    it equals the level. fourier holds, per segment off the level, its
+    midpoint c, half-width d, 2 d times its mean deviation and d times its
+    rise, the coefficients of form_factor.
+    """
+
+    level: float
+    x: tuple
+    left: tuple
+    right: tuple
+    fourier: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fourier", tuple(
+            (0.5 * (a + b), 0.5 * (b - a), (b - a) * (0.5 * (va + vb) - self.level),
+             0.5 * (b - a) * (vb - va))
+            for a, b, va, vb in zip(self.x[:-1], self.x[1:], self.left, self.right)
+            if not va == vb == self.level
+        ))
+
+    @property
+    def steps(self) -> bool:
+        """True when every segment is constant (the potential only jumps)."""
+        return self.left == self.right
+
+    @property
+    def levels(self) -> tuple:
+        """Value on each interval between breakpoints, outer ones included,
+        for a potential that only jumps."""
+        return (self.level, *self.left, self.level)
+
+
+def _require_finite(name: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -27,12 +78,15 @@ class SquareBarrier:
 
     v0: float
     l: float
+    shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_finite("barrier height and half-width", (self.v0, self.l))
         if not self.v0 > 0:
             raise ValueError(f"barrier height must be positive, got {self.v0}")
         if not self.l > 0:
             raise ValueError(f"barrier half-width must be positive, got {self.l}")
+        object.__setattr__(self, "shape", Shape(0.0, (-self.l, self.l), (self.v0,), (self.v0,)))
 
 
 @dataclass(frozen=True)
@@ -45,12 +99,14 @@ class PiecewiseConstantPotential:
 
     breakpoints: tuple
     values: tuple
+    shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = tuple(float(x) for x in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        _require_finite("breakpoints and values", bp + vals)
         if len(vals) != len(bp) + 1:
             raise ValueError("need exactly one more value than breakpoints")
         if len(bp) < 1:
@@ -59,33 +115,38 @@ class PiecewiseConstantPotential:
             raise ValueError("breakpoints must be strictly increasing")
         if vals[0] != vals[-1]:
             raise ValueError("unequal left/right asymptotic levels are not supported")
+        object.__setattr__(self, "shape", Shape(vals[0], bp, vals[1:-1], vals[1:-1]))
 
 
 @dataclass(frozen=True)
 class TabulatedPotential:
     """Sampled potential, linearly interpolated inside the grid.
 
-    Outside the grid the boundary sample extends as a constant, so the first
-    and last samples are the asymptotic levels and must agree.
+    Outside the grid the potential sits at its asymptotic level, the first
+    sample; the last sample must agree with it to 1e-12 of the largest
+    sample magnitude (at least 1).
     """
 
     grid: tuple
     values: tuple
+    shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", tuple(g))
-        object.__setattr__(self, "values", tuple(v))
+        object.__setattr__(self, "grid", tuple(g.tolist()))
+        object.__setattr__(self, "values", tuple(v.tolist()))
         if g.size != v.size:
             raise ValueError("grid and values must have the same length")
         if g.size < 2:
             raise ValueError("need at least two samples")
+        _require_finite("grid positions and values", self.grid + self.values)
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid positions must be strictly increasing")
         scale = max(1.0, float(np.max(np.abs(v))))
         if abs(v[0] - v[-1]) > 1e-12 * scale:
             raise ValueError("unequal left/right asymptotic levels are not supported")
+        object.__setattr__(self, "shape", Shape(self.values[0], self.grid, self.values[:-1], self.values[1:]))
 
 
 ClassicalPotential = Union[SquareBarrier, PiecewiseConstantPotential, TabulatedPotential]
@@ -93,86 +154,67 @@ ClassicalPotential = Union[SquareBarrier, PiecewiseConstantPotential, TabulatedP
 
 def asymptotic_level(pot: ClassicalPotential) -> float:
     """Common potential level far from the structure."""
-    if isinstance(pot, SquareBarrier):
-        return 0.0
-    if isinstance(pot, PiecewiseConstantPotential):
-        return pot.values[0]
-    return pot.values[0]
+    return pot.shape.level
 
 
 def support_interval(pot: ClassicalPotential):
     """Interval [a, b] outside which the potential equals its asymptotic level."""
-    if isinstance(pot, SquareBarrier):
-        return -pot.l, pot.l
-    if isinstance(pot, PiecewiseConstantPotential):
-        return pot.breakpoints[0], pot.breakpoints[-1]
-    return pot.grid[0], pot.grid[-1]
+    x = pot.shape.x
+    return x[0], x[-1]
 
 
 def eval_classical(pot: ClassicalPotential, q: float) -> float:
     """Value of the bare potential at q, midpoint convention at jumps."""
-    if isinstance(pot, SquareBarrier):
-        aq = abs(q)
-        if aq < pot.l:
-            return pot.v0
-        if aq == pot.l:
-            return 0.5 * pot.v0
-        return 0.0
-    if isinstance(pot, PiecewiseConstantPotential):
-        bp, vals = pot.breakpoints, pot.values
-        for i, b in enumerate(bp):
-            if q < b:
-                return vals[i]
-            if q == b:
-                return 0.5 * (vals[i] + vals[i + 1])
-        return vals[-1]
-    g = np.asarray(pot.grid)
-    v = np.asarray(pot.values)
-    if q <= g[0]:
-        return float(v[0])
-    if q >= g[-1]:
-        return float(v[-1])
-    return float(np.interp(q, g, v))
+    shape = pot.shape
+    level, x, left, right = shape.level, shape.x, shape.left, shape.right
+    k = bisect_right(x, q)  # x[k - 1] <= q < x[k]
+    if k == 0:
+        return level
+    if q == x[k - 1]:
+        below = right[k - 2] if k >= 2 else level
+        above = left[k - 1] if k <= len(left) else level
+        return 0.5 * (below + above)
+    if k == len(x):
+        return level
+    va, vb = left[k - 1], right[k - 1]
+    if va == vb:
+        return va
+    a, b = x[k - 1], x[k]
+    return va + (vb - va) * (q - a) / (b - a)
 
 
 def classical_max(pot: ClassicalPotential) -> float:
     """Largest value the bare potential takes."""
-    if isinstance(pot, SquareBarrier):
-        return pot.v0
-    if isinstance(pot, PiecewiseConstantPotential):
-        return max(pot.values)
-    return float(np.max(np.asarray(pot.values)))
+    shape = pot.shape
+    return max((shape.level, *shape.left, *shape.right))
 
 
 def form_factor(pot: ClassicalPotential, k: float) -> complex:
     """Fourier transform of the potential's deviation from its asymptotic level.
 
-    Returns the integral of (V(q') - V_inf) e^{-i k q'} dq'. For the centered
-    square barrier this is 2 v0 sin(k l)/k with small-k limit 2 v0 l; symmetric
-    potentials give a real, even function of k.
+    Returns the integral of (V(q') - V_inf) e^{-i k q'} dq', exactly: a
+    segment with midpoint c, half-width d, mean deviation f and rise 2r
+    contributes 2 d e^{-ikc} (f sin(kd)/(kd) - i r j1(kd)), where
+    j1(z) = (sin z - z cos z)/z^2 is summed as a series for small kd (a
+    Filon-type rule that is exact for linear segments). For the centered
+    square barrier this is 2 v0 sin(k l)/k with small-k limit 2 v0 l;
+    symmetric potentials give a real, even function of k.
     """
-    if isinstance(pot, SquareBarrier):
-        if k == 0.0:
-            return complex(2.0 * pot.v0 * pot.l)
-        return complex(2.0 * pot.v0 * math.sin(k * pot.l) / k)
-    if isinstance(pot, PiecewiseConstantPotential):
-        base = asymptotic_level(pot)
-        total = 0.0 + 0.0j
-        bp, vals = pot.breakpoints, pot.values
-        for i in range(len(bp) - 1):
-            dv = vals[i + 1] - base
-            if dv == 0.0:
-                continue
-            a, b = bp[i], bp[i + 1]
-            if k == 0.0:
-                total += dv * (b - a)
+    re = im = 0.0
+    for mid, half, even, odd in pot.shape.fourier:
+        z = k * half
+        if z != 0.0:
+            even *= math.sin(z) / z
+        if odd != 0.0:
+            if abs(z) < FILON_SERIES_BELOW:
+                z2 = z * z
+                odd *= z * (1 / 3 - z2 * (1 / 30 - z2 * (1 / 840 - z2 * (1 / 45360 - z2 / 3991680))))
             else:
-                total += dv * (np.exp(-1j * k * a) - np.exp(-1j * k * b)) / (1j * k)
-        return complex(total)
-    g = np.asarray(pot.grid)
-    dev = np.asarray(pot.values) - asymptotic_level(pot)
-    # trapezoid Fourier sum; accuracy is the caller's responsibility via grid density
-    return complex(np.trapezoid(dev * np.exp(-1j * k * g), g))
+                odd *= (math.sin(z) - z * math.cos(z)) / (z * z)
+        cos_p, sin_p = math.cos(k * mid), math.sin(k * mid)
+        re += cos_p * even - sin_p * odd
+        im -= sin_p * even + cos_p * odd
+    return complex(re, im)
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:

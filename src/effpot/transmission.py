@@ -202,14 +202,10 @@ def transfer_matrix_transmission(
     barriers overflow the matrix product; those return t = 0 with the
     underflow flag set instead of raising.
     """
-    if isinstance(pot, SquareBarrier):
-        breaks = [-pot.l, pot.l]
-        levels = [0.0, pot.v0, 0.0]
-    elif isinstance(pot, PiecewiseConstantPotential):
-        breaks = list(pot.breakpoints)
-        levels = list(pot.values)
-    else:
+    shape = pot.shape
+    if not shape.steps:
         raise DomainError("transfer matrix needs a piecewise-constant potential")
+    breaks, levels = shape.x, shape.levels
     if params.hbar <= 0:
         raise DomainError("scattering needs hbar > 0")
     if E <= levels[0]:

@@ -24,6 +24,8 @@ from effpot.kernel import effective_potential
 from effpot.lowmomentum import (
     LowMomentumModel,
     inverse_mass,
+    inverse_mass_gradient,
+    smoothed_gradient,
     smoothed_potential,
     vq_potential,
 )
@@ -38,6 +40,7 @@ from effpot.transmission import (
     surpass_fraction,
     transfer_matrix_transmission,
 )
+from reference_profiles import reference_profiles
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 PW_BARRIER = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
@@ -62,17 +65,23 @@ def test_criterion_2_mixture_half_transmission_point():
 
 
 def test_criterion_3_closed_forms_vs_quadrature():
+    # V, V', 1/M and (1/M)' of the square barrier and of its piecewise twin
+    # against the quadrature convolution of the bare barrier
     qs = np.linspace(-1.5, 1.5, 101)
     worst = 0.0
     for hbar in (1.0, 3.0, 6.0, 10.0, 30.0):
         params = _params(hbar)
-        closed = LowMomentumModel(params, BARRIER)
-        convolved = LowMomentumModel(params, PW_BARRIER)
-        for q in qs:
-            q = float(q)
-            dv = abs(smoothed_potential(closed, q) - smoothed_potential(convolved, q))
-            dm = abs(inverse_mass(closed, q) - inverse_mass(convolved, q))
-            worst = max(worst, dv, dm)
+        for pot in (BARRIER, PW_BARRIER):
+            model = LowMomentumModel(params, pot)
+            for q in map(float, qs):
+                closed = (
+                    smoothed_potential(model, q),
+                    smoothed_gradient(model, q),
+                    inverse_mass(model, q),
+                    inverse_mass_gradient(model, q),
+                )
+                reference = reference_profiles(params, BARRIER, q)
+                worst = max(worst, *(abs(a - b) for a, b in zip(closed, reference)))
     print(f"criterion 3: max closed-vs-quadrature diff {worst:.3e} (gate 1e-8)")
     assert worst < 1e-8
 

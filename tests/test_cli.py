@@ -155,6 +155,32 @@ def test_negative_hbar_is_usage_error():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("flags", [("--hbar", "nan"), ("--hbar", "inf"), ("--V0", "inf")])
+def test_non_finite_parameter_is_usage_error(tmp_path, flags):
+    out = tmp_path / "coeff.txt"
+    res = run("coeff", *flags, "--out", str(out))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
+    assert not out.exists()
+
+
+def test_non_finite_csv_row_is_usage_error(tmp_path):
+    pot = tmp_path / "pot.csv"
+    pot.write_text("q,V\n-1.0,0.0\nnan,0.5\n1.0,0.0\n")
+    out = tmp_path / "model.csv"
+    res = run("model", "--potential-csv", str(pot), "--out", str(out))
+    assert res.returncode == 2
+    assert not out.exists()
+
+
+def test_model_from_tabulated_csv(tmp_path):
+    pot = tmp_path / "pot.csv"
+    pot.write_text("q,V\n-1.0,0.0\n-0.2,0.8\n1.0,0.0\n")
+    res = run("model", "--potential-csv", str(pot), "--n", "5")
+    assert res.returncode == 0
+    assert len(_data_lines(res.stdout)) == 1 + 5
+
+
 def test_out_into_missing_directory():
     res = run("coeff", "--out", "/nonexistent_dir_xyz/out.txt")
     assert res.returncode == 1

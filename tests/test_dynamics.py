@@ -30,6 +30,7 @@ from effpot.physical import PhysicalParams
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
+TWIN = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
 
 
 def _model(hbar):
@@ -284,6 +285,41 @@ def test_launch_state_energy():
         launch_state(model, -0.1)
 
 
+# ------------------------------------------------ general potentials, adaptive
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("hbar", [2.0, 3.0, 6.0])
+def test_piecewise_twin_steps_like_the_square(hbar, eps):
+    # the piecewise-constant twin of the square barrier must pass the same
+    # drift gate in both forms and reach the square's outcome
+    params = PhysicalParams(m=1.0, beta=0.125, hbar=hbar)
+    twin = LowMomentumModel(params, TWIN)
+    expected = classify_traversal(LowMomentumModel(params, BARRIER), eps)
+    q0, p0 = launch_state(twin, eps)
+    ham = integrate_hamiltonian(twin, q0, p0)
+    newt = integrate_newtonian(twin, q0, p0 * inverse_mass(twin, q0), eps)
+    for traj in (ham, newt):
+        assert traj.max_energy_drift < 1e-9
+        assert traj.outcome == expected
+
+
+@pytest.mark.parametrize("form", ["hamiltonian", "newtonian"])
+def test_tabulated_tent_adaptive_trajectories(form):
+    grid = np.linspace(-1.0, 1.0, 41)
+    tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=3.0), tent)
+    thr = tunneling_threshold(model)
+    for eps in (0.7 * thr, 1.2 * thr):
+        q0, p0 = launch_state(model, eps)
+        if form == "hamiltonian":
+            traj = integrate_hamiltonian(model, q0, p0)
+        else:
+            traj = integrate_newtonian(model, q0, p0 * inverse_mass(model, q0), eps)
+        assert traj.max_energy_drift < 1e-9
+        assert traj.outcome == (SURPASSED if eps > thr else REFLECTED)
+
+
 # ---------------------------------------------------------- thin-wall regime
 
 
@@ -321,6 +357,19 @@ def test_thin_wall_newtonian_form():
     traj = integrate_newtonian(model, q0, v0, eps)
     assert traj.outcome == SURPASSED
     assert traj.max_energy_drift < 1e-9
+
+
+def test_thin_wall_multi_step_barrier():
+    # walls of a 3-step barrier, each crossed or reflected in wall-local
+    # coordinates, against the exact step rule at hbar = 0
+    pot = PiecewiseConstantPotential((-0.6, 0.0, 0.55), (0.0, 0.5, 0.9, 0.0))
+    thin = LowMomentumModel(PhysicalParams(1.0, 0.125, 1e-6), pot)
+    exact = LowMomentumModel(PhysicalParams(1.0, 0.125, 0.0), pot)
+    for eps in (0.3, 0.7, 1.2):
+        q0, p0 = launch_state(thin, eps)
+        traj = integrate_hamiltonian(thin, q0, p0)
+        assert traj.max_energy_drift < 1e-9
+        assert traj.outcome == integrate_hamiltonian(exact, q0, p0).outcome
 
 
 def test_thin_wall_rejects_resampling():

@@ -1,5 +1,9 @@
 """Reference figure data: regeneration, headers, and qualitative features."""
 
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +55,22 @@ def figdir(tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")
     emit_all(out)
     return out
+
+
+def _recorded_digests():
+    # the benchmark's record of the reference bytes; kept in one place
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "FIGURE_SHA256":
+            return ast.literal_eval(node.value)
+    raise AssertionError("FIGURE_SHA256 not found")
+
+
+def test_figure_bytes_match_recorded_digests(figdir):
+    digests = _recorded_digests()
+    assert sorted(digests) == [1, 2, 3, 4]
+    for fig, digest in digests.items():
+        assert hashlib.sha256((figdir / f"fig{fig}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_fig1_mass_profiles(figdir):

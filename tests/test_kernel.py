@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from effpot.errors import DomainError
-from effpot.kernel import EffectiveHamiltonianSample, effective_potential, sinhc
+from effpot.kernel import effective_potential, sinhc
 from effpot.lowmomentum import LowMomentumModel, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
-from effpot.potential import PiecewiseConstantPotential, SquareBarrier
+from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
 
 PARAMS = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
@@ -58,11 +58,6 @@ def test_sinhc_huge_argument():
     assert math.isfinite(val) and val > 1e170
 
 
-def test_sample_invariant():
-    s = EffectiveHamiltonianSample.at(PARAMS, q=0.3, p=1.2, veff=0.8)
-    assert s.eps_eff - s.p**2 / (2.0 * PARAMS.m) == s.veff
-
-
 @pytest.mark.parametrize("q,p,expected", GOLDEN)
 def test_golden_fixtures(q, p, expected):
     val = effective_potential(PARAMS, BARRIER, q, p)
@@ -75,6 +70,18 @@ def test_zero_momentum_reduces_to_smoothed():
         full = effective_potential(PARAMS, BARRIER, q, 0.0)
         reduced = smoothed_potential(model, q)
         assert abs(full - reduced) <= 1e-10 * max(1.0, abs(reduced))
+
+
+@pytest.mark.parametrize("n", [11, 41])
+def test_zero_momentum_reduces_to_smoothed_tabulated(n):
+    # a coarse sampling must not open a gap: the form factor is the exact
+    # transform of the same linear interpolant the profiles smooth
+    grid = np.linspace(-1.0, 1.0, n)
+    tab = TabulatedPotential(tuple(grid), tuple(0.9 * np.minimum((grid + 1.0) / 1.2, (1.0 - grid) / 0.8)))
+    model = LowMomentumModel(PARAMS, tab)
+    for q in (-1.3, -0.2, 0.0, 0.45, 1.1):
+        full = effective_potential(PARAMS, tab, q, 0.0)
+        assert abs(full - smoothed_potential(model, q)) < 1e-8
 
 
 def test_constant_potential_is_fixed_point():
@@ -138,8 +145,6 @@ def test_tabulated_route():
     grid = np.linspace(-0.7, 0.7, 5601)
     vals = np.where(np.abs(grid) < 0.5, 1.0, 0.0)
     vals[np.abs(np.abs(grid) - 0.5) < 1e-12] = 0.5
-    from effpot.potential import TabulatedPotential
-
     tab = TabulatedPotential(tuple(grid), tuple(vals))
     for q, p in ((0.0, 0.0), (0.3, 1.0)):
         a = effective_potential(PARAMS, tab, q, p)

@@ -1,4 +1,4 @@
-"""Reduced model: closed error-function forms against the convolution route."""
+"""Reduced model: closed segment forms against the quadrature convolution route."""
 
 import math
 
@@ -20,10 +20,22 @@ from effpot.lowmomentum import (
     vq_potential,
 )
 from effpot.physical import PhysicalParams
-from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from effpot.potential import (
+    PiecewiseConstantPotential,
+    SquareBarrier,
+    TabulatedPotential,
+    classical_max,
+)
+from reference_profiles import reference_profiles
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 PW_BARRIER = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
+PW3 = PiecewiseConstantPotential((-0.6, 0.0, 0.55), (0.0, 0.5, 0.9, 0.0))
+PW4 = PiecewiseConstantPotential((-0.86, -0.48, 0.02, 0.99), (0.0, 0.86, 0.65, 0.92, 0.0))
+_TENT_GRID = np.linspace(-1.0, 1.0, 41)
+TENT = TabulatedPotential(tuple(_TENT_GRID), tuple(0.8 * (1.0 - np.abs(_TENT_GRID))))
+_BUMP_X = np.clip((_TENT_GRID - 0.1) / 0.6, -1.0, 1.0)
+BUMP = TabulatedPotential(tuple(_TENT_GRID), tuple(0.7 * 0.5 * (1.0 + np.cos(np.pi * _BUMP_X))))
 
 
 def _params(hbar):
@@ -55,29 +67,48 @@ def test_smoothed_value_at_jump():
         assert abs(smoothed_potential(model, 0.5) - expected) < 1e-14
 
 
+def _profiles(model, q):
+    return (
+        smoothed_potential(model, q),
+        smoothed_gradient(model, q),
+        inverse_mass(model, q),
+        inverse_mass_gradient(model, q),
+    )
+
+
+def _worst_vs_quadrature(pot, hbar, qs):
+    model = LowMomentumModel(_params(hbar), pot)
+    return max(
+        abs(a - b)
+        for q in map(float, qs)
+        for a, b in zip(_profiles(model, q), reference_profiles(model.params, pot, q))
+    )
+
+
 @pytest.mark.parametrize("hbar", [1.0, 3.0, 6.0, 10.0, 30.0])
 def test_closed_forms_match_convolution(hbar):
-    # primary correctness gate: erf closed forms against the quadrature
-    # convolution on an identical piecewise-constant barrier
-    params = _params(hbar)
-    closed = LowMomentumModel(params, BARRIER)
-    convolved = LowMomentumModel(params, PW_BARRIER)
-    qs = np.linspace(-1.5, 1.5, 101)
-    dv = max(abs(smoothed_potential(closed, float(q)) - smoothed_potential(convolved, float(q))) for q in qs)
-    dm = max(abs(inverse_mass(closed, float(q)) - inverse_mass(convolved, float(q))) for q in qs)
-    assert dv < 1e-8
-    assert dm < 1e-8
+    # primary correctness gate: the square barrier's closed forms for V, V',
+    # 1/M and (1/M)' against the quadrature convolution of the bare barrier
+    assert _worst_vs_quadrature(BARRIER, hbar, np.linspace(-1.5, 1.5, 101)) < 1e-8
+
+
+@pytest.mark.parametrize("hbar", [1.0, 3.0, 10.0])
+@pytest.mark.parametrize(
+    "pot", [PW_BARRIER, PW3, PW4, TENT], ids=["twin", "3-step", "4-step", "tent"]
+)
+def test_segment_profiles_match_convolution(pot, hbar):
+    # the same gate for the other shapes: steps at uneven heights and a
+    # tabulated ramp sequence
+    assert _worst_vs_quadrature(pot, hbar, np.linspace(-1.8, 1.8, 19)) < 1e-8
 
 
 def test_deep_tail_agreement():
-    # tail points drive the quadrature near its roundoff floor; the closed
-    # form is the oracle there
+    # in the tails the quadrature works near its roundoff floor
     params = _params(3.0)
     closed = LowMomentumModel(params, BARRIER)
-    convolved = LowMomentumModel(params, PW_BARRIER)
     for q in (-2.45, -3.0, 2.7):
         a = smoothed_potential(closed, q)
-        b = smoothed_potential(convolved, q)
+        b = reference_profiles(params, BARRIER, q)[0]
         assert abs(a - b) < 1e-10
 
 
@@ -233,6 +264,28 @@ def test_gradient_refuses_classical_jump():
     with pytest.raises(DomainError):
         smoothed_gradient(model, 0.5)
     assert inverse_mass_gradient(model, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("pot", [PW4, BUMP], ids=["4-step", "raised-cosine"])
+def test_general_shapes_build(pot):
+    # uneven steps and a smooth sampled bump build, and their threshold
+    # bounds the smoothed profile from above
+    model = LowMomentumModel(_params(3.0), pot)
+    thr = tunneling_threshold(model)
+    qs = np.linspace(-2.0, 2.0, 81)
+    assert max(smoothed_potential(model, float(q)) for q in qs) <= thr + 1e-12
+    assert thr < classical_max(pot)
+
+
+def test_threshold_array_scan_matches_scalar_profile():
+    # the threshold comes from an array scan plus a scalar refinement; the
+    # two evaluation paths must agree
+    model = LowMomentumModel(_params(3.0), TENT)
+    qs = np.linspace(-3.0, 3.0, 61)
+    arrays = model.profile.on(qs)
+    for i, q in enumerate(map(float, qs)):
+        for a, b in zip(model.profile.at(q), arrays):
+            assert abs(a - b[i]) < 1e-14
 
 
 def test_tabulated_model_profiles():

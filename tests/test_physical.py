@@ -19,6 +19,13 @@ def test_params_validation():
         PhysicalParams(m=1.0, beta=1.0, hbar=-0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(bad):
+    for kwargs in ({"m": bad}, {"beta": bad}, {"hbar": bad}):
+        with pytest.raises(ValueError):
+            PhysicalParams(**{"m": 1.0, "beta": 0.125, "hbar": 3.0, **kwargs})
+
+
 def test_dimensionless_fig1_point():
     params = PhysicalParams(m=1.0, beta=0.125, hbar=10.0)
     dims = dimensionless(params, SquareBarrier(v0=1.0, l=0.5))

@@ -26,6 +26,32 @@ def test_square_barrier_validation():
         SquareBarrier(v0=1.0, l=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        SquareBarrier(v0=bad, l=0.5)
+    with pytest.raises(ValueError):
+        SquareBarrier(v0=1.0, l=bad)
+    with pytest.raises(ValueError):
+        PiecewiseConstantPotential((-1.0, bad), (0.0, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        PiecewiseConstantPotential((-1.0, 1.0), (0.0, bad, 0.0))
+    with pytest.raises(ValueError):
+        TabulatedPotential((-1.0, bad, 1.0), (0.0, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        TabulatedPotential((-1.0, 0.0, 1.0), (0.0, bad, 0.0))
+
+
+def test_shapes_of_the_three_types():
+    assert BARRIER.shape.x == (-0.5, 0.5) and BARRIER.shape.left == (1.0,)
+    assert BARRIER.shape.steps
+    pw = PiecewiseConstantPotential((-1.0, 0.0, 1.0), (0.5, 2.0, -1.0, 0.5))
+    assert (pw.shape.level, pw.shape.left, pw.shape.right) == (0.5, (2.0, -1.0), (2.0, -1.0))
+    tab = TabulatedPotential((-1.0, 0.0, 1.0), (0.0, 2.0, 0.0))
+    assert (tab.shape.left, tab.shape.right) == ((0.0, 2.0), (2.0, 0.0))
+    assert not tab.shape.steps
+
+
 def test_square_eval_points():
     assert eval_classical(BARRIER, 0.0) == 1.0
     assert eval_classical(BARRIER, 2.0) == 0.0
@@ -143,6 +169,27 @@ def test_form_factor_tabulated_matches_dense_square():
         assert abs(form_factor(tab, k) - form_factor(BARRIER, k)) < 1e-4
 
 
+def _brute_linear_form_factor(pot, k):
+    base = asymptotic_level(pot)
+    kw = dict(limit=400, epsabs=1e-13, epsrel=1e-13)
+    parts = [
+        (quad(lambda x: (eval_classical(pot, x) - base) * math.cos(k * x), a, b, **kw)[0],
+         quad(lambda x: -(eval_classical(pot, x) - base) * math.sin(k * x), a, b, **kw)[0])
+        for a, b in zip(pot.grid[:-1], pot.grid[1:])
+    ]
+    return complex(sum(p[0] for p in parts), sum(p[1] for p in parts))
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-6, 1e-3, 0.2, 0.7, 3.0, 20.0, 200.0])
+def test_form_factor_vs_quadrature_tabulated(k):
+    # exact transform of the linear interpolant, through the series branch
+    # (small k) and the closed branch; an uneven, asymmetric grid
+    pot = TabulatedPotential((-1.1, -0.7, -0.05, 0.3, 0.45, 1.2), (0.2, 0.9, 1.4, 0.1, 0.6, 0.2))
+    analytic = form_factor(pot, k)
+    brute = _brute_linear_form_factor(pot, k)
+    assert abs(analytic - brute) <= 1e-11 * max(1.0, abs(analytic))
+
+
 def test_load_tabulated_csv(tmp_path):
     path = tmp_path / "pot.csv"
     path.write_text("q,V\n-1.0,0.0\n0.0,1.5\n1.0,0.0\n")
@@ -169,3 +216,7 @@ def test_load_tabulated_csv_errors(tmp_path):
     short.write_text("q,V\n0.0,0.0\n")
     with pytest.raises(ValueError):
         load_tabulated_csv(short)
+    nan_row = tmp_path / "nan.csv"
+    nan_row.write_text("q,V\n-1.0,0.0\nnan,1.0\n1.0,0.0\n")
+    with pytest.raises(ValueError):
+        load_tabulated_csv(nan_row)
