@@ -53,7 +53,6 @@ from .lowmomentum import (
 from .dynamics import (
     REFLECTED,
     SURPASSED,
-    StepControl,
     Trajectory,
     classify_traversal,
     hamiltonian,

@@ -16,8 +16,10 @@ config file given with --config, then explicit flags. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -133,11 +135,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"quadrature absolute tolerance (default {DEFAULTS['abs_tol']})")
 
 
-def _open_out(args):
+def _emit(args, text: str) -> None:
+    """Write a command's finished output to --out or stdout.
+
+    The file is written under a temporary name beside --out and renamed
+    into place, so a failure never leaves a partial output file.
+    """
     out = getattr(args, "out", None)
-    if out:
-        return open(out, "w", newline="\n"), True
-    return sys.stdout, False
+    if not out:
+        sys.stdout.write(text)
+        return
+    tmp = f"{out}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_metadata(fh, cfg: RunConfig, extra=None) -> None:
@@ -158,17 +173,14 @@ def _cmd_veff(args) -> int:
     qcfg = cfg.quadrature()
     qs = np.linspace(args.qmin, args.qmax, args.nq)
     ps = np.linspace(args.pmin, args.pmax, args.np_)
-    fh, close = _open_out(args)
-    try:
-        _write_metadata(fh, cfg)
-        fh.write("q,p,veff\n")
-        for q in qs:
-            for p in ps:
-                v = effective_potential(params, barrier, float(q), float(p), qcfg)
-                fh.write(f"{q:.12g},{p:.12g},{v:.12g}\n")
-    finally:
-        if close:
-            fh.close()
+    fh = io.StringIO()
+    _write_metadata(fh, cfg)
+    fh.write("q,p,veff\n")
+    for q in qs:
+        for p in ps:
+            v = effective_potential(params, barrier, float(q), float(p), qcfg)
+            fh.write(f"{q:.12g},{p:.12g},{v:.12g}\n")
+    _emit(args, fh.getvalue())
     return 0
 
 
@@ -183,19 +195,16 @@ def _cmd_model(args) -> int:
     cfg = _build_config(args)
     model = cfg.model(_load_pot(args, cfg))
     qs = np.linspace(args.qmin, args.qmax, args.n)
-    fh, close = _open_out(args)
-    try:
-        _write_metadata(fh, cfg, {"eps": f"{cfg.eps:.12g}"})
-        fh.write("q,V,M,VQ\n")
-        for q in qs:
-            q = float(q)
-            fh.write(
-                f"{q:.12g},{smoothed_potential(model, q):.12g},"
-                f"{mass(model, q):.12g},{vq_potential(model, q, cfg.eps):.12g}\n"
-            )
-    finally:
-        if close:
-            fh.close()
+    fh = io.StringIO()
+    _write_metadata(fh, cfg, {"eps": f"{cfg.eps:.12g}"})
+    fh.write("q,V,M,VQ\n")
+    for q in qs:
+        q = float(q)
+        fh.write(
+            f"{q:.12g},{smoothed_potential(model, q):.12g},"
+            f"{mass(model, q):.12g},{vq_potential(model, q, cfg.eps):.12g}\n"
+        )
+    _emit(args, fh.getvalue())
     return 0
 
 
@@ -222,16 +231,13 @@ def _cmd_trajectory(args) -> int:
         v0 = p0 * inverse_mass(model, q0)
         eps = hamiltonian(model, q0, p0)
         traj = integrate_newtonian(model, q0, v0, eps, t_end=t_end, t_eval=t_eval)
-    fh, close = _open_out(args)
-    try:
-        meta = {"form": args.form, "q0": f"{q0:.12g}", "p0": f"{p0:.12g}"}
-        write_trajectory_csv(traj, fh, metadata={
-            **{k: f"{getattr(cfg, k):.12g}" for k in ("m", "beta", "hbar", "L", "V0")},
-            **meta,
-        })
-    finally:
-        if close:
-            fh.close()
+    fh = io.StringIO()
+    meta = {"form": args.form, "q0": f"{q0:.12g}", "p0": f"{p0:.12g}"}
+    write_trajectory_csv(traj, fh, metadata={
+        **{k: f"{getattr(cfg, k):.12g}" for k in ("m", "beta", "hbar", "L", "V0")},
+        **meta,
+    })
+    _emit(args, fh.getvalue())
     return 0
 
 
@@ -239,19 +245,16 @@ def _cmd_coeff(args) -> int:
     cfg = _build_config(args)
     model = cfg.model()
     dims = dimensionless(cfg.params(), cfg.barrier())
-    fh, close = _open_out(args)
-    try:
-        _write_metadata(fh, cfg, {"H": f"{dims.H:.12g}", "Q": f"{dims.Q:.12g}"})
-        eff = effective_coefficients(model)
-        fh.write(f"t_effective={eff.t:.12g}\n")
-        fh.write(f"r_effective={eff.r:.12g}\n")
-        if cfg.hbar > 0:
-            tq = quantum_t_mixture(dims.Q, cfg.quadrature())
-            fh.write(f"t_quantum_mixture={tq:.12g}\n")
-            fh.write(f"r_quantum_mixture={1.0 - tq:.12g}\n")
-    finally:
-        if close:
-            fh.close()
+    fh = io.StringIO()
+    _write_metadata(fh, cfg, {"H": f"{dims.H:.12g}", "Q": f"{dims.Q:.12g}"})
+    eff = effective_coefficients(model)
+    fh.write(f"t_effective={eff.t:.12g}\n")
+    fh.write(f"r_effective={eff.r:.12g}\n")
+    if cfg.hbar > 0:
+        tq = quantum_t_mixture(dims.Q, cfg.quadrature())
+        fh.write(f"t_quantum_mixture={tq:.12g}\n")
+        fh.write(f"r_quantum_mixture={1.0 - tq:.12g}\n")
+    _emit(args, fh.getvalue())
     return 0
 
 

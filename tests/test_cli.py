@@ -196,3 +196,16 @@ def test_help_exits_zero():
 def test_unknown_subcommand():
     res = run("frobnicate")
     assert res.returncode == 2
+
+
+def test_failed_run_leaves_no_output(tmp_path):
+    # a tolerance the quadrature cannot meet fails after the header would
+    # have been written; neither the file nor stdout may carry a partial table
+    flags = ("veff", "--rel-tol", "1e-15", "--abs-tol", "1e-300", "--nq", "5", "--np", "2")
+    out = tmp_path / "v.csv"
+    res = run(*flags, "--out", str(out))
+    assert res.returncode == 1
+    assert list(tmp_path.iterdir()) == []
+    res = run(*flags)
+    assert res.returncode == 1
+    assert res.stdout == ""

@@ -9,7 +9,6 @@ import pytest
 from effpot.dynamics import (
     REFLECTED,
     SURPASSED,
-    StepControl,
     Trajectory,
     classify_traversal,
     hamiltonian,
@@ -35,14 +34,6 @@ TWIN = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
 
 def _model(hbar):
     return LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), BARRIER)
-
-
-def test_step_control_validation():
-    StepControl(rel_tol=1e-9, abs_tol=1e-11)
-    with pytest.raises(ValueError):
-        StepControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        StepControl(abs_tol=-1.0)
 
 
 def test_trajectory_invariants():
@@ -372,11 +363,20 @@ def test_thin_wall_multi_step_barrier():
         assert traj.outcome == integrate_hamiltonian(exact, q0, p0).outcome
 
 
-def test_thin_wall_rejects_resampling():
-    model = _model(1e-6)
-    q0, p0 = launch_state(model, 1.5)
-    with pytest.raises(ValueError):
-        integrate_hamiltonian(model, q0, p0, t_end=5.0, t_eval=np.linspace(0.0, 5.0, 10))
+def test_thin_wall_resampling_matches_exact_limit():
+    # a window that crosses both walls: each RK segment takes its own slice
+    # of the grid and the flights between them are sampled exactly
+    thin_model, exact_model = _model(1e-6), _model(0.0)
+    q0, p0 = launch_state(thin_model, 1.5)
+    t_hi = 0.9 * float(integrate_hamiltonian(thin_model, q0, p0).t[-1])
+    grid = np.linspace(0.0, t_hi, 301)
+    thin = integrate_hamiltonian(thin_model, q0, p0, t_end=t_hi, t_eval=grid)
+    exact = integrate_hamiltonian(exact_model, q0, p0, t_end=t_hi, t_eval=grid)
+    assert thin.outcome is None
+    assert np.array_equal(thin.t, grid) and np.array_equal(exact.t, grid)
+    assert np.max(np.abs(thin.q - exact.q)) < 1e-4
+    assert np.max(np.abs(thin.p - exact.p)) < 1e-4
+    assert thin.max_energy_drift < 1e-9
 
 
 def test_unresolvable_smoothing_width_rejected():
@@ -388,6 +388,23 @@ def test_unresolvable_smoothing_width_rejected():
     model = LowMomentumModel(PhysicalParams(1.0, 0.125, 2.828), tab)
     with pytest.raises(DomainError):
         classify_traversal(model, 1.5)
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1e-6, 3.0])  # exact, thin wall, adaptive
+def test_resampled_run_ends_at_its_exit_point(hbar):
+    # the requested times reached, then the exit point: the last sample is
+    # the same state the unsampled run ends on
+    model = _model(hbar)
+    q0, p0 = launch_state(model, 1.5)
+    full = integrate_hamiltonian(model, q0, p0)
+    assert full.outcome == SURPASSED
+    grid = np.linspace(0.0, 2.0 * float(full.t[-1]), 40)
+    traj = integrate_hamiltonian(model, q0, p0, t_eval=grid)
+    assert traj.outcome == SURPASSED
+    assert np.array_equal(traj.t[:-1], grid[grid < full.t[-1]])
+    assert abs(traj.t[-1] - full.t[-1]) < 1e-9
+    assert abs(traj.q[-1] - full.q[-1]) < 1e-9
+    assert abs(traj.p[-1] - full.p[-1]) < 1e-9
 
 
 # ------------------------------------------------------------------- export

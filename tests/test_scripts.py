@@ -1,0 +1,36 @@
+"""Smoke runs of the command-line scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def _rows(text):
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_ensemble_transport(capsys):
+    assert _main("ensemble_transport")(["--n", "8", "--hbar", "3", "--stratified"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "hbar,H,t_closed,fraction,binomial_3sigma"
+    ((hbar, _, t, frac, err),) = _rows(out)
+    assert float(hbar) == 3.0
+    # the criterion-6 gate: binomial 3 sigma plus the 1/n stratification bound
+    assert abs(float(frac) - float(t)) <= float(err) + 1.0 / 8
+
+
+def test_expansion_order(capsys):
+    assert _main("expansion_order")([]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 3
+    for _, slope, _ in rows:
+        assert abs(float(slope) - 4.0) < 0.1
