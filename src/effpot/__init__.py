@@ -46,7 +46,6 @@ from .lowmomentum import (
     smoothed_gradient,
     smoothed_potential,
     tunneling_threshold,
-    vq_gradient,
     vq_max_square,
     vq_potential,
 )

@@ -24,22 +24,26 @@ zones depend on the smoothing width:
   wall.
 - otherwise: one zone over the whole line.
 
-A zone of nonzero width is crossed by one adaptive Runge-Kutta 5(4) segment
-whose max step, 2 sigma over the speed at entry, keeps it from stepping over
-a wall. The segment ends when the state leaves downward through the zone's
-low surface or upward through its high one, each the zone edge clipped to
-the evaluation domain; leaving through a domain edge decides the outcome.
+A zone of nonzero width is crossed by one adaptive Dormand-Prince 5(4)
+segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
+the speed at entry, keeps it from stepping over a wall. The segment ends
+when the state leaves downward through the zone's low surface or upward
+through its high one, each the zone edge clipped to the evaluation domain;
+leaving through a domain edge decides the outcome. The stepper follows
+scipy's RK45 rule for rule (tableau, first step, step control, dense output
+and event location), so its steps are scipy's to roundoff, at a fraction of
+the per-step cost.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DidNotResolve,
@@ -97,6 +101,229 @@ def hamiltonian(model: LowMomentumModel, q: float, p: float) -> float:
         return 0.5 * p * p / model.params.m + eval_classical(model.pot, q)
     v, _, minv, _ = model.profile.at(q)
     return 0.5 * p * p * minv + v
+
+
+# ------------------------------------------------------ Dormand-Prince 5(4)
+
+EVENT_TOL = 4.0 * sys.float_info.epsilon  # exit time tolerance, absolute and relative
+
+# dense output of the stages k1, k3, ..., k7 (k2 has zero weight): the
+# coefficients of x, x^2, x^3, x^4 on a step, x its fraction
+DENSE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+class Segment(NamedTuple):
+    """One solve_ivp run.
+
+    Without t_eval the samples are the start and every accepted step, the
+    exit point replacing the last one when the run leaves the zone; with it,
+    the requested times reached. status is 0 when the run reached the end of
+    t_span, 1 when it left the zone and -1 when the step size fell below
+    10 ulp of the time; exit is (side, t, q, s) when status is 1, side -1
+    through the low surface and +1 through the high one.
+    """
+
+    t: list
+    q: list
+    s: list
+    nfev: int
+    status: int
+    exit: Optional[tuple]
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def _brent(f, xa: float, xb: float) -> float:
+    """Root of f on [xa, xb] to EVENT_TOL by Brent's method, step for step as
+    scipy's brentq. When f has one sign at both ends, the exit detected at
+    the step end lies within roundoff of it, and xb is returned."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0 or (fpre < 0.0) == (fcur < 0.0):
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (EVENT_TOL + EVENT_TOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    return xcur
+
+
+def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
+    """Dormand-Prince 5(4) run of (q, s)' = fun(q, s) from y0 = (q, s) over
+    t_span, ending early when q leaves downward through low or upward
+    through high.
+
+    The control is scipy's RK45, rule for rule (Dormand & Prince 1980; Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4): the same first-step choice, an
+    RMS error norm with scale ABS_TOL + max(|y|, |y_new|) REL_TOL, safety
+    factor 0.9, step factors within [0.2, 10] and none above 1 right after a
+    rejection, a minimum step of 10 ulp(t) and clamps at max_step and the
+    end of t_span. The requested samples and the exit come from the quartic
+    dense output; the exit time is its root by Brent's method to EVENT_TOL.
+    """
+    t, t_end = t_span
+    q, s = y0
+    fq, fs = fun(q, s)
+    nfev = 1
+    ts, qs, ss = ([t], [q], [s]) if t_eval is None else ([], [], [])
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float).tolist()
+    cursor = 0
+    if t >= t_end:
+        return Segment(ts, qs, ss, nfev, 0, None)
+    rtol, atol = REL_TOL, ABS_TOL
+
+    # first step: the error estimate is of order 4
+    interval = t_end - t
+    sq, ssc = atol + abs(q) * rtol, atol + abs(s) * rtol
+    d0, d1 = _rms(q / sq, s / ssc), _rms(fq / sq, fs / ssc)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    gq, gs = fun(q + h0 * fq, s + h0 * fs)
+    nfev += 1
+    d2 = _rms((gq - fq) / sq, (gs - fs) / ssc) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, interval, max_step)
+
+    g_low, g_high = q - low, q - high
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return Segment(ts, qs, ss, nfev, -1, None)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            k1q, k1s = fq, fs
+            k2q, k2s = fun(q + k1q * (1 / 5) * h, s + k1s * (1 / 5) * h)
+            k3q, k3s = fun(
+                q + (k1q * (3 / 40) + k2q * (9 / 40)) * h,
+                s + (k1s * (3 / 40) + k2s * (9 / 40)) * h,
+            )
+            k4q, k4s = fun(
+                q + (k1q * (44 / 45) + k2q * (-56 / 15) + k3q * (32 / 9)) * h,
+                s + (k1s * (44 / 45) + k2s * (-56 / 15) + k3s * (32 / 9)) * h,
+            )
+            k5q, k5s = fun(
+                q + (k1q * (19372 / 6561) + k2q * (-25360 / 2187) + k3q * (64448 / 6561)
+                     + k4q * (-212 / 729)) * h,
+                s + (k1s * (19372 / 6561) + k2s * (-25360 / 2187) + k3s * (64448 / 6561)
+                     + k4s * (-212 / 729)) * h,
+            )
+            k6q, k6s = fun(
+                q + (k1q * (9017 / 3168) + k2q * (-355 / 33) + k3q * (46732 / 5247)
+                     + k4q * (49 / 176) + k5q * (-5103 / 18656)) * h,
+                s + (k1s * (9017 / 3168) + k2s * (-355 / 33) + k3s * (46732 / 5247)
+                     + k4s * (49 / 176) + k5s * (-5103 / 18656)) * h,
+            )
+            q_new = q + h * (k1q * (35 / 384) + k3q * (500 / 1113) + k4q * (125 / 192)
+                             + k5q * (-2187 / 6784) + k6q * (11 / 84))
+            s_new = s + h * (k1s * (35 / 384) + k3s * (500 / 1113) + k4s * (125 / 192)
+                             + k5s * (-2187 / 6784) + k6s * (11 / 84))
+            k7q, k7s = fun(q_new, s_new)  # first stage of the next step
+            nfev += 6
+            eq = (k1q * (-71 / 57600) + k3q * (71 / 16695) + k4q * (-71 / 1920)
+                  + k5q * (17253 / 339200) + k6q * (-22 / 525) + k7q * (1 / 40)) * h
+            es = (k1s * (-71 / 57600) + k3s * (71 / 16695) + k4s * (-71 / 1920)
+                  + k5s * (17253 / 339200) + k6s * (-22 / 525) + k7s * (1 / 40)) * h
+            error = _rms(eq / (atol + max(abs(q), abs(q_new)) * rtol),
+                         es / (atol + max(abs(s), abs(s_new)) * rtol))
+            if error < 1.0:
+                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error ** -0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+
+        t_old, q_old, s_old = t, q, s
+        t, q, s, fq, fs = t_new, q_new, s_new, k7q, k7s
+        status = 0 if t >= t_end else None
+        crossed = []
+        if g_low >= 0.0 and q - low <= 0.0:
+            crossed.append((-1, low))
+        if g_high <= 0.0 and q - high >= 0.0:
+            crossed.append((1, high))
+        g_low, g_high = q - low, q - high
+        sampled = t_eval is not None and cursor < len(t_eval) and t_eval[cursor] <= t
+        if crossed or sampled:
+            dense = _dense_output(t_old, h, q_old, s_old, (k1q, k3q, k4q, k5q, k6q, k7q),
+                                  (k1s, k3s, k4s, k5s, k6s, k7s))
+        leaving = None
+        if crossed:
+            t, side = min(
+                (_brent(lambda tau, edge=edge: dense(tau)[0] - edge, t_old, t), side)
+                for side, edge in crossed
+            )
+            q, s = dense(t)
+            leaving, status = (side, t, q, s), 1
+        if t_eval is None:
+            ts.append(t)
+            qs.append(q)
+            ss.append(s)
+        elif sampled:
+            stop = bisect_right(t_eval, t, cursor)
+            for tau in t_eval[cursor:stop]:
+                yq, ys = dense(tau)
+                ts.append(tau)
+                qs.append(yq)
+                ss.append(ys)
+            cursor = stop
+        if status is not None:
+            return Segment(ts, qs, ss, nfev, status, leaving)
+
+
+def _dense_output(t_old, h, q_old, s_old, kq, ks):
+    """Quartic interpolant (q, s)(tau) on the step of size h from t_old."""
+    cq = [sum(k * row[j] for k, row in zip(kq, DENSE)) for j in range(4)]
+    cs = [sum(k * row[j] for k, row in zip(ks, DENSE)) for j in range(4)]
+
+    def dense(tau):
+        x = (tau - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return (h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q_old,
+                h * (cs[0] * x + cs[1] * x2 + cs[2] * x3 + cs[3] * x4) + s_old)
+
+    return dense
 
 
 # ---------------------------------------------------------------- force zones
@@ -165,20 +392,18 @@ def _zones(model) -> list:
 
 
 def _rhs(profile, eps):
-    """Equations of motion on one profile: canonical (q, p) when eps is None,
-    else the Newtonian (q, dq/dt) form at energy eps."""
-    at = profile.at  # on Python floats: several times cheaper than on numpy scalars
+    """Equations of motion on one profile, on Python floats: canonical (q, p)
+    when eps is None, else the Newtonian (q, dq/dt) form at energy eps."""
+    at = profile.at
     if eps is None:
-        def rhs(t, y):
-            q, p = y.tolist()
+        def rhs(q, p):
             _, vp, minv, minvp = at(q)
-            return [p * minv, -vp - 0.5 * minvp * p * p]
+            return p * minv, -vp - 0.5 * minvp * p * p
     else:
         # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
-        def rhs(t, y):
-            q, u = y.tolist()
+        def rhs(q, u):
             v, vp, minv, minvp = at(q)
-            return [u, -(vp * minv + (v - eps) * minvp)]
+            return u, -(vp * minv + (v - eps) * minvp)
     return rhs
 
 
@@ -271,40 +496,26 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             v = s if newton else s * z.profile.at(xi)[2]
             low, high = max(z.lo, lo_edge) - z.origin, min(z.hi, hi_edge) - z.origin
 
-            def leave_low(_, y):
-                return y[0] - low
-
-            def leave_high(_, y):
-                return y[0] - high
-
-            leave_low.terminal = leave_high.terminal = True
-            leave_low.direction, leave_high.direction = -1.0, 1.0
-            sol = solve_ivp(
+            seg = solve_ivp(
                 _rhs(z.profile, eps),
                 (t, t_end),
-                [xi, s],
-                method="RK45",
-                rtol=REL_TOL,
-                atol=ABS_TOL,
+                (xi, s),
                 t_eval=None if t_eval is None else t_eval[cursor:],
-                events=[leave_low, leave_high],
                 max_step=2.0 * model.smoothing_sigma / abs(v) if v else math.inf,
+                low=low,
+                high=high,
             )
-            if sol.status == -1:
-                raise StepFailure(f"adaptive step control failed: {sol.message}")
-            ts = np.asarray(sol.t)
-            xs, ss = np.reshape(sol.y, (2, -1))
-            put(ts.tolist(), (z.origin + xs).tolist(), *zone_state(z.profile, xs, ss))
+            if seg.status == -1:
+                raise StepFailure("adaptive step size fell below 10 ulp of the time")
+            xs, ss = np.array(seg.q), np.array(seg.s)
+            put(seg.t, (z.origin + xs).tolist(), *zone_state(z.profile, xs, ss))
             if t_eval is not None:
-                cursor += ts.size
-            if sol.status == 0:
+                cursor += len(seg.t)
+            if seg.status == 0:
                 break  # t_end reached inside the zone
-            fired = 1 if sol.t_events[1].size else 0
-            t = float(sol.t_events[fired][0])
-            xi, s = sol.y_events[fired][0].tolist()
+            side, t, xi, s = seg.exit
             q = z.origin + xi
-            side = 1 if fired else -1
-            gap = zone + 1 if fired else zone
+            gap = zone + 1 if side > 0 else zone
             exit_state = zone_state(z.profile, np.array([xi]), np.array([s]))
         if (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
             outcome = SURPASSED if side > 0 else REFLECTED

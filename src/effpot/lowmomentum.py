@@ -76,14 +76,14 @@ class Profile:
 
     def at(self, q: float):
         """(V, V', 1/M, (1/M)') at one position, on math scalars."""
-        return self._sum(q, math.exp, 0.0)
+        return self._sum(q, math.exp, math.erf, 0.0)
 
     def on(self, q: np.ndarray):
         """(V, V', 1/M, (1/M)') at every position of an array."""
         q = np.asarray(q, dtype=float)
-        return self._sum(q, np.exp, np.zeros_like(q))
+        return self._sum(q, np.exp, erf, np.zeros_like(q))
 
-    def _sum(self, q, exp, zero):
+    def _sum(self, q, exp, erf, zero):
         c, w = self.c, self.w
         v = vp = mi = mip = zero
         for a, b, half, grad, coeff in self.constant:
@@ -122,6 +122,7 @@ class LowMomentumModel:
     pot: ClassicalPotential
     smoothing_sigma: float = 0.0
     profile: Optional[Profile] = field(default=None, init=False, repr=False, compare=False)
+    _threshold: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = math.sqrt(self.params.beta / (4.0 * self.params.m)) * self.params.hbar
@@ -190,16 +191,6 @@ def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     return model.params.m * m_inv * (v - eps) + eps
 
 
-def vq_gradient(model: LowMomentumModel, q: float, eps: float) -> float:
-    """Spatial derivative of the reduced potential at fixed eps."""
-    if model.profile is None:
-        raise DomainError("the bare potential is discontinuous; no gradient at hbar = 0")
-    v, vp, m_inv, m_inv_p = model.profile.at(q)
-    if m_inv <= 0:
-        raise NonPositiveMass(f"inverse mass {m_inv:.4g} at q = {q:.4g}")
-    return model.params.m * (vp * m_inv + (v - eps) * m_inv_p)
-
-
 def _refine_max(f, qs: np.ndarray, vals: np.ndarray):
     """Grid argmax refined by golden-section search on f; returns (argmax, max)."""
     n = qs.size
@@ -260,8 +251,14 @@ def tunneling_threshold(model: LowMomentumModel) -> float:
     difference V - eps without changing its sign), so the threshold is the
     maximum of the smoothed potential. For the square barrier that is
     v0 erf(sqrt(2m) l / (sqrt(beta) hbar)); hbar = 0 gives back the bare
-    barrier height.
+    barrier height. Computed on the first call and kept on the model.
     """
+    if model._threshold is None:
+        object.__setattr__(model, "_threshold", _find_threshold(model))
+    return model._threshold
+
+
+def _find_threshold(model: LowMomentumModel) -> float:
     params, pot = model.params, model.pot
     if params.hbar == 0:
         return classical_max(pot)

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
+from effpot import dynamics
 from effpot.dynamics import (
+    ABS_TOL,
     REFLECTED,
+    REL_TOL,
     SURPASSED,
     Trajectory,
     classify_traversal,
@@ -15,11 +19,13 @@ from effpot.dynamics import (
     integrate_hamiltonian,
     integrate_newtonian,
     launch_state,
+    solve_ivp,
     write_trajectory_csv,
 )
-from effpot.errors import DomainError, InconsistentEnergy
+from effpot.errors import DomainError, InconsistentEnergy, StepFailure
 from effpot.lowmomentum import (
     LowMomentumModel,
+    evaluation_domain,
     inverse_mass,
     smoothed_potential,
     tunneling_threshold,
@@ -405,6 +411,108 @@ def test_resampled_run_ends_at_its_exit_point(hbar):
     assert abs(traj.t[-1] - full.t[-1]) < 1e-9
     assert abs(traj.q[-1] - full.q[-1]) < 1e-9
     assert abs(traj.p[-1] - full.p[-1]) < 1e-9
+
+
+# ------------------------------------------------- scipy RK45 as the oracle
+
+
+def _first_zone_run(hbar, eps, t_eval=None):
+    """The in-house stepper and scipy's RK45 across the model's first force
+    zone, entered with the launch momentum: the whole line at hbar = 2, the
+    left wall neighbourhood in its local coordinates at hbar = 0.05."""
+    model = _model(hbar)
+    zone = dynamics._zones(model)[0]
+    lo_edge, hi_edge = evaluation_domain(model)
+    low, high = max(zone.lo, lo_edge) - zone.origin, min(zone.hi, hi_edge) - zone.origin
+    q0, p0 = launch_state(model, eps)
+    xi0 = max(q0, zone.lo) - zone.origin
+    max_step = 2.0 * model.smoothing_sigma / (p0 * zone.profile.at(xi0)[2])
+    rhs = dynamics._rhs(zone.profile, None)
+    ours = solve_ivp(rhs, (0.0, 50.0), (xi0, p0), t_eval=t_eval, max_step=max_step,
+                     low=low, high=high)
+
+    def leave_low(_, y):
+        return y[0] - low
+
+    def leave_high(_, y):
+        return y[0] - high
+
+    leave_low.terminal = leave_high.terminal = True
+    leave_low.direction, leave_high.direction = -1.0, 1.0
+    ref = scipy_solve_ivp(lambda _, y: rhs(*y.tolist()), (0.0, 50.0), [xi0, p0], method="RK45",
+                          rtol=REL_TOL, atol=ABS_TOL, max_step=max_step, t_eval=t_eval,
+                          events=[leave_low, leave_high])
+    return ours, ref
+
+
+def _sequential_dot(K, w):
+    """K.T @ w summed term by term in stage order, as the stepper does."""
+    out = np.zeros(K.shape[1])
+    for k, wk in zip(K, w):
+        if wk != 0.0:
+            out = out + k * wk
+    return out
+
+
+def _sequential_rk_step(fun, t, y, f, h, A, B, C, K):
+    K[0] = f
+    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+        K[s] = fun(t + c * h, y + _sequential_dot(K[:s], a[:s]) * h)
+    y_new = y + h * _sequential_dot(K[:-1], B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+@pytest.mark.parametrize("sequential", [False, True], ids=["blas", "sequential"])
+@pytest.mark.parametrize("hbar", [2.0, 0.05])  # adaptive, thin wall
+@pytest.mark.parametrize("eps", [0.5, 1.2])    # reflected, surpassed
+def test_stepper_takes_the_steps_of_scipy_rk45(monkeypatch, eps, hbar, sequential):
+    # Same rules give the same steps, but the step factor error^(-1/5) turns
+    # the rounding of the error estimate, a sum that cancels to ~1e-11 of its
+    # terms, into ~1e-8 relative changes of the step size. scipy forms its
+    # stage sums with BLAS (fused, blocked); with those sums taken term by
+    # term, as the stepper takes them, the step times agree to roundoff.
+    if sequential:
+        from scipy.integrate._ivp import rk
+
+        monkeypatch.setattr(rk, "rk_step", _sequential_rk_step)
+        monkeypatch.setattr(rk.RK45, "_estimate_error",
+                            lambda self, K, h: _sequential_dot(K, self.E) * h)
+    ours, ref = _first_zone_run(hbar, eps)
+    assert ref.status == ours.status == 1
+    assert ours.nfev == ref.nfev
+    assert len(ours.t) == len(ref.t)
+    np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12 if sequential else 1e-6, atol=0.0)
+    fired = 1 if ref.t_events[1].size else -1
+    side, t_exit, q_exit, s_exit = ours.exit
+    assert side == fired
+    assert abs(t_exit - ref.t_events[max(fired, 0)][0]) <= 1e-12 * t_exit
+    np.testing.assert_allclose([q_exit, s_exit], ref.y_events[max(fired, 0)][0],
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("hbar", [2.0, 0.05])
+def test_stepper_samples_like_scipy_rk45(hbar):
+    full, _ = _first_zone_run(hbar, 0.5)
+    grid = np.linspace(0.0, 1.2 * full.exit[1], 57)  # the last samples lie past the exit
+    ours, ref = _first_zone_run(hbar, 0.5, t_eval=grid)
+    assert np.array_equal(ours.t, ref.t)
+    assert 0 < len(ours.t) < grid.size
+    np.testing.assert_allclose(ours.q, ref.y[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ours.s, ref.y[1], rtol=1e-12, atol=1e-12)
+
+
+def test_finite_time_blowup_raises_step_failure(monkeypatch):
+    # q' = q^2 from q = 1 reaches infinity at t = 1: the step size falls
+    # below 10 ulp of t, where scipy's RK45 stops with status -1 as well
+    monkeypatch.setattr(dynamics, "_rhs", lambda profile, eps: lambda q, s: (q * q, 0.0))
+    monkeypatch.setattr(dynamics, "evaluation_domain", lambda model: (-math.inf, math.inf))
+    ref = scipy_solve_ivp(lambda _, y: [y[0] ** 2, 0.0], (0.0, 2.0), [1.0, 1.0], method="RK45",
+                          rtol=REL_TOL, atol=ABS_TOL)
+    assert ref.status == -1
+    with pytest.raises(StepFailure):
+        dynamics._propagate(_model(2.0), 1.0, 1.0, 2.0, None, None, 1.0)
 
 
 # ------------------------------------------------------------------- export

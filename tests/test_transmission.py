@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effpot import lowmomentum
 from effpot.errors import DomainError
 from effpot.lowmomentum import LowMomentumModel, tunneling_threshold
 from effpot.physical import PhysicalParams, dimensionless
@@ -354,3 +355,19 @@ def test_surpass_fraction_stratified_matches_closed_form():
     t = effective_coefficients(model).t
     # midpoint stratification can miss by at most one stratum
     assert abs(frac - t) <= 1.0 / 40 + 1e-12
+
+
+def test_surpass_fraction_scans_threshold_once(monkeypatch):
+    # a non-square threshold is a grid scan plus golden-section refinement;
+    # the model keeps it after the first call instead of one per energy
+    scans = []
+    refine = lowmomentum._refine_max
+    monkeypatch.setattr(lowmomentum, "_refine_max", lambda *a: scans.append(a) or refine(*a))
+    grid = np.linspace(-1.0, 1.0, 41)
+    tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
+    model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), tent)
+    frac = surpass_fraction(model, 5, stratified=True)
+    assert len(scans) == 1
+    thr = tunneling_threshold(model)
+    assert len(scans) == 1
+    assert frac == sum(eps > thr for eps in 0.8 * (np.arange(5) + 0.5) / 5) / 5
