@@ -41,9 +41,7 @@ from .lowmomentum import (
     VqMax,
     evaluation_domain,
     inverse_mass,
-    inverse_mass_gradient,
     mass,
-    smoothed_gradient,
     smoothed_potential,
     tunneling_threshold,
     vq_max_square,
@@ -73,7 +71,6 @@ from .transmission import (
     quantum_t_single,
     surpass_fraction,
     transfer_matrix_transmission,
-    write_curve_csv,
 )
 from .figures import FigureSpec, default_figure_specs, emit_all, emit_figure
 

@@ -320,9 +320,8 @@ def _cmd_validate(args) -> int:
         return worst < 1e-10, f"max diff {worst:.3e}"
 
     def mixture_routes():
-        Q = 1.0
-        qp = PhysicalParams(m=1.0, beta=0.125, hbar=math.sqrt(2.0) * 0.5 * Q)
-        direct = quantum_t_mixture(Q)
+        qp = PhysicalParams(m=1.0, beta=0.125, hbar=0.875)
+        direct = quantum_t_mixture(dimensionless(qp, barrier).Q)
         averaged = mixture_average(barrier, qp)
         return abs(direct - averaged) < 1e-8, f"diff {abs(direct - averaged):.3e}"
 

@@ -38,7 +38,6 @@ the per-step cost.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -54,9 +53,11 @@ from .errors import (
 from .lowmomentum import (
     LowMomentumModel,
     Profile,
+    _brent,
     evaluation_domain,
     inverse_mass,
     smoothed_potential,
+    tunneling_threshold,
 )
 from .potential import eval_classical, support_interval
 
@@ -105,8 +106,6 @@ def hamiltonian(model: LowMomentumModel, q: float, p: float) -> float:
 
 # ------------------------------------------------------ Dormand-Prince 5(4)
 
-EVENT_TOL = 4.0 * sys.float_info.epsilon  # exit time tolerance, absolute and relative
-
 # dense output of the stages k1, k3, ..., k7 (k2 has zero weight): the
 # coefficients of x, x^2, x^3, x^4 on a step, x its fraction
 DENSE = (
@@ -140,47 +139,6 @@ class Segment(NamedTuple):
 
 def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / math.sqrt(2.0)
-
-
-def _brent(f, xa: float, xb: float) -> float:
-    """Root of f on [xa, xb] to EVENT_TOL by Brent's method, step for step as
-    scipy's brentq. When f has one sign at both ends, the exit detected at
-    the step end lies within roundoff of it, and xb is returned."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0 or (fpre < 0.0) == (fcur < 0.0):
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (EVENT_TOL + EVENT_TOL * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
-    return xcur
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
@@ -614,8 +572,6 @@ def classify_traversal(model: LowMomentumModel, eps: float) -> str:
     approaches the barrier top asymptotically and never crosses, while a
     numerical run accumulates just enough truncation error to creep over.
     """
-    from .lowmomentum import tunneling_threshold
-
     threshold = tunneling_threshold(model)
     if abs(eps - threshold) <= 1e-12 * max(1.0, abs(threshold)):
         return REFLECTED

@@ -13,17 +13,17 @@ the Gaussian smoothing of such a segment is a few error-function and
 Gaussian terms, so V, V', 1/M and (1/M)' are closed-form sums over the
 segments (``Profile``), for one position or a whole array of them. The model
 is only meaningful while M(q) stays positive, which is checked on a dense
-grid at construction.
+grid at construction; the same scan gives the tunneling threshold.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
 from .errors import DomainError, NonPositiveMass
@@ -38,6 +38,7 @@ from .potential import (
 )
 
 SCAN_POINTS = 2001
+EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute and relative
 
 
 class Profile:
@@ -115,29 +116,34 @@ class LowMomentumModel:
 
     Construction verifies mass positivity on the evaluation domain and fails
     with NonPositiveMass otherwise, so downstream code can assume M(q) > 0.
-    At hbar = 0 there is no smoothing and profile is None.
+    The same scan locates the tunneling threshold. At hbar = 0 there is no
+    smoothing and profile is None.
     """
 
     params: PhysicalParams
     pot: ClassicalPotential
     smoothing_sigma: float = 0.0
     profile: Optional[Profile] = field(default=None, init=False, repr=False, compare=False)
-    _threshold: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _top: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = math.sqrt(self.params.beta / (4.0 * self.params.m)) * self.params.hbar
         object.__setattr__(self, "smoothing_sigma", sigma)
-        if self.params.hbar > 0:
-            profile = Profile(self.params, self.pot.shape)
-            object.__setattr__(self, "profile", profile)
-            qs = np.linspace(*evaluation_domain(self), SCAN_POINTS)
-            inv_mass = profile.on(qs)[2]
-            bad = np.flatnonzero(inv_mass <= 0)
-            if bad.size:
-                raise NonPositiveMass(
-                    f"inverse mass {inv_mass[bad[0]]:.4g} at q = {qs[bad[0]]:.4g}; "
-                    "the reduced model is invalid at these parameters"
-                )
+        if self.params.hbar == 0:
+            object.__setattr__(self, "_top", classical_max(self.pot))
+            return
+        profile = Profile(self.params, self.pot.shape)
+        object.__setattr__(self, "profile", profile)
+        qs = np.linspace(*evaluation_domain(self), SCAN_POINTS)
+        v, _, inv_mass, _ = profile.on(qs)
+        bad = np.flatnonzero(inv_mass <= 0)
+        if bad.size:
+            raise NonPositiveMass(
+                f"inverse mass {inv_mass[bad[0]]:.4g} at q = {qs[bad[0]]:.4g}; "
+                "the reduced model is invalid at these parameters"
+            )
+        _, top = _peak(lambda q: profile.at(q)[0], lambda q: profile.at(q)[1], qs, v)
+        object.__setattr__(self, "_top", top)
 
 
 def evaluation_domain(model: LowMomentumModel):
@@ -156,13 +162,6 @@ def smoothed_potential(model: LowMomentumModel, q: float) -> float:
     return model.profile.at(q)[0]
 
 
-def smoothed_gradient(model: LowMomentumModel, q: float) -> float:
-    """dV/dq of the smoothed potential."""
-    if model.profile is None:
-        raise DomainError("the bare potential is discontinuous; no gradient at hbar = 0")
-    return model.profile.at(q)[1]
-
-
 def inverse_mass(model: LowMomentumModel, q: float) -> float:
     """1/M(q). Raises NonPositiveMass when the reduced model breaks down."""
     val = 1.0 / model.params.m if model.profile is None else model.profile.at(q)[2]
@@ -176,13 +175,6 @@ def mass(model: LowMomentumModel, q: float) -> float:
     return 1.0 / inverse_mass(model, q)
 
 
-def inverse_mass_gradient(model: LowMomentumModel, q: float) -> float:
-    """d(1/M)/dq; zero at hbar = 0."""
-    if model.profile is None:
-        return 0.0
-    return model.profile.at(q)[3]
-
-
 def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     """Reduced potential for Newtonian motion at conserved energy eps:
     (m/M(q)) (V(q) - eps) + eps. Equals the bare potential when hbar = 0."""
@@ -191,29 +183,64 @@ def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     return model.params.m * m_inv * (v - eps) + eps
 
 
-def _refine_max(f, qs: np.ndarray, vals: np.ndarray):
-    """Grid argmax refined by golden-section search on f; returns (argmax, max)."""
-    n = qs.size
+def _brent(f, xa: float, xb: float) -> float:
+    """Root of f on [xa, xb] to EVENT_TOL by Brent's method, step for step as
+    scipy's brentq. When f has one sign at both ends, xb is returned: for a
+    zone exit, the crossing detected at the step end lies within roundoff of
+    it, and a peak search keeps its grid point unless xb is higher."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0 or (fpre < 0.0) == (fcur < 0.0):
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (EVENT_TOL + EVENT_TOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    return xcur
+
+
+def _peak(value, slope, qs: np.ndarray, vals: np.ndarray):
+    """Grid argmax of vals on qs, refined at the root of the closed slope in
+    the cell around it; the grid point is kept when it is higher. Returns
+    (argmax, max)."""
     i = int(vals.argmax())
-    if i == 0 or i == n - 1:
-        return float(qs[i]), float(vals[i])
-    try:
-        res = minimize_scalar(
-            lambda x: -f(float(x)),
-            bracket=(float(qs[i - 1]), float(qs[i]), float(qs[i + 1])),
-            method="golden",
-            options={"xtol": 1e-12},
-        )
-        if -res.fun >= vals[i]:
-            return float(res.x), float(-res.fun)
-    except ValueError:
-        pass  # degenerate bracket (flat top); fall back to the grid point
+    if 0 < i < qs.size - 1:
+        q = _brent(slope, float(qs[i - 1]), float(qs[i + 1]))
+        top = value(q)
+        if top >= vals[i]:
+            return q, top
     return float(qs[i]), float(vals[i])
 
 
 class VqMax(NamedTuple):
     value: float        # closed-form barrier top of the reduced potential
-    numeric_max: float  # grid plus golden-section maximum
+    numeric_max: float  # grid maximum refined at the root of the slope
     argmax: float       # location of the numeric maximum
     displaced: bool     # True when the maximum left the barrier center
 
@@ -236,8 +263,15 @@ def vq_max_square(model: LowMomentumModel, eps: float) -> VqMax:
     lo, hi = evaluation_domain(model)
     qs = np.linspace(lo, hi, SCAN_POINTS)
     v, _, m_inv, _ = model.profile.on(qs)
-    argmax, numeric_max = _refine_max(
-        lambda q: vq_potential(model, q, eps), qs, params.m * m_inv * (v - eps) + eps
+    m, at = params.m, model.profile.at
+
+    def slope(q):
+        # VQ' = m (V' Minv + (V - eps) Minv')
+        v, vp, minv, minvp = at(q)
+        return m * (vp * minv + (v - eps) * minvp)
+
+    argmax, numeric_max = _peak(
+        lambda q: vq_potential(model, q, eps), slope, qs, m * m_inv * (v - eps) + eps
     )
     resolution = (hi - lo) / (SCAN_POINTS - 1)
     return VqMax(value=value, numeric_max=numeric_max, argmax=argmax, displaced=abs(argmax) > resolution)
@@ -251,19 +285,6 @@ def tunneling_threshold(model: LowMomentumModel) -> float:
     difference V - eps without changing its sign), so the threshold is the
     maximum of the smoothed potential. For the square barrier that is
     v0 erf(sqrt(2m) l / (sqrt(beta) hbar)); hbar = 0 gives back the bare
-    barrier height. Computed on the first call and kept on the model.
+    barrier height. Found at construction from the model's profile scan.
     """
-    if model._threshold is None:
-        object.__setattr__(model, "_threshold", _find_threshold(model))
-    return model._threshold
-
-
-def _find_threshold(model: LowMomentumModel) -> float:
-    params, pot = model.params, model.pot
-    if params.hbar == 0:
-        return classical_max(pot)
-    if isinstance(pot, SquareBarrier):
-        return pot.v0 * erf(math.sqrt(2.0 * params.m) * pot.l / (math.sqrt(params.beta) * params.hbar))
-    qs = np.linspace(*evaluation_domain(model), SCAN_POINTS)
-    _, peak = _refine_max(lambda q: smoothed_potential(model, q), qs, model.profile.on(qs)[0])
-    return peak
+    return model._top

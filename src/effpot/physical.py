@@ -46,9 +46,10 @@ def dimensionless(params: PhysicalParams, barrier) -> DimensionlessParams:
     """Quantum-strength numbers for a square barrier of height v0, half-width l.
 
     H = sqrt(beta/m) hbar / L drives the smoothed-barrier transport model;
-    Q = hbar / (sqrt(m V0) L) drives the quantum mixture average. Both scale
-    linearly in hbar and vanish in the classical limit.
+    Q = hbar / (sqrt(2 m V0) L) = 1/(k0 L) drives the quantum mixture
+    average, whose sub-barrier exponent is 2 kappa L = 2 sqrt(1 - x^2)/Q.
+    Both scale linearly in hbar and vanish in the classical limit.
     """
     H = math.sqrt(params.beta / params.m) * params.hbar / barrier.l
-    Q = params.hbar / (math.sqrt(params.m * barrier.v0) * barrier.l)
+    Q = params.hbar / (math.sqrt(2.0 * params.m * barrier.v0) * barrier.l)
     return DimensionlessParams(H=H, Q=Q)

@@ -93,17 +93,13 @@ def effective_t_of_H(H: float) -> float:
     return 1.0 - math.erf(math.sqrt(2.0) / H)
 
 
-def effective_coefficients(
-    model: LowMomentumModel, barrier=None
-) -> CoefficientPair:
+def effective_coefficients(model: LowMomentumModel) -> CoefficientPair:
     """Threshold-based coefficients for a uniform beam on (base, max V).
 
     For the square barrier this is the closed form t = 1 - erf(sqrt(2)/H);
     for other admissible potentials the beam fraction above the tunneling
     threshold, measured from the asymptotic level.
     """
-    if barrier is not None and barrier is not model.pot:
-        model = LowMomentumModel(model.params, barrier)
     pot = model.pot
     if model.params.hbar == 0:
         return CoefficientPair.from_transmission(0.0)
@@ -264,16 +260,6 @@ def coefficient_curve(which: str, param_range, n_points: int) -> TransmissionCur
     fn = effective_t_of_H if which == "effective" else quantum_t_mixture
     t = np.array([fn(float(x)) for x in grid])
     return TransmissionCurve(which=which, param=grid, t=t, r=1.0 - t)
-
-
-def write_curve_csv(curve: TransmissionCurve, path, metadata=None) -> None:
-    label = "H" if curve.which == "effective" else "Q"
-    with open(path, "w", newline="\n") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(f"{label},t,r\n")
-        for row in zip(curve.param, curve.t, curve.r):
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
 
 
 # ---------------------------------------------------------- trajectory oracle

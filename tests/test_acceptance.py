@@ -24,8 +24,6 @@ from effpot.kernel import effective_potential
 from effpot.lowmomentum import (
     LowMomentumModel,
     inverse_mass,
-    inverse_mass_gradient,
-    smoothed_gradient,
     smoothed_potential,
     vq_potential,
 )
@@ -74,12 +72,7 @@ def test_criterion_3_closed_forms_vs_quadrature():
         for pot in (BARRIER, PW_BARRIER):
             model = LowMomentumModel(params, pot)
             for q in map(float, qs):
-                closed = (
-                    smoothed_potential(model, q),
-                    smoothed_gradient(model, q),
-                    inverse_mass(model, q),
-                    inverse_mass_gradient(model, q),
-                )
+                closed = model.profile.at(q)
                 reference = reference_profiles(params, BARRIER, q)
                 worst = max(worst, *(abs(a - b) for a, b in zip(closed, reference)))
     print(f"criterion 3: max closed-vs-quadrature diff {worst:.3e} (gate 1e-8)")

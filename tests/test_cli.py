@@ -6,6 +6,10 @@ import sys
 
 import pytest
 
+from effpot.physical import PhysicalParams
+from effpot.potential import SquareBarrier
+from effpot.transmission import mixture_average
+
 CMD = [sys.executable, "-m", "effpot"]
 
 
@@ -41,6 +45,15 @@ def test_coeff_half_transmission_point():
     )
     assert abs(float(values["t_effective"]) - 0.5) < 0.005
     assert "# H=2.97" in res.stdout
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+def test_coeff_mixture_matches_k_space_average(hbar):
+    res = run("coeff", "--hbar", str(hbar))
+    assert res.returncode == 0
+    values = dict(line.split("=") for line in _data_lines(res.stdout) if "=" in line)
+    want = mixture_average(SquareBarrier(v0=1.0, l=0.5), PhysicalParams(m=1.0, beta=0.125, hbar=hbar))
+    assert abs(float(values["t_quantum_mixture"]) - want) < 1e-8
 
 
 def test_model_profile():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
 from effpot.errors import DomainError, NonPositiveMass
@@ -11,9 +12,7 @@ from effpot.lowmomentum import (
     LowMomentumModel,
     evaluation_domain,
     inverse_mass,
-    inverse_mass_gradient,
     mass,
-    smoothed_gradient,
     smoothed_potential,
     tunneling_threshold,
     vq_max_square,
@@ -67,21 +66,12 @@ def test_smoothed_value_at_jump():
         assert abs(smoothed_potential(model, 0.5) - expected) < 1e-14
 
 
-def _profiles(model, q):
-    return (
-        smoothed_potential(model, q),
-        smoothed_gradient(model, q),
-        inverse_mass(model, q),
-        inverse_mass_gradient(model, q),
-    )
-
-
 def _worst_vs_quadrature(pot, hbar, qs):
     model = LowMomentumModel(_params(hbar), pot)
     return max(
         abs(a - b)
         for q in map(float, qs)
-        for a, b in zip(_profiles(model, q), reference_profiles(model.params, pot, q))
+        for a, b in zip(model.profile.at(q), reference_profiles(model.params, pot, q))
     )
 
 
@@ -215,7 +205,14 @@ def test_vq_max_square_rejects_other_potentials():
         vq_max_square(model, 0.25)
 
 
+SQUARE_HBARS = [1e-6, 0.05, 0.5, 1.0, 2.0, 3.0, 6.0, 10.0]
+
+
 def test_threshold_closed_form():
+    # v0 erf(sqrt(2m) l / (sqrt(beta) hbar)) = erf(2/hbar) here
+    for hbar in SQUARE_HBARS:
+        model = LowMomentumModel(_params(hbar), BARRIER)
+        assert abs(tunneling_threshold(model) - erf(2.0 / hbar)) < 1e-14
     model = LowMomentumModel(_params(2.0), BARRIER)
     assert abs(tunneling_threshold(model) - erf(1.0)) < 1e-14
     assert abs(tunneling_threshold(model) - 0.8427) < 5e-5
@@ -249,21 +246,37 @@ def test_threshold_fixed_point(hbar):
     assert abs(res.numeric_max - eps_star) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "hbar, pot",
+    [(h, BARRIER) for h in SQUARE_HBARS]
+    + [(3.0, pot) for pot in (PW_BARRIER, PW3, PW4, TENT, BUMP)],
+    ids=[f"square-{h:g}" for h in SQUARE_HBARS]
+    + ["twin", "3-step", "4-step", "tent", "raised-cosine"],
+)
+def test_threshold_matches_bounded_maximiser(hbar, pot):
+    # oracle: scipy's bounded minimiser on -V over the argmax cell of a fine
+    # grid, independent of the model's own scan and root refinement
+    model = LowMomentumModel(_params(hbar), pot)
+    qs = np.linspace(*evaluation_domain(model), 20001)
+    i = int(np.argmax(model.profile.on(qs)[0]))
+    res = minimize_scalar(
+        lambda q: -smoothed_potential(model, q),
+        bounds=(qs[i - 1], qs[i + 1]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    assert abs(tunneling_threshold(model) + res.fun) < 1e-12
+
+
 def test_gradients_match_finite_differences():
     model = LowMomentumModel(_params(3.0), BARRIER)
     h = 1e-6
     for q in (-0.8, 0.0, 0.4, 1.2):
+        _, vp, _, minvp = model.profile.at(q)
         fd_v = (smoothed_potential(model, q + h) - smoothed_potential(model, q - h)) / (2 * h)
-        assert abs(smoothed_gradient(model, q) - fd_v) < 1e-8
+        assert abs(vp - fd_v) < 1e-8
         fd_m = (inverse_mass(model, q + h) - inverse_mass(model, q - h)) / (2 * h)
-        assert abs(inverse_mass_gradient(model, q) - fd_m) < 1e-8
-
-
-def test_gradient_refuses_classical_jump():
-    model = LowMomentumModel(_params(0.0), BARRIER)
-    with pytest.raises(DomainError):
-        smoothed_gradient(model, 0.5)
-    assert inverse_mass_gradient(model, 0.5) == 0.0
+        assert abs(minvp - fd_m) < 1e-8
 
 
 @pytest.mark.parametrize("pot", [PW4, BUMP], ids=["4-step", "raised-cosine"])
@@ -278,8 +291,8 @@ def test_general_shapes_build(pot):
 
 
 def test_threshold_array_scan_matches_scalar_profile():
-    # the threshold comes from an array scan plus a scalar refinement; the
-    # two evaluation paths must agree
+    # the threshold comes from an array scan plus a scalar root refinement;
+    # the two evaluation paths must agree
     model = LowMomentumModel(_params(3.0), TENT)
     qs = np.linspace(-3.0, 3.0, 61)
     arrays = model.profile.on(qs)

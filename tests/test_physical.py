@@ -34,9 +34,10 @@ def test_dimensionless_fig1_point():
 
 
 def test_dimensionless_mixture_point():
+    # Q = hbar / (sqrt(2 m V0) L) = 1/(k0 L)
     params = PhysicalParams(m=1.0, beta=0.125, hbar=0.875)
     dims = dimensionless(params, SquareBarrier(v0=1.0, l=0.5))
-    assert math.isclose(dims.Q, 1.75, rel_tol=1e-15)
+    assert math.isclose(dims.Q, 1.75 / math.sqrt(2.0), rel_tol=1e-15)
 
 
 def test_classical_limit_is_zero():

@@ -24,7 +24,6 @@ from effpot.transmission import (
     quantum_t_single,
     surpass_fraction,
     transfer_matrix_transmission,
-    write_curve_csv,
 )
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
@@ -204,6 +203,20 @@ def test_mixture_routes_agree(Q):
     assert abs(quantum_t_mixture(Q) - mixture_average(BARRIER, _params(hbar))) < 1e-8
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.floats(min_value=0.5, max_value=2.0),
+    v0=st.floats(min_value=0.5, max_value=2.0),
+    l=st.floats(min_value=0.25, max_value=1.0),
+    hbar=st.floats(min_value=0.2, max_value=6.0),
+)
+def test_mixture_routes_agree_at_dimensionless_q(m, v0, l, hbar):
+    # the Q that dimensionless reports is the one the x-integral runs over
+    barrier, params = SquareBarrier(v0=v0, l=l), PhysicalParams(m=m, beta=0.125, hbar=hbar)
+    Q = dimensionless(params, barrier).Q
+    assert abs(quantum_t_mixture(Q) - mixture_average(barrier, params)) < 1e-8
+
+
 # ---------------------------------------------------------- transfer matrix
 
 
@@ -320,19 +333,6 @@ def test_coefficient_curve_values():
     assert abs(qc.t[0] - quantum_t_mixture(0.5)) < 1e-12
 
 
-def test_write_curve_csv_labels(tmp_path):
-    eff = coefficient_curve("effective", (0.5, 5.0), 5)
-    qua = coefficient_curve("quantum", (0.5, 2.0), 5)
-    pe, pq = tmp_path / "eff.csv", tmp_path / "qua.csv"
-    write_curve_csv(eff, pe, metadata={"model": "demo"})
-    write_curve_csv(qua, pq)
-    eff_lines = pe.read_text().splitlines()
-    assert eff_lines[0] == "# model=demo"
-    assert eff_lines[1] == "H,t,r"
-    assert len(eff_lines) == 2 + 5
-    assert pq.read_text().splitlines()[0] == "Q,t,r"
-
-
 # -------------------------------------------------------- simulated transport
 
 
@@ -358,11 +358,11 @@ def test_surpass_fraction_stratified_matches_closed_form():
 
 
 def test_surpass_fraction_scans_threshold_once(monkeypatch):
-    # a non-square threshold is a grid scan plus golden-section refinement;
-    # the model keeps it after the first call instead of one per energy
+    # the threshold is a grid scan plus a root refinement, made once at
+    # construction instead of once per energy
     scans = []
-    refine = lowmomentum._refine_max
-    monkeypatch.setattr(lowmomentum, "_refine_max", lambda *a: scans.append(a) or refine(*a))
+    peak = lowmomentum._peak
+    monkeypatch.setattr(lowmomentum, "_peak", lambda *a: scans.append(a) or peak(*a))
     grid = np.linspace(-1.0, 1.0, 41)
     tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
     model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), tent)
