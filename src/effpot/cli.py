@@ -116,9 +116,17 @@ def _build_config(args) -> RunConfig:
         if flag_value is not None:
             merged[key] = flag_value
     try:
-        return RunConfig(**{k: float(v) for k, v in merged.items()})
+        values = {k: float(v) for k, v in merged.items()}
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad parameter value: {exc}") from exc
+    _reject_non_finite(values)
+    return RunConfig(**values)
+
+
+def _reject_non_finite(values: dict) -> None:
+    bad = sorted(k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v))
+    if bad:
+        raise UsageError(f"non-finite value for {', '.join(bad)}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -440,6 +448,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _reject_non_finite(vars(args))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

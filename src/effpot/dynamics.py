@@ -8,21 +8,18 @@ and the constant-mass Newtonian form m d2q/dt2 = -dVQ/dq at fixed conserved
 energy, whose momentum is reported as p = M(q) dq/dt. Both conserve
 eps = p^2/(2 M(q)) + V(q), and every accepted run is gated on that drift.
 
-One event loop propagates both forms over force zones. Between zones the
-force is zero (1/M = 1/m and V is the level of the gap), so flight there is
-exact; the asymptotic exits are the edges of the evaluation domain. The
-zones depend on the smoothing width:
-
-- hbar = 0: a zero-width zone at each step of the bare piecewise-constant
-  potential, crossed by the jump rule (adaptive stepping on a discontinuous
-  force would be meaningless): a particle reaching a step of height dV
-  crosses with |p'| = sqrt(p^2 - 2 m dV) when its kinetic energy exceeds dV
-  and reflects otherwise.
-- 0 < sigma << step spacing: the merged +-20 sigma neighbourhoods of the
-  walls. Beyond them the force underflows to zero in double precision, and
-  an adaptive step spanning the gap between walls would never sample a
-  wall.
-- otherwise: one zone over the whole line.
+One event loop propagates both forms over force zones. The smoothed force
+acts only within a few smoothing widths sigma of the bare potential's
+breakpoints and along its ramps, so the zones are the +-20 sigma
+neighbourhoods of the breakpoints, merged where they overlap or a ramp joins
+them; beyond them the force underflows to zero in double precision. Between
+zones 1/M = 1/m and V is the bare level of the gap, so flight there is exact
+and an adaptive step never has to span a gap. The asymptotic exits are the
+edges of the evaluation domain. At hbar = 0 the zones have zero width and
+are crossed by the jump rule (adaptive stepping on a discontinuous force
+would be meaningless): a particle reaching a step of height dV crosses with
+|p'| = sqrt(p^2 - 2 m dV) when its kinetic energy exceeds dV and reflects
+otherwise.
 
 A zone of nonzero width is crossed by one adaptive Dormand-Prince 5(4)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
@@ -59,7 +56,7 @@ from .lowmomentum import (
     smoothed_potential,
     tunneling_threshold,
 )
-from .potential import eval_classical, support_interval
+from .potential import _require_finite, eval_classical, support_interval
 
 SURPASSED = "surpassed"
 REFLECTED = "reflected"
@@ -68,8 +65,8 @@ DRIFT_LIMIT = 1e-9
 DRIFT_FLOOR = 1e-12
 REL_TOL = 1e-11          # adaptive step control
 ABS_TOL = 1e-12
-ZONE_SIGMAS = 20.0       # wall-zone halfwidth in units of sigma
-THIN_WALL_FRACTION = 50  # sigma < (wall spacing)/THIN_WALL_FRACTION switches regimes
+ZONE_SIGMAS = 20.0       # force-zone reach beyond a breakpoint, in units of sigma
+MAX_ZONE_SIGMAS = 5000.0  # widest breakpoint span of one zone, in units of sigma
 T_END_TRANSITS = 50.0    # default time budget in units of domain transit time
 MAX_EVENTS = 100_000
 
@@ -288,65 +285,52 @@ def _dense_output(t_old, h, q_old, s_old, kq, ks):
 
 
 class _Zone(NamedTuple):
-    """Interval [lo, hi] where the force acts. profile is None for a step of
-    the bare potential; otherwise it is evaluated at q - origin."""
+    """Interval [lo, hi] where the force acts, and the bare level of the gap
+    above it. profile is None for a step of the bare potential; otherwise it
+    is evaluated at q - origin."""
 
     profile: Optional[Profile]
     origin: float
     lo: float
     hi: float
-
-
-def _is_thin_wall(model) -> bool:
-    shape = model.pot.shape
-    if not shape.steps:
-        return False
-    breaks = shape.x
-    spacing = min((b2 - b1 for b1, b2 in zip(breaks[:-1], breaks[1:])), default=0.0)
-    return model.smoothing_sigma < spacing / THIN_WALL_FRACTION
-
-
-def _guard_resolvable(model) -> None:
-    # a smoothing width thousands of times below the support size forces a
-    # max step far too small for one adaptive zone over the whole line, and
-    # only piecewise-constant potentials have the force-free gaps between
-    # walls that the thin-wall zones fly across
-    a, b = support_interval(model.pot)
-    if model.smoothing_sigma < (b - a) / 5000:
-        raise DomainError(
-            f"smoothing width {model.smoothing_sigma:g} is too small a feature for adaptive "
-            "stepping on this potential; only piecewise-constant potentials "
-            "support the segmented thin-wall path"
-        )
+    level: float
 
 
 def _zones(model) -> list:
-    """The force zones of the model's stepping regime, in increasing order.
+    """The force zones in increasing order: the +-ZONE_SIGMAS sigma
+    neighbourhoods of the breakpoints, merged where they overlap or a ramp
+    joins them; at hbar = 0, one zero-width zone per breakpoint.
 
-    A thin-wall zone steps on a profile in coordinates local to its wall:
+    A zone steps on a profile in coordinates centred on its breakpoints:
     there the state coordinate carries no absolute roundoff of order
     eps_mach * |q|, which the steep wall force (~ V0/sigma) would turn into
-    an energy random walk near the conservation gate, and the dominant
-    erf/Gaussian arguments are exact (nearby doubles subtract exactly).
+    an energy random walk near the conservation gate, and for a lone wall
+    the dominant erf/Gaussian arguments are exact (nearby doubles subtract
+    exactly). A zone whose breakpoints span more than MAX_ZONE_SIGMAS sigma
+    is refused: its max step of 2 sigma over the speed would need far too
+    many steps.
     """
-    shape = model.pot.shape
-    if model.profile is None:
-        if not shape.steps:
-            raise DomainError("exact classical propagation needs a piecewise-constant potential")
-        return [_Zone(None, b, b, b) for b in shape.x]
-    if _is_thin_wall(model):
-        half = ZONE_SIGMAS * model.smoothing_sigma
-        groups = []
-        for b in shape.x:
-            if groups and b - half <= groups[-1][2]:
-                groups[-1][2] = b + half
-            else:
-                groups.append([b, b - half, b + half])
-        return [
-            _Zone(Profile(model.params, shape, origin=b), b, lo, hi) for b, lo, hi in groups
-        ]
-    _guard_resolvable(model)
-    return [_Zone(model.profile, 0.0, -math.inf, math.inf)]
+    shape, sigma = model.pot.shape, model.smoothing_sigma
+    if model.profile is None and not shape.steps:
+        raise DomainError("exact classical propagation needs a piecewise-constant potential")
+    half = ZONE_SIGMAS * sigma
+    groups = []  # [first breakpoint, last breakpoint, index of the last]
+    for i, b in enumerate(shape.x):
+        if groups and (b - half <= groups[-1][1] + half or shape.left[i - 1] != shape.right[i - 1]):
+            groups[-1][1:] = b, i
+        else:
+            groups.append([b, b, i])
+    zones = []
+    for first, last, i in groups:
+        if last - first > MAX_ZONE_SIGMAS * sigma:
+            raise DomainError(
+                f"smoothing width {sigma:g} is too small a feature for adaptive stepping "
+                f"across the force zone [{first:g}, {last:g}] of this potential"
+            )
+        origin = 0.5 * (first + last)
+        profile = None if model.profile is None else Profile(model.params, shape, origin=origin)
+        zones.append(_Zone(profile, origin, first - half, last + half, shape.levels[i + 1]))
+    return zones
 
 
 def _rhs(profile, eps):
@@ -376,7 +360,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     """
     zones = _zones(model)
     lo_edge, hi_edge = evaluation_domain(model)
-    m, levels = model.params.m, model.pot.shape.levels
+    m = model.params.m
+    levels = (model.pot.shape.level, *(z.level for z in zones))  # of each gap
     newton = eps is not None
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
@@ -486,7 +471,7 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     t, q, p, energy = (np.asarray(c, dtype=float) for c in samples)
     drift = np.abs(energy - energy0) / max(abs(energy0), DRIFT_FLOOR)
     max_drift = float(drift.max(initial=0.0))
-    if max_drift >= DRIFT_LIMIT:
+    if not max_drift < DRIFT_LIMIT:
         raise StepFailure(
             f"energy drift {max_drift:.3e} breaches the {DRIFT_LIMIT:g} conservation gate"
         )
@@ -519,6 +504,7 @@ def integrate_hamiltonian(
     returning. The outcome field reports 'surpassed' or 'reflected' when an
     asymptotic exit boundary was crossed within t_end, else None.
     """
+    _require_finite("initial state and time budget", (q0, p0, 0.0 if t_end is None else t_end))
     if t_end is None:
         t_end = _default_t_end(model, p0 * inverse_mass(model, q0))
     return _propagate(model, q0, p0, t_end, t_eval, None, hamiltonian(model, q0, p0))
@@ -538,6 +524,8 @@ def integrate_newtonian(
     momentum is p = M(q) dq/dt so records are directly comparable with the
     canonical form.
     """
+    _require_finite("initial state, energy and time budget",
+                    (q0, v0, eps, 0.0 if t_end is None else t_end))
     check = 0.5 * v0 * v0 / inverse_mass(model, q0) + smoothed_potential(model, q0)
     if abs(check - eps) > 1e-10 * max(1.0, abs(eps)):
         raise InconsistentEnergy(
@@ -553,6 +541,7 @@ def integrate_newtonian(
 
 def launch_state(model: LowMomentumModel, eps: float):
     """Left-asymptotic initial conditions carrying energy eps toward the barrier."""
+    _require_finite("energy", (eps,))
     a, b = support_interval(model.pot)
     lo_edge, _ = evaluation_domain(model)
     q0 = lo_edge - 0.5 * (b - a)

@@ -49,8 +49,8 @@ class Profile:
     1/M - 1/m = h/(3 hbar) sqrt(2 beta/(pi m)) ((b - q) e_b + (q - a) e_a)
     with e_x = exp(-w (q - x)^2), w = 2m/(beta hbar^2); a linear segment adds
     the smoothing of its ramp. Positions are measured from ``origin``: the
-    thin-wall integrator works in coordinates local to a wall, where the
-    segment ends at that wall are exactly 0.
+    trajectory integrator works in coordinates local to each force zone,
+    where the segment ends at a lone wall are exactly 0.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):

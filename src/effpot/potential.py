@@ -57,8 +57,8 @@ class Shape:
 
     @property
     def levels(self) -> tuple:
-        """Value on each interval between breakpoints, outer ones included,
-        for a potential that only jumps."""
+        """Value on each interval between breakpoints, outer ones included;
+        the entry of an interval is its level when its segment is constant."""
         return (self.level, *self.left, self.level)
 
 

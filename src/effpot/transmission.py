@@ -193,47 +193,42 @@ def transfer_matrix_transmission(
 ) -> TransferMatrixResult:
     """Exact scattering transmission through piecewise-constant segments.
 
-    Independent of the closed forms above: plane-wave amplitudes are matched
-    across every step by 2x2 complex interface matrices. Extremely opaque
-    barriers overflow the matrix product; those return t = 0 with the
-    underflow flag set instead of raising.
+    Independent of the closed forms above: (psi, psi') is carried across
+    each segment of width w by its real propagator
+    [[cos kw, sin(kw)/k], [-k sin kw, cos kw]] (cosh and sinh below the
+    segment level, [[1, w], [0, 1]] at it), which stays well conditioned as
+    k -> 0. For the product [[a, b], [c, d]] and the outer wavenumber k,
+    t = 4 k^2 / ((c - k^2 b)^2 + k^2 (a + d)^2). Extremely opaque barriers
+    overflow the product; those return t = 0 with the underflow flag set
+    instead of raising.
     """
     shape = pot.shape
     if not shape.steps:
         raise DomainError("transfer matrix needs a piecewise-constant potential")
-    breaks, levels = shape.x, shape.levels
     if params.hbar <= 0:
         raise DomainError("scattering needs hbar > 0")
-    if E <= levels[0]:
+    if E <= shape.level:
         raise DomainError("energy must exceed the asymptotic level for an incident wave")
-    scale = max(1.0, abs(E), max(abs(v) for v in levels))
-    if any(E == v for v in levels):
-        E = E + 1e-12 * scale  # degenerate dispersion at a segment level
 
-    two_m = 2.0 * params.m
-    ks = [np.sqrt(complex(two_m * (E - v))) / params.hbar for v in levels]
-
-    M = np.eye(2, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, k1, k2 in zip(breaks, ks[:-1], ks[1:]):
-            r = k1 / k2
-            plus, minus = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
-            interface = np.array(
-                [
-                    [plus * np.exp(1j * (k1 - k2) * x), minus * np.exp(-1j * (k1 + k2) * x)],
-                    [minus * np.exp(1j * (k1 + k2) * x), plus * np.exp(-1j * (k1 - k2) * x)],
-                ],
-                dtype=complex,
-            )
-            M = interface @ M
-        m22 = M[1, 1]
-        if not np.isfinite(m22.real) or not np.isfinite(m22.imag) or m22 == 0:
-            return TransferMatrixResult(t=0.0, underflow=True)
-        # transmitted amplitude is det(M)/M22 with det(M) = k_in/k_out
-        t = float((ks[0] / ks[-1]).real / abs(m22) ** 2)
-    if not np.isfinite(t):
+    two_m, hbar = 2.0 * params.m, params.hbar
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for x0, x1, v in zip(shape.x[:-1], shape.x[1:], shape.left):
+        w = x1 - x0
+        kv = math.sqrt(two_m * abs(E - v)) / hbar
+        if E > v:
+            cs, sn, ksn = math.cos(kv * w), math.sin(kv * w) / kv, -kv * math.sin(kv * w)
+        elif E < v:
+            if kv * w > SINH_OVERFLOW:  # t below ~1e-300
+                return TransferMatrixResult(t=0.0, underflow=True)
+            cs, sn, ksn = math.cosh(kv * w), math.sinh(kv * w) / kv, kv * math.sinh(kv * w)
+        else:
+            cs, sn, ksn = 1.0, w, 0.0
+        a, b, c, d = cs * a + sn * c, cs * b + sn * d, ksn * a + cs * c, ksn * b + cs * d
+    k2 = two_m * (E - shape.level) / (hbar * hbar)
+    denom = (c - k2 * b) ** 2 + k2 * (a + d) ** 2
+    if not math.isfinite(denom):
         return TransferMatrixResult(t=0.0, underflow=True)
-    return TransferMatrixResult(t=min(max(t, 0.0), 1.0), underflow=False)
+    return TransferMatrixResult(t=min(4.0 * k2 / denom, 1.0), underflow=False)
 
 
 # --------------------------------------------------------------------- curves

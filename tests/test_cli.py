@@ -168,13 +168,34 @@ def test_negative_hbar_is_usage_error():
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("flags", [("--hbar", "nan"), ("--hbar", "inf"), ("--V0", "inf")])
+@pytest.mark.parametrize("flags", [
+    ("coeff", "--hbar", "nan"),
+    ("coeff", "--hbar", "inf"),
+    ("coeff", "--V0", "inf"),
+    ("coeff", "--eps", "nan"),
+    ("coeff", "--rel-tol", "inf"),
+    ("model", "--qmin", "nan"),
+    ("veff", "--pmax", "inf"),
+    ("trajectory", "--q0", "nan", "--p0", "1"),
+    ("trajectory", "--t-end", "nan"),
+    ("trajectory", "--eps", "nan"),  # used to hang in the stepper
+])
 def test_non_finite_parameter_is_usage_error(tmp_path, flags):
-    out = tmp_path / "coeff.txt"
-    res = run("coeff", *flags, "--out", str(out))
+    # flags is the whole command line; none may open --out or hang
+    out = tmp_path / "out.csv"
+    res = subprocess.run(CMD + [*flags, "--out", str(out)], capture_output=True, text=True,
+                         timeout=60)
     assert res.returncode == 2
     assert "usage error" in res.stderr
     assert not out.exists()
+
+
+def test_non_finite_config_value_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"abs_tol": "nan"}')
+    res = run("coeff", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
 
 
 def test_non_finite_csv_row_is_usage_error(tmp_path):

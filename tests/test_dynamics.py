@@ -32,10 +32,18 @@ from effpot.lowmomentum import (
     vq_potential,
 )
 from effpot.physical import PhysicalParams
-from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from effpot.potential import (
+    PiecewiseConstantPotential,
+    SquareBarrier,
+    TabulatedPotential,
+    eval_classical,
+)
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 TWIN = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
+STEP4 = PiecewiseConstantPotential((-0.86, -0.48, 0.02, 0.99), (0.0, 0.86, 0.65, 0.92, 0.0))
+_TENT_GRID = np.linspace(-1.0, 1.0, 41)
+TENT = TabulatedPotential(tuple(_TENT_GRID), tuple(0.8 * (1.0 - np.abs(_TENT_GRID))))
 
 
 def _model(hbar):
@@ -282,6 +290,22 @@ def test_launch_state_energy():
         launch_state(model, -0.1)
 
 
+@pytest.mark.parametrize("run", [
+    lambda model: launch_state(model, math.nan),
+    lambda model: classify_traversal(model, math.nan),
+    lambda model: integrate_hamiltonian(model, -4.0, math.inf),
+    lambda model: integrate_hamiltonian(model, math.nan, 1.0),
+    lambda model: integrate_hamiltonian(model, -4.0, 1.0, t_end=math.nan),
+    lambda model: integrate_newtonian(model, -4.0, 1.0, math.nan),
+    lambda model: integrate_newtonian(model, -4.0, 1.0, 0.5, t_end=math.inf),
+], ids=["launch-eps", "classify-eps", "ham-p0", "ham-q0", "ham-t_end", "newt-eps", "newt-t_end"])
+def test_non_finite_input_rejected(run):
+    # a NaN time would stall the stepper's rejection loop, and a NaN drift
+    # would slip past the conservation gate
+    with pytest.raises(ValueError, match="finite"):
+        run(_model(3.0))
+
+
 # ------------------------------------------------ general potentials, adaptive
 
 
@@ -303,9 +327,7 @@ def test_piecewise_twin_steps_like_the_square(hbar, eps):
 
 @pytest.mark.parametrize("form", ["hamiltonian", "newtonian"])
 def test_tabulated_tent_adaptive_trajectories(form):
-    grid = np.linspace(-1.0, 1.0, 41)
-    tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
-    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=3.0), tent)
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=3.0), TENT)
     thr = tunneling_threshold(model)
     for eps in (0.7 * thr, 1.2 * thr):
         q0, p0 = launch_state(model, eps)
@@ -317,7 +339,7 @@ def test_tabulated_tent_adaptive_trajectories(form):
         assert traj.outcome == (SURPASSED if eps > thr else REFLECTED)
 
 
-# ---------------------------------------------------------- thin-wall regime
+# ------------------------------------------------------- thin walls, zones
 
 
 def test_thin_wall_conservation_and_classification():
@@ -386,17 +408,73 @@ def test_thin_wall_resampling_matches_exact_limit():
 
 
 def test_unresolvable_smoothing_width_rejected():
-    # wide support with a smoothing width thousands of times smaller: the
-    # plain adaptive path would need millions of steps, so it must refuse
-    tab = TabulatedPotential(
-        (-2000.0, -1.0, 0.0, 1.0, 2000.0), (0.0, 0.0, 1.0, 0.0, 0.0)
-    )
+    # one ramp thousands of smoothing widths long is a single force zone: its
+    # max step of 2 sigma over the speed would need millions of steps
+    tab = TabulatedPotential((-2000.0, 0.0, 2000.0), (0.0, 1.0, 0.0))
     model = LowMomentumModel(PhysicalParams(1.0, 0.125, 2.828), tab)
     with pytest.raises(DomainError):
         classify_traversal(model, 1.5)
 
 
-@pytest.mark.parametrize("hbar", [0.0, 1e-6, 3.0])  # exact, thin wall, adaptive
+def test_wide_flat_support_steps_only_its_force_zones():
+    # the force of a narrow tent on a wide flat support lives in [-1, 1]:
+    # the flat ends are crossed in exact flight, not refused
+    tab = TabulatedPotential(
+        (-2000.0, -1.0, 0.0, 1.0, 2000.0), (0.0, 0.0, 1.0, 0.0, 0.0)
+    )
+    model = LowMomentumModel(PhysicalParams(1.0, 0.125, 2.828), tab)
+    assert classify_traversal(model, 1.5) == SURPASSED
+    assert classify_traversal(model, 0.3) == REFLECTED
+
+
+@pytest.mark.parametrize("pot, hbar, count", [
+    (BARRIER, 0.0, 2), (BARRIER, 0.05, 2), (BARRIER, 2.0, 1),
+    (STEP4, 0.0, 4), (STEP4, 0.05, 4),
+    (STEP4, 2.0, 1), (TENT, 0.05, 1), (TENT, 2.0, 1),
+])
+def test_force_zones_cover_the_breakpoints(pot, hbar, count):
+    # walls far apart on the sigma scale get zones of their own, close walls
+    # and ramps share one; every zone is finite and knows the level above it
+    model = LowMomentumModel(PhysicalParams(1.0, 0.125, hbar), pot)
+    zones = dynamics._zones(model)
+    assert len(zones) == count
+    assert all(z1.hi < z2.lo for z1, z2 in zip(zones[:-1], zones[1:]))
+    for b in pot.shape.x:
+        assert sum(z.lo <= b <= z.hi for z in zones) == 1
+    for z in zones:
+        assert math.isfinite(z.lo) and math.isfinite(z.hi)
+        assert z.level == eval_classical(pot, z.hi + 1e-9)
+        if hbar == 0.0:
+            assert z.profile is None and z.lo == z.hi == z.origin
+
+
+@pytest.mark.parametrize("pot", [BARRIER, STEP4],
+                         ids=["square", "step4"])
+def test_outcome_continuous_where_wall_zones_merge(pot):
+    # just below spacing/40 the two closest walls have zones of their own,
+    # just above one merged zone: the motion must not notice the switch
+    x = pot.shape.x
+    spacing = min(b - a for a, b in zip(x[:-1], x[1:]))
+    to_hbar = 1.0 / math.sqrt(0.125 / 4.0)  # sigma = sqrt(beta/(4 m)) hbar
+    sides = []
+    for scale in (1.0 - 1e-6, 1.0 + 1e-6):
+        model = LowMomentumModel(PhysicalParams(1.0, 0.125, spacing / 40.0 * scale * to_hbar), pot)
+        runs = []
+        for eps in (0.5, 0.9, 1.2):
+            q0, p0 = launch_state(model, eps)
+            for traj in (integrate_hamiltonian(model, q0, p0),
+                         integrate_newtonian(model, q0, p0 * inverse_mass(model, q0), eps)):
+                assert traj.max_energy_drift < 1e-9
+                runs.append((traj.outcome, float(traj.t[-1])))
+        sides.append((len(dynamics._zones(model)), runs))
+    (n_apart, apart), (n_merged, merged) = sides
+    assert n_merged == n_apart - 1
+    for (out_a, t_a), (out_m, t_m) in zip(apart, merged):
+        assert out_a == out_m
+        assert abs(t_a - t_m) <= 1e-6 * t_a
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1e-6, 3.0])  # jump zones, lone walls, merged walls
 def test_resampled_run_ends_at_its_exit_point(hbar):
     # the requested times reached, then the exit point: the last sample is
     # the same state the unsampled run ends on
@@ -418,8 +496,9 @@ def test_resampled_run_ends_at_its_exit_point(hbar):
 
 def _first_zone_run(hbar, eps, t_eval=None):
     """The in-house stepper and scipy's RK45 across the model's first force
-    zone, entered with the launch momentum: the whole line at hbar = 2, the
-    left wall neighbourhood in its local coordinates at hbar = 0.05."""
+    zone, entered with the launch momentum: the merged zone of both walls at
+    hbar = 2, the left wall neighbourhood in its local coordinates at
+    hbar = 0.05."""
     model = _model(hbar)
     zone = dynamics._zones(model)[0]
     lo_edge, hi_edge = evaluation_domain(model)
@@ -465,7 +544,7 @@ def _sequential_rk_step(fun, t, y, f, h, A, B, C, K):
 
 
 @pytest.mark.parametrize("sequential", [False, True], ids=["blas", "sequential"])
-@pytest.mark.parametrize("hbar", [2.0, 0.05])  # adaptive, thin wall
+@pytest.mark.parametrize("hbar", [2.0, 0.05])  # merged walls, lone wall
 @pytest.mark.parametrize("eps", [0.5, 1.2])    # reflected, surpassed
 def test_stepper_takes_the_steps_of_scipy_rk45(monkeypatch, eps, hbar, sequential):
     # Same rules give the same steps, but the step factor error^(-1/5) turns

@@ -256,6 +256,38 @@ def test_transfer_matrix_over_barrier():
     assert not res.underflow
 
 
+def _over_barrier_t(m, v0, l, hbar, E):
+    """Textbook over-barrier transmission of the square barrier, 1 - r."""
+    k2, kp2, k02 = 2.0 * m * E / hbar**2, 2.0 * m * (E - v0) / hbar**2, 2.0 * m * v0 / hbar**2
+    s = math.sin(2.0 * math.sqrt(kp2) * l)
+    return 4.0 * k2 * kp2 / (4.0 * k2 * kp2 + k02 * k02 * s * s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(min_value=0.5, max_value=2.0),
+    v0=st.floats(min_value=0.5, max_value=2.0),
+    l=st.floats(min_value=0.25, max_value=1.0),
+    hbar=st.floats(min_value=0.2, max_value=6.0),
+    x=st.floats(min_value=1.0, max_value=5.0, exclude_min=True),
+)
+def test_transfer_matrix_over_barrier_closed_form(m, v0, l, hbar, x):
+    # above the barrier t + r = 1 with r = k0^4 sin^2(2 k' l) / (4 k^2 k'^2 + ...)
+    barrier, params = SquareBarrier(v0=v0, l=l), PhysicalParams(m=m, beta=0.125, hbar=hbar)
+    E = x * v0
+    assert abs(transfer_matrix_transmission(barrier, params, E).t
+               - _over_barrier_t(m, v0, l, hbar, E)) < 1e-12
+
+
+def test_transfer_matrix_over_barrier_resonance():
+    # 2 k' l = pi: the barrier is transparent
+    m, v0, l, hbar = 1.0, 1.0, 0.5, 1.0
+    E = v0 + (math.pi * hbar / (2.0 * l)) ** 2 / (2.0 * m)
+    assert _over_barrier_t(m, v0, l, hbar, E) == pytest.approx(1.0, abs=1e-15)
+    t = transfer_matrix_transmission(SquareBarrier(v0=v0, l=l), _params(hbar), E).t
+    assert abs(t - 1.0) < 1e-12
+
+
 def test_transfer_matrix_square_equals_piecewise():
     pw = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
     for E in (0.2, 0.7, 1.5):
