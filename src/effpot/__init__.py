@@ -60,10 +60,7 @@ from .dynamics import (
 )
 from .transmission import (
     CoefficientPair,
-    MixtureEnsemble,
     TransferMatrixResult,
-    TransmissionCurve,
-    coefficient_curve,
     effective_coefficients,
     effective_t_of_H,
     mixture_average,

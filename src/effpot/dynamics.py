@@ -183,7 +183,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # also a NaN step from a NaN right-hand side
                 return Segment(ts, qs, ss, nfev, -1, None)
             t_new = min(t + h_abs, t_end)
             h = t_new - t

@@ -2,9 +2,11 @@
 
 Each figure is emitted as a CSV file (the reproducible artifact, 12
 significant digits, no timestamps so regeneration is byte-identical) plus a
-small script for a command-driven plotting tool. The parameter sets are
-fixed: m = 1, half-width 0.5, height 1, beta = 1/8, with the quantum
-strength varied per series.
+small script for a command-driven plotting tool. All four share one barrier
+and one parameter set: m = 1, half-width 0.5, height 1, beta = 1/8, with the
+quantum strength varied per series. The four specs are one fixed table; each
+row carries its header, y-axis label, extra metadata lines and the builder
+of its columns.
 
 - fig1: position-dependent mass M(q) at hbar 10 and 30
 - fig2: reduced potential V^Q(q) at energy 0.25 for hbar 0, 3, 6
@@ -14,108 +16,65 @@ strength varied per series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .lowmomentum import LowMomentumModel, mass, vq_potential
 from .physical import PhysicalParams
 from .potential import SquareBarrier
-from .transmission import coefficient_curve
+from .transmission import effective_t_of_H, quantum_t_mixture
 
-FIG_PARAMS = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
+FIG_M, FIG_BETA = 1.0, 0.125
 FIG_BARRIER = SquareBarrier(v0=1.0, l=0.5)
 FIG2_EPS = 0.25
 PROFILE_GRID = np.linspace(-4.0, 4.0, 801)
-CURVE_GRID = (0.02, 10.0, 500)  # uniform grid on (0, 10]
+CURVE_GRID = np.linspace(0.02, 10.0, 500)  # uniform grid on (0, 10]
 
 
 @dataclass(frozen=True)
 class FigureSpec:
     id: int
-    barrier: SquareBarrier
-    params: PhysicalParams
-    header: Tuple[str, ...]
-    series: Tuple[float, ...]  # hbar values (figs 1-2); unused for curve figures
+    header: Tuple[str, ...]  # x column first; it is also the x-axis label
+    ylabel: str
+    metadata: Tuple[str, ...]  # comment lines after the shared parameters
+    columns: Callable[[], list]
 
-    def __post_init__(self):
-        if self.id not in (1, 2, 3, 4):
-            raise ValueError("figure id must be 1..4")
+
+def _profiles(evaluate, hbars) -> list:
+    models = [LowMomentumModel(PhysicalParams(FIG_M, FIG_BETA, h), FIG_BARRIER) for h in hbars]
+    return [PROFILE_GRID] + [np.array([evaluate(mod, float(q)) for q in PROFILE_GRID]) for mod in models]
+
+
+def _curve(coefficient) -> list:
+    t = np.array([coefficient(float(x)) for x in CURVE_GRID])
+    return [CURVE_GRID, t, 1.0 - t]
 
 
 def default_figure_specs():
     return [
-        FigureSpec(1, FIG_BARRIER, FIG_PARAMS, ("q", "M_hbar10", "M_hbar30"), (10.0, 30.0)),
-        FigureSpec(2, FIG_BARRIER, FIG_PARAMS, ("q", "VQ_h0", "VQ_h3", "VQ_h6"), (0.0, 3.0, 6.0)),
-        FigureSpec(3, FIG_BARRIER, FIG_PARAMS, ("H", "t", "r"), ()),
-        FigureSpec(4, FIG_BARRIER, FIG_PARAMS, ("Q", "tQ", "rQ"), ()),
+        FigureSpec(1, ("q", "M_hbar10", "M_hbar30"), "M(q)", ("# series=hbar 10,30",),
+                   lambda: _profiles(mass, (10.0, 30.0))),
+        FigureSpec(2, ("q", "VQ_h0", "VQ_h3", "VQ_h6"), "V^Q(q)",
+                   (f"# eps={FIG2_EPS:.12g}", "# series=hbar 0,3,6"),
+                   lambda: _profiles(lambda mod, q: vq_potential(mod, q, FIG2_EPS), (0.0, 3.0, 6.0))),
+        FigureSpec(3, ("H", "t", "r"), "coefficient", (), lambda: _curve(effective_t_of_H)),
+        FigureSpec(4, ("Q", "tQ", "rQ"), "coefficient", (), lambda: _curve(quantum_t_mixture)),
     ]
-
-
-def _series_models(spec: FigureSpec):
-    return [
-        LowMomentumModel(replace(spec.params, hbar=h), spec.barrier) for h in spec.series
-    ]
-
-
-def _figure_table(spec: FigureSpec) -> np.ndarray:
-    if spec.id == 1:
-        models = _series_models(spec)
-        cols = [PROFILE_GRID] + [
-            np.array([mass(mod, float(q)) for q in PROFILE_GRID]) for mod in models
-        ]
-    elif spec.id == 2:
-        models = _series_models(spec)
-        cols = [PROFILE_GRID] + [
-            np.array([vq_potential(mod, float(q), FIG2_EPS) for q in PROFILE_GRID])
-            for mod in models
-        ]
-    else:
-        which = "effective" if spec.id == 3 else "quantum"
-        lo, hi, n = CURVE_GRID
-        curve = coefficient_curve(which, (lo, hi), n)
-        cols = [curve.param, curve.t, curve.r]
-    return np.column_stack(cols)
-
-
-def _metadata_lines(spec: FigureSpec):
-    lines = [
-        f"# figure={spec.id}",
-        f"# m={spec.params.m:.12g}",
-        f"# beta={spec.params.beta:.12g}",
-        f"# V0={spec.barrier.v0:.12g}",
-        f"# L={spec.barrier.l:.12g}",
-    ]
-    if spec.id == 1:
-        lines.append("# series=hbar " + ",".join(f"{h:g}" for h in spec.series))
-    elif spec.id == 2:
-        lines.append(f"# eps={FIG2_EPS:.12g}")
-        lines.append("# series=hbar " + ",".join(f"{h:g}" for h in spec.series))
-    return lines
-
-
-_PLOT_LABELS = {
-    1: ("q", "M(q)"),
-    2: ("q", "V^Q(q)"),
-    3: ("H", "coefficient"),
-    4: ("Q", "coefficient"),
-}
 
 
 def _plot_script(spec: FigureSpec) -> str:
-    xlabel, ylabel = _PLOT_LABELS[spec.id]
-    n_series = len(spec.header) - 1
     plots = ", ".join(
-        f"'fig{spec.id}.csv' using 1:{i + 2} with lines" for i in range(n_series)
+        f"'fig{spec.id}.csv' using 1:{i} with lines" for i in range(2, len(spec.header) + 1)
     )
     return "\n".join(
         [
             "set datafile separator ','",
             "set key autotitle columnhead",
-            f"set xlabel '{xlabel}'",
-            f"set ylabel '{ylabel}'",
+            f"set xlabel '{spec.header[0]}'",
+            f"set ylabel '{spec.ylabel}'",
             f"plot {plots}",
             "",
         ]
@@ -125,12 +84,20 @@ def _plot_script(spec: FigureSpec) -> str:
 def emit_figure(spec: FigureSpec, out_dir) -> list:
     """Write fig<N>.csv and fig<N>.gp into out_dir; returns the paths."""
     out = Path(out_dir)
+    metadata = (
+        f"# figure={spec.id}",
+        f"# m={FIG_M:.12g}",
+        f"# beta={FIG_BETA:.12g}",
+        f"# V0={FIG_BARRIER.v0:.12g}",
+        f"# L={FIG_BARRIER.l:.12g}",
+        *spec.metadata,
+    )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        table = _figure_table(spec)
+        table = np.column_stack(spec.columns())
         csv_path = out / f"fig{spec.id}.csv"
         with open(csv_path, "w", newline="\n") as fh:
-            for line in _metadata_lines(spec):
+            for line in metadata:
                 fh.write(line + "\n")
             fh.write(",".join(spec.header) + "\n")
             for row in table:

@@ -56,11 +56,14 @@ class Profile:
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
         m, beta, hbar = params.m, params.beta, params.hbar
         sigma = math.sqrt(beta / (4.0 * m)) * hbar
+        beta_hbar2 = beta * hbar * hbar
+        if not (sigma > 0 and beta_hbar2 > 0 and 2.0 * m / beta_hbar2 < math.inf):
+            raise DomainError(f"hbar = {hbar:g} is too small for finite smoothing constants")
         mass_root = math.sqrt(2.0 * beta / (math.pi * m))
         self.level = shape.level
         self.inv_m = 1.0 / m
         self.c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
-        self.w = 2.0 * m / (beta * hbar * hbar)
+        self.w = 2.0 * m / beta_hbar2
         self.gauss = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
         self.mass_coeff = mass_root / (3.0 * hbar)
         self.constant, self.linear = [], []
@@ -115,14 +118,15 @@ class LowMomentumModel:
     """Evaluator bundle for one (parameters, potential) pair.
 
     Construction verifies mass positivity on the evaluation domain and fails
-    with NonPositiveMass otherwise, so downstream code can assume M(q) > 0.
+    with NonPositiveMass otherwise, so downstream code can assume M(q) > 0;
+    profiles that are not finite there fail with DomainError.
     The same scan locates the tunneling threshold. At hbar = 0 there is no
     smoothing and profile is None.
     """
 
     params: PhysicalParams
     pot: ClassicalPotential
-    smoothing_sigma: float = 0.0
+    smoothing_sigma: float = field(init=False)
     profile: Optional[Profile] = field(default=None, init=False, repr=False, compare=False)
     _top: float = field(default=0.0, init=False, repr=False, compare=False)
 
@@ -135,8 +139,11 @@ class LowMomentumModel:
         profile = Profile(self.params, self.pot.shape)
         object.__setattr__(self, "profile", profile)
         qs = np.linspace(*evaluation_domain(self), SCAN_POINTS)
-        v, _, inv_mass, _ = profile.on(qs)
-        bad = np.flatnonzero(inv_mass <= 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            v, vp, inv_mass, inv_mass_p = profile.on(qs)
+        if not np.isfinite((v, vp, inv_mass, inv_mass_p)).all():
+            raise DomainError(f"the profiles at hbar = {self.params.hbar:g} leave floating range")
+        bad = np.flatnonzero(~(inv_mass > 0))
         if bad.size:
             raise NonPositiveMass(
                 f"inverse mass {inv_mass[bad[0]]:.4g} at q = {qs[bad[0]]:.4g}; "

@@ -31,9 +31,10 @@ class Shape:
 
     On segment k the potential runs linearly from left[k] at x[k] to right[k]
     at x[k+1]; the two are equal on a constant segment. Outside (x[0], x[-1])
-    it equals the level. fourier holds, per segment off the level, its
-    midpoint c, half-width d, 2 d times its mean deviation and d times its
-    rise, the coefficients of form_factor.
+    it equals the level; segments at the level at either end are dropped.
+    fourier holds, per segment off the level, its midpoint c, half-width d,
+    2 d times its mean deviation and d times its rise, the coefficients of
+    form_factor.
     """
 
     level: float
@@ -43,6 +44,14 @@ class Shape:
     fourier: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # segments at the level at either end add nothing but width; a shape
+        # with no segment off the level stays as given
+        off = [k for k, (va, vb) in enumerate(zip(self.left, self.right)) if not va == vb == self.level]
+        if off:
+            first, stop = off[0], off[-1] + 1
+            object.__setattr__(self, "x", self.x[first:stop + 1])
+            object.__setattr__(self, "left", self.left[first:stop])
+            object.__setattr__(self, "right", self.right[first:stop])
         object.__setattr__(self, "fourier", tuple(
             (0.5 * (a + b), 0.5 * (b - a), (b - a) * (0.5 * (va + vb) - self.level),
              0.5 * (b - a) * (vb - va))

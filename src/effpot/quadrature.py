@@ -3,6 +3,8 @@
 Thin contracts over QUADPACK's adaptive Gauss-Kronrod scheme. The nodes of
 that scheme are interior points, so integrands only defined by limit at an
 endpoint are sampled strictly inside the interval and need no special casing.
+Only the tolerances can be set; the tail length and the subdivision budget
+are fixed.
 """
 
 from __future__ import annotations
@@ -14,23 +16,20 @@ from scipy.integrate import quad
 
 from .errors import NonConvergence
 
+TAIL_SIGMAS = 8.0  # damped-Fourier truncation, in damping scales past the peak
+MAX_SUBDIVISIONS = 60
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    tail_sigmas: float = 8.0
-    max_subdivisions: int = 60
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if not self.abs_tol > 0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.tail_sigmas < 4:
-            raise ValueError(f"tail_sigmas must be at least 4, got {self.tail_sigmas}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -49,7 +48,7 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
         b,
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=MAX_SUBDIVISIONS,
         full_output=1,
     )
     if len(out) >= 4:
@@ -81,13 +80,13 @@ def integrate_damped_fourier(
     shift only size the truncation. The integrand is assumed to behave like
     exp(-k^2/(2 scale^2) + shift k) times slowly varying factors, whose
     exponent peaks at k* = shift scale^2, so
-    k_max = shift scale^2 + tail_sigmas * scale leaves only Gaussian tail mass
-    (< 1e-15 of the total for the default tail_sigmas = 8). Even integrands
-    over the whole line must be doubled by the caller.
+    k_max = shift scale^2 + TAIL_SIGMAS * scale leaves only Gaussian tail
+    mass (< 1e-15 of the total). Even integrands over the whole line must be
+    doubled by the caller.
     """
     if not damping_scale > 0:
         raise ValueError(f"damping_scale must be positive, got {damping_scale}")
     if shift < 0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
-    k_max = shift * damping_scale**2 + cfg.tail_sigmas * damping_scale
+    k_max = shift * damping_scale**2 + TAIL_SIGMAS * damping_scale
     return integrate_adaptive(integrand, 0.0, k_max, cfg)

@@ -4,7 +4,8 @@ The effective coefficients are threshold-based: a uniform beam of energies
 between the asymptotic level and the barrier top either surpasses the
 smoothed barrier or does not, so t is the surviving fraction of that beam.
 They are analogs of the quantum coefficients, not amplitudes; the two sides
-are compared through the dimensionless parameters H and Q.
+are compared through the dimensionless parameters H and Q. Every coefficient
+here is a transmission t; the reflection is always 1 - t.
 
 The quantum side carries three independent routes that must agree:
 
@@ -19,8 +20,8 @@ The quantum side carries three independent routes that must agree:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -40,48 +41,17 @@ SINH_OVERFLOW = 350.0  # beyond this, sinh^2 is replaced by its leading exponent
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Transmission/reflection pair with r stored as 1 - t."""
+    """Transmission coefficient t in [0, 1] and its reflection r = 1 - t."""
 
     t: float
-    r: float
 
     def __post_init__(self):
         if not (0.0 <= self.t <= 1.0 and np.isfinite(self.t)):
             raise ValueError(f"transmission coefficient {self.t!r} outside [0, 1]")
-        if self.r != 1.0 - self.t:
-            raise ValueError("reflection coefficient must be stored as 1 - t")
 
-    @classmethod
-    def from_transmission(cls, t: float) -> "CoefficientPair":
-        return cls(t=float(t), r=1.0 - float(t))
-
-
-@dataclass(frozen=True)
-class MixtureEnsemble:
-    """Incoming-state ensemble with k-density rho(k) on [0, k0]."""
-
-    v0: float
-    k0: float
-    density: Callable[[float], float]
-
-    def __post_init__(self):
-        if not (self.v0 > 0 and self.k0 > 0):
-            raise ValueError("ensemble needs positive barrier height and cutoff")
-        norm = integrate_adaptive(self.density, 0.0, self.k0)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"ensemble density integrates to {norm:.15g}, not 1")
-
-    @classmethod
-    def from_params(cls, barrier: SquareBarrier, params: PhysicalParams) -> "MixtureEnsemble":
-        if params.hbar <= 0:
-            raise DomainError("the mixture ensemble needs hbar > 0")
-        k0 = math.sqrt(2.0 * params.m * barrier.v0) / params.hbar
-        coeff = params.hbar**2 / (params.m * barrier.v0)
-
-        def density(k: float) -> float:
-            return coeff * k if 0.0 <= k <= k0 else 0.0
-
-        return cls(v0=barrier.v0, k0=k0, density=density)
+    @property
+    def r(self) -> float:
+        return 1.0 - self.t
 
 
 def effective_t_of_H(H: float) -> float:
@@ -98,21 +68,19 @@ def effective_coefficients(model: LowMomentumModel) -> CoefficientPair:
 
     For the square barrier this is the closed form t = 1 - erf(sqrt(2)/H);
     for other admissible potentials the beam fraction above the tunneling
-    threshold, measured from the asymptotic level.
+    threshold, measured from the asymptotic level. At hbar = 0 the threshold
+    is the bare barrier top, so t is exactly 0.
     """
     pot = model.pot
-    if model.params.hbar == 0:
-        return CoefficientPair.from_transmission(0.0)
     if isinstance(pot, SquareBarrier):
-        H = dimensionless(model.params, pot).H
-        return CoefficientPair.from_transmission(effective_t_of_H(H))
+        return CoefficientPair(effective_t_of_H(dimensionless(model.params, pot).H))
     base = asymptotic_level(pot)
     top = classical_max(pot)
     if top <= base:
         raise DomainError("potential has no barrier above its asymptotic level")
     threshold = tunneling_threshold(model)
     t = max(0.0, 1.0 - (threshold - base) / (top - base))
-    return CoefficientPair.from_transmission(min(1.0, t))
+    return CoefficientPair(min(1.0, t))
 
 
 # ------------------------------------------------------------- quantum routes
@@ -167,18 +135,20 @@ def quantum_t_mixture(Q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     return 2.0 * integrate_adaptive(integrand, 0.0, 1.0, cfg)
 
 
-def mixture_average(
-    barrier: SquareBarrier, params: PhysicalParams, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """k-space route to the mixture coefficient: average of quantum_t_single."""
-    ens = MixtureEnsemble.from_params(barrier, params)
+def mixture_average(barrier: SquareBarrier, params: PhysicalParams) -> float:
+    """k-space route to the mixture coefficient: the average of
+    quantum_t_single over the ensemble density hbar^2 k / (m v0) on [0, k0]."""
+    if params.hbar <= 0:
+        raise DomainError("the mixture ensemble needs hbar > 0")
+    k0 = math.sqrt(2.0 * params.m * barrier.v0) / params.hbar
+    coeff = params.hbar**2 / (params.m * barrier.v0)
 
     def integrand(k: float) -> float:
-        if k <= 0.0 or k > ens.k0:
+        if k <= 0.0 or k > k0:
             return 0.0
-        return quantum_t_single(barrier, params, k) * ens.density(k)
+        return quantum_t_single(barrier, params, k) * (coeff * k)
 
-    return integrate_adaptive(integrand, 0.0, ens.k0, cfg)
+    return integrate_adaptive(integrand, 0.0, k0)
 
 
 class TransferMatrixResult(NamedTuple):
@@ -231,32 +201,6 @@ def transfer_matrix_transmission(
     return TransferMatrixResult(t=min(4.0 * k2 / denom, 1.0), underflow=False)
 
 
-# --------------------------------------------------------------------- curves
-
-
-@dataclass(frozen=True, eq=False)
-class TransmissionCurve:
-    which: str
-    param: np.ndarray = field(repr=False)
-    t: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
-
-
-def coefficient_curve(which: str, param_range, n_points: int) -> TransmissionCurve:
-    """Sample t and r = 1 - t on a uniform grid of H or Q."""
-    if which not in ("effective", "quantum"):
-        raise ValueError("curve kind must be 'effective' or 'quantum'")
-    if n_points < 2:
-        raise ValueError("need at least 2 grid points")
-    lo, hi = float(param_range[0]), float(param_range[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("parameter range must be positive and increasing")
-    grid = np.linspace(lo, hi, n_points)
-    fn = effective_t_of_H if which == "effective" else quantum_t_mixture
-    t = np.array([fn(float(x)) for x in grid])
-    return TransmissionCurve(which=which, param=grid, t=t, r=1.0 - t)
-
-
 # ---------------------------------------------------------- trajectory oracle
 
 
@@ -280,7 +224,6 @@ def surpass_fraction(
     if stratified:
         energies = lo + (np.arange(n) + 0.5) / n * (hi - lo)
     else:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        energies = gen.uniform(lo, hi, size=n)
+        energies = np.random.default_rng(rng).uniform(lo, hi, size=n)
     hits = sum(1 for eps in energies if classify_traversal(model, float(eps)) == SURPASSED)
     return hits / n

@@ -190,6 +190,17 @@ def test_non_finite_parameter_is_usage_error(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("trajectory", "--hbar", "1e-154", "--eps", "0.9"),  # used to hang in the stepper
+    ("coeff", "--hbar", "1e-300"),  # used to divide by zero
+], ids=["1e-154", "1e-300"])
+def test_tiny_hbar_fails_cleanly(flags):
+    res = subprocess.run(CMD + list(flags), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
 def test_non_finite_config_value_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"abs_tol": "nan"}')

@@ -2,6 +2,8 @@
 
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -427,6 +429,20 @@ def test_wide_flat_support_steps_only_its_force_zones():
     assert classify_traversal(model, 0.3) == REFLECTED
 
 
+def test_flat_shoulders_at_the_level_change_nothing():
+    # samples at the asymptotic level far out only widen the grid: the scan,
+    # the threshold and the force zones are those of the bare tent
+    params = PhysicalParams(1.0, 0.125, 2.828)
+    padded = TabulatedPotential((-2000.0, 0.3, 1.3, 2.3, 2000.0), (0.0, 0.0, 1.0, 0.0, 0.0))
+    tent = TabulatedPotential((0.3, 1.3, 2.3), (0.0, 1.0, 0.0))
+    a, b = LowMomentumModel(params, padded), LowMomentumModel(params, tent)
+    assert abs(tunneling_threshold(a) - tunneling_threshold(b)) <= 1e-12
+    assert abs(tunneling_threshold(b) - 0.6096) < 1e-4
+    for q in np.linspace(-2500.0, 2500.0, 2001).tolist() + [-2000.0, 0.3, 0.8, 1.3, 2.3, 2000.0]:
+        assert eval_classical(padded, q) == eval_classical(tent, q)
+    assert len(dynamics._zones(a)) == len(dynamics._zones(b)) == 1
+
+
 @pytest.mark.parametrize("pot, hbar, count", [
     (BARRIER, 0.0, 2), (BARRIER, 0.05, 2), (BARRIER, 2.0, 1),
     (STEP4, 0.0, 4), (STEP4, 0.05, 4),
@@ -580,6 +596,21 @@ def test_stepper_samples_like_scipy_rk45(hbar):
     assert 0 < len(ours.t) < grid.size
     np.testing.assert_allclose(ours.q, ref.y[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(ours.s, ref.y[1], rtol=1e-12, atol=1e-12)
+
+
+def test_nan_right_hand_side_fails_the_step():
+    # a NaN step size must end the run as a step failure, not spin forever;
+    # run in a child process so a hang fails the test instead of the suite
+    code = (
+        "import math\n"
+        "from effpot.dynamics import solve_ivp\n"
+        "seg = solve_ivp(lambda q, s: (math.nan, math.nan), (0.0, 1.0), (0.0, 1.0),\n"
+        "                t_eval=None, max_step=math.inf, low=-1.0, high=1.0)\n"
+        "print(seg.status)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "-1"
 
 
 def test_finite_time_blowup_raises_step_failure(monkeypatch):

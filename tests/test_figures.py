@@ -32,12 +32,6 @@ def test_spec_ids_and_headers():
     assert specs[3].header == ("Q", "tQ", "rQ")
 
 
-def test_bad_figure_id_rejected():
-    spec = default_figure_specs()[0]
-    with pytest.raises(ValueError):
-        type(spec)(7, spec.barrier, spec.params, spec.header, spec.series)
-
-
 def test_emit_all_files_and_regeneration(tmp_path):
     first = emit_all(tmp_path / "a")
     assert len(first) == 8
@@ -141,6 +135,44 @@ def test_plot_scripts_reference_csv(figdir):
         script = (figdir / f"fig{i}.gp").read_text()
         assert f"fig{i}.csv" in script
         assert "plot" in script
+
+
+PLOT_SCRIPTS = {
+    1: (
+        "set datafile separator ','\n"
+        "set key autotitle columnhead\n"
+        "set xlabel 'q'\n"
+        "set ylabel 'M(q)'\n"
+        "plot 'fig1.csv' using 1:2 with lines, 'fig1.csv' using 1:3 with lines\n"
+    ),
+    2: (
+        "set datafile separator ','\n"
+        "set key autotitle columnhead\n"
+        "set xlabel 'q'\n"
+        "set ylabel 'V^Q(q)'\n"
+        "plot 'fig2.csv' using 1:2 with lines, 'fig2.csv' using 1:3 with lines, "
+        "'fig2.csv' using 1:4 with lines\n"
+    ),
+    3: (
+        "set datafile separator ','\n"
+        "set key autotitle columnhead\n"
+        "set xlabel 'H'\n"
+        "set ylabel 'coefficient'\n"
+        "plot 'fig3.csv' using 1:2 with lines, 'fig3.csv' using 1:3 with lines\n"
+    ),
+    4: (
+        "set datafile separator ','\n"
+        "set key autotitle columnhead\n"
+        "set xlabel 'Q'\n"
+        "set ylabel 'coefficient'\n"
+        "plot 'fig4.csv' using 1:2 with lines, 'fig4.csv' using 1:3 with lines\n"
+    ),
+}
+
+
+def test_plot_scripts_text(figdir):
+    for i, text in PLOT_SCRIPTS.items():
+        assert (figdir / f"fig{i}.gp").read_text() == text
 
 
 def test_emit_single_figure(tmp_path):

@@ -15,8 +15,6 @@ from effpot.physical import PhysicalParams, dimensionless
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
 from effpot.transmission import (
     CoefficientPair,
-    MixtureEnsemble,
-    coefficient_curve,
     effective_coefficients,
     effective_t_of_H,
     mixture_average,
@@ -30,21 +28,19 @@ BARRIER = SquareBarrier(v0=1.0, l=0.5)
 
 
 def test_coefficient_pair_validation():
-    pair = CoefficientPair.from_transmission(0.3)
+    pair = CoefficientPair(0.3)
     assert pair.r == 0.7
     with pytest.raises(ValueError):
-        CoefficientPair(t=0.3, r=0.6)
+        CoefficientPair(1.2)
     with pytest.raises(ValueError):
-        CoefficientPair(t=1.2, r=-0.2)
+        CoefficientPair(-0.1)
     with pytest.raises(ValueError):
-        CoefficientPair(t=-0.1, r=1.1)
-    with pytest.raises(ValueError):
-        CoefficientPair(t=float("nan"), r=float("nan"))
+        CoefficientPair(float("nan"))
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_coefficient_pair_sum(t):
-    pair = CoefficientPair.from_transmission(t)
+    pair = CoefficientPair(t)
     assert pair.t + pair.r == 1.0
 
 
@@ -180,20 +176,9 @@ def test_quantum_t_mixture_low_q_quartic():
     assert abs(ratio - 0.901543) < 0.01 * 0.901543
 
 
-def test_mixture_ensemble_from_params():
-    params = _params(0.875)
-    ens = MixtureEnsemble.from_params(BARRIER, params)
-    assert abs(ens.k0 - math.sqrt(2.0) / 0.875) < 1e-15
-    assert ens.density(-0.1) == 0.0
-    assert ens.density(ens.k0 * 1.01) == 0.0
-    assert ens.density(ens.k0) > 0.0
+def test_mixture_average_rejects_zero_hbar():
     with pytest.raises(DomainError):
-        MixtureEnsemble.from_params(BARRIER, _params(0.0))
-
-
-def test_mixture_ensemble_requires_normalization():
-    with pytest.raises(ValueError):
-        MixtureEnsemble(v0=1.0, k0=1.6, density=lambda k: k)
+        mixture_average(BARRIER, _params(0.0))
 
 
 @pytest.mark.parametrize("Q", [0.5, 1.0, 2.0, 4.0])
@@ -338,31 +323,6 @@ def test_transfer_matrix_double_barrier_resonance():
     )
     assert -res.fun > 0.9999
     assert res.x < 2.0  # the resonance sits below the barrier top
-
-
-# -------------------------------------------------------------------- curves
-
-
-def test_coefficient_curve_validation():
-    with pytest.raises(ValueError):
-        coefficient_curve("bogus", (0.1, 1.0), 10)
-    with pytest.raises(ValueError):
-        coefficient_curve("effective", (0.1, 1.0), 1)
-    with pytest.raises(ValueError):
-        coefficient_curve("effective", (0.0, 1.0), 10)
-    with pytest.raises(ValueError):
-        coefficient_curve("effective", (2.0, 1.0), 10)
-
-
-def test_coefficient_curve_values():
-    curve = coefficient_curve("effective", (0.5, 5.0), 10)
-    assert curve.which == "effective"
-    assert len(curve.param) == 10
-    for x, t, r in zip(curve.param, curve.t, curve.r):
-        assert t == effective_t_of_H(float(x))
-        assert r == 1.0 - t
-    qc = coefficient_curve("quantum", (0.5, 2.0), 4)
-    assert abs(qc.t[0] - quantum_t_mixture(0.5)) < 1e-12
 
 
 # -------------------------------------------------------- simulated transport
