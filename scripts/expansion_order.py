@@ -45,10 +45,7 @@ def main(argv=None) -> int:
     for q in qs:
         v0 = smoothed_potential(model, q)
         dm = inverse_mass(model, q) - 1.0 / args.m
-        deltas = np.array([
-            abs(effective_potential(params, barrier, q, float(p)) - (v0 + 0.5 * p * p * dm))
-            for p in ps
-        ])
+        deltas = np.abs(effective_potential(params, barrier, q, ps) - (v0 + 0.5 * ps * ps * dm))
         if np.any(deltas <= 0.0):
             print(f"{q:.6g},nan,{deltas[-1]:.6g}")
             continue

@@ -37,7 +37,7 @@ from .dynamics import (
 )
 from .errors import EffpotError
 from .figures import emit_all
-from .kernel import effective_potential
+from .kernel import _fourier_veff, effective_potential
 from .lowmomentum import (
     LowMomentumModel,
     inverse_mass,
@@ -138,9 +138,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--V0", type=float, help=f"barrier height (default {DEFAULTS['V0']})")
     parser.add_argument("--eps", type=float, help=f"trajectory energy (default {DEFAULTS['eps']})")
     parser.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        help=f"quadrature relative tolerance (default {DEFAULTS['rel_tol']})")
+                        help=f"quadrature relative tolerance, read by coeff; veff is closed-form "
+                             f"and validate keeps the default (default {DEFAULTS['rel_tol']})")
     parser.add_argument("--abs-tol", dest="abs_tol", type=float,
-                        help=f"quadrature absolute tolerance (default {DEFAULTS['abs_tol']})")
+                        help=f"quadrature absolute tolerance, read by coeff; veff is closed-form "
+                             f"and validate keeps the default (default {DEFAULTS['abs_tol']})")
 
 
 def _emit(args, text: str) -> None:
@@ -177,16 +179,14 @@ def _cmd_veff(args) -> int:
     cfg = _build_config(args)
     if cfg.hbar <= 0:
         raise UsageError("veff needs hbar > 0")
-    params, barrier = cfg.params(), cfg.barrier()
-    qcfg = cfg.quadrature()
     qs = np.linspace(args.qmin, args.qmax, args.nq)
     ps = np.linspace(args.pmin, args.pmax, args.np_)
+    table = effective_potential(cfg.params(), cfg.barrier(), qs[:, None], ps[None, :])
     fh = io.StringIO()
     _write_metadata(fh, cfg)
     fh.write("q,p,veff\n")
-    for q in qs:
-        for p in ps:
-            v = effective_potential(params, barrier, float(q), float(p), qcfg)
+    for q, row in zip(qs, table):
+        for p, v in zip(ps, row):
             fh.write(f"{q:.12g},{p:.12g},{v:.12g}\n")
     _emit(args, fh.getvalue())
     return 0
@@ -285,13 +285,13 @@ def _cmd_validate(args) -> int:
     model = LowMomentumModel(params, barrier)
 
     def smoothing_agreement():
-        # the segment closed forms against the Fourier-kernel route at p = 0
-        # on the piecewise-constant twin of the barrier
+        # the closed form against the Fourier-kernel route on the
+        # piecewise-constant twin of the barrier
         pw = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
-        pw_model = LowMomentumModel(params, pw)
         worst = max(
-            abs(smoothed_potential(pw_model, q) - effective_potential(params, pw, q, 0.0))
+            abs(effective_potential(params, pw, q, p) - _fourier_veff(params, pw, q, p))
             for q in (-1.5, -0.4, 0.0, 0.7, 2.0)
+            for p in (0.0, 0.5, 1.5)
         )
         return worst < 1e-8, f"max diff {worst:.3e}"
 
@@ -312,7 +312,7 @@ def _cmd_validate(args) -> int:
 
     def zero_momentum_reduction():
         worst = max(
-            abs(effective_potential(params, barrier, q, 0.0) - smoothed_potential(model, q))
+            abs(_fourier_veff(params, barrier, q, 0.0) - smoothed_potential(model, q))
             for q in (-1.0, 0.0, 0.8)
         )
         return worst < 1e-8, f"max diff {worst:.3e}"
@@ -357,9 +357,10 @@ def _cmd_validate(args) -> int:
         ok = below == REFLECTED and above == SURPASSED and eff.t == 0.0
         return ok, f"below={below}, above={above}, t={eff.t:g}"
 
-    check("piecewise twin: closed form vs Fourier kernel at p=0", smoothing_agreement)
+    check("piecewise twin: closed-form vs Fourier-kernel effective potential", smoothing_agreement)
     check("inverse mass vs smoothed-potential curvature", mass_curvature)
-    check("effective potential at p=0 equals smoothed potential", zero_momentum_reduction)
+    check("Fourier-kernel effective potential at p=0 equals smoothed potential",
+          zero_momentum_reduction)
     check("single-state transmission vs transfer matrix", oracle_pairing)
     check("mixture integral vs k-space average", mixture_routes)
     check("effective coefficient at H=2.97", effective_point)

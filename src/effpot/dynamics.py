@@ -9,17 +9,17 @@ energy, whose momentum is reported as p = M(q) dq/dt. Both conserve
 eps = p^2/(2 M(q)) + V(q), and every accepted run is gated on that drift.
 
 One event loop propagates both forms over force zones. The smoothed force
-acts only within a few smoothing widths sigma of the bare potential's
-breakpoints and along its ramps, so the zones are the +-20 sigma
-neighbourhoods of the breakpoints, merged where they overlap or a ramp joins
-them; beyond them the force underflows to zero in double precision. Between
-zones 1/M = 1/m and V is the bare level of the gap, so flight there is exact
-and an adaptive step never has to span a gap. The asymptotic exits are the
-edges of the evaluation domain. At hbar = 0 the zones have zero width and
-are crossed by the jump rule (adaptive stepping on a discontinuous force
-would be meaningless): a particle reaching a step of height dV crosses with
-|p'| = sqrt(p^2 - 2 m dV) when its kinetic energy exceeds dV and reflects
-otherwise.
+acts only within a few smoothing widths sigma of the breakpoints where the
+bare potential jumps or bends and along its ramps, so the zones are the
++-20 sigma neighbourhoods of those breakpoints, merged where they overlap or
+a ramp joins them; beyond them the force underflows to zero in double
+precision. Between zones 1/M = 1/m and V is the bare level of the gap, so
+flight there is exact and an adaptive step never has to span a gap. The
+asymptotic exits are the edges of the evaluation domain. At hbar = 0 the
+zones have zero width and are crossed by the jump rule (adaptive stepping
+on a discontinuous force would be meaningless): a particle reaching a step
+of height dV crosses with |p'| = sqrt(p^2 - 2 m dV) when its kinetic energy
+exceeds dV and reflects otherwise.
 
 A zone of nonzero width is crossed by one adaptive Dormand-Prince 5(4)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
@@ -168,6 +168,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
     sq, ssc = atol + abs(q) * rtol, atol + abs(s) * rtol
     d0, d1 = _rms(q / sq, s / ssc), _rms(fq / sq, fs / ssc)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    if not h0 > 0.0:  # the scaled right-hand side overflowed
+        return Segment(ts, qs, ss, nfev, -1, None)
     gq, gs = fun(q + h0 * fq, s + h0 * fs)
     nfev += 1
     d2 = _rms((gq - fq) / sq, (gs - fs) / ssc) / h0
@@ -298,8 +300,9 @@ class _Zone(NamedTuple):
 
 def _zones(model) -> list:
     """The force zones in increasing order: the +-ZONE_SIGMAS sigma
-    neighbourhoods of the breakpoints, merged where they overlap or a ramp
-    joins them; at hbar = 0, one zero-width zone per breakpoint.
+    neighbourhoods of the breakpoints where the bare potential jumps or
+    bends, merged where they overlap or a ramp joins them; at hbar = 0, one
+    zero-width zone per step.
 
     A zone steps on a profile in coordinates centred on its breakpoints:
     there the state coordinate carries no absolute roundoff of order
@@ -314,8 +317,11 @@ def _zones(model) -> list:
     if model.profile is None and not shape.steps:
         raise DomainError("exact classical propagation needs a piecewise-constant potential")
     half = ZONE_SIGMAS * sigma
+    _, jump, kink = shape.corners
     groups = []  # [first breakpoint, last breakpoint, index of the last]
     for i, b in enumerate(shape.x):
+        if jump[i] == kink[i] == 0.0:
+            continue  # the bare potential neither jumps nor bends here
         if groups and (b - half <= groups[-1][1] + half or shape.left[i - 1] != shape.right[i - 1]):
             groups[-1][1:] = b, i
         else:

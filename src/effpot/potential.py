@@ -34,7 +34,8 @@ class Shape:
     it equals the level; segments at the level at either end are dropped.
     fourier holds, per segment off the level, its midpoint c, half-width d,
     2 d times its mean deviation and d times its rise, the coefficients of
-    form_factor.
+    form_factor. corners holds three rows, one column per breakpoint: its
+    position, the jump of the value and the jump of the slope across it.
     """
 
     level: float
@@ -42,6 +43,7 @@ class Shape:
     left: tuple
     right: tuple
     fourier: tuple = field(init=False, repr=False, compare=False)
+    corners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # segments at the level at either end add nothing but width; a shape
@@ -58,6 +60,15 @@ class Shape:
             for a, b, va, vb in zip(self.x[:-1], self.x[1:], self.left, self.right)
             if not va == vb == self.level
         ))
+        slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb
+                         in zip(self.x[:-1], self.x[1:], self.left, self.right)), 0.0)
+        corners = np.array((
+            self.x,
+            np.subtract((*self.left, self.level), (self.level, *self.right)),
+            np.diff(slopes),
+        ))
+        corners.flags.writeable = False
+        object.__setattr__(self, "corners", corners)
 
     @property
     def steps(self) -> bool:

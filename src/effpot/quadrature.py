@@ -4,15 +4,15 @@ Thin contracts over QUADPACK's adaptive Gauss-Kronrod scheme. The nodes of
 that scheme are interior points, so integrands only defined by limit at an
 endpoint are sampled strictly inside the interval and need no special casing.
 Only the tolerances can be set; the tail length and the subdivision budget
-are fixed.
+are fixed. scipy.integrate is imported on the first call, so the commands
+that never integrate (model, trajectory, veff) start without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import NonConvergence
 
@@ -35,6 +35,17 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def __getattr__(name: str):
+    # quad, resolved once on first use; integrate_adaptive reads it as a
+    # module attribute, so a wrapper set in its place is called instead
+    if name == "quad":
+        from scipy.integrate import quad
+
+        globals()["quad"] = quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Integral of f over [a, b] to cfg tolerances.
 
@@ -42,7 +53,7 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
     estimate) when the subdivision budget is exhausted or the estimate stays
     above tolerance.
     """
-    out = quad(
+    out = sys.modules[__name__].quad(
         f,
         a,
         b,

@@ -87,10 +87,7 @@ def test_criterion_4_expansion_order():
     for q in (0.0, BARRIER.l, 2.0 * BARRIER.l):
         v0 = smoothed_potential(model, q)
         dm = inverse_mass(model, q) - 1.0 / params.m
-        deltas = [
-            abs(effective_potential(params, BARRIER, q, float(p)) - (v0 + 0.5 * p * p * dm))
-            for p in ps
-        ]
+        deltas = np.abs(effective_potential(params, BARRIER, q, ps) - (v0 + 0.5 * ps * ps * dm))
         slopes.append(float(np.polyfit(np.log(ps), np.log(deltas), 1)[0]))
     print(
         "criterion 4: remainder slopes "

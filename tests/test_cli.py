@@ -78,6 +78,14 @@ def test_veff_rejects_classical():
     assert res.returncode == 2
 
 
+def test_veff_overflow_fails_cleanly():
+    # beta p^2 / 2m = 2500 leaves floating range: exit 1, one error line
+    res = run("veff", "--pmin", "200", "--pmax", "200")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
 def test_trajectory_default_reflects():
     res = run("trajectory")
     assert res.returncode == 0
@@ -192,8 +200,9 @@ def test_non_finite_parameter_is_usage_error(tmp_path, flags):
 
 @pytest.mark.parametrize("flags", [
     ("trajectory", "--hbar", "1e-154", "--eps", "0.9"),  # used to hang in the stepper
+    ("trajectory", "--hbar", "1e-145", "--eps", "0.9"),  # used to divide by a zero first step
     ("coeff", "--hbar", "1e-300"),  # used to divide by zero
-], ids=["1e-154", "1e-300"])
+], ids=["1e-154", "1e-145", "1e-300"])
 def test_tiny_hbar_fails_cleanly(flags):
     res = subprocess.run(CMD + list(flags), capture_output=True, text=True, timeout=60)
     assert res.returncode == 1
@@ -246,7 +255,7 @@ def test_unknown_subcommand():
 def test_failed_run_leaves_no_output(tmp_path):
     # a tolerance the quadrature cannot meet fails after the header would
     # have been written; neither the file nor stdout may carry a partial table
-    flags = ("veff", "--rel-tol", "1e-15", "--abs-tol", "1e-300", "--nq", "5", "--np", "2")
+    flags = ("coeff", "--rel-tol", "1e-15", "--abs-tol", "1e-300")
     out = tmp_path / "v.csv"
     res = run(*flags, "--out", str(out))
     assert res.returncode == 1

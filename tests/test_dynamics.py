@@ -443,6 +443,28 @@ def test_flat_shoulders_at_the_level_change_nothing():
     assert len(dynamics._zones(a)) == len(dynamics._zones(b)) == 1
 
 
+@pytest.mark.parametrize("pot, twin", [
+    (TabulatedPotential((-10.0, -9.0, 0.0, 9.0, 10.0), (0.0, 1.0, 1.0, 1.0, 0.0)),
+     TabulatedPotential((-10.0, -9.0, 9.0, 10.0), (0.0, 1.0, 1.0, 0.0))),
+    (PiecewiseConstantPotential((-10.0, 0.0, 10.0), (0.0, 1.0, 1.0, 0.0)),
+     PiecewiseConstantPotential((-10.0, 10.0), (0.0, 1.0, 0.0))),
+], ids=["tabulated", "piecewise"])
+def test_plateau_samples_are_flown_not_stepped(pot, twin):
+    # a plateau sampled at points more than 40 sigma apart: the interior
+    # sample neither jumps nor bends, so it gets no force zone and the run
+    # is that of the plateau without it
+    params = PhysicalParams(1.0, 0.125, 1.0)
+    a, b = LowMomentumModel(params, pot), LowMomentumModel(params, twin)
+    assert 40.0 * a.smoothing_sigma < 9.0
+    assert len(dynamics._zones(a)) == len(dynamics._zones(b)) == 2
+    for eps in (0.8, 1.5, 3.0):
+        q0, p0 = launch_state(b, eps)
+        ours, ref = integrate_hamiltonian(a, q0, p0), integrate_hamiltonian(b, q0, p0)
+        assert ours.outcome == ref.outcome
+        assert abs(ours.t[-1] - ref.t[-1]) <= 1e-9 * ref.t[-1]
+        assert ours.t.size == ref.t.size
+
+
 @pytest.mark.parametrize("pot, hbar, count", [
     (BARRIER, 0.0, 2), (BARRIER, 0.05, 2), (BARRIER, 2.0, 1),
     (STEP4, 0.0, 4), (STEP4, 0.05, 4),
@@ -611,6 +633,14 @@ def test_nan_right_hand_side_fails_the_step():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "-1"
+
+
+def test_overflowing_first_step_fails_the_step():
+    # a right-hand side too large to scale makes the first step zero: the
+    # run ends as a step failure, not a division by zero
+    seg = solve_ivp(lambda q, s: (1e308, 1e308), (0.0, 1.0), (0.0, 1.0),
+                    t_eval=None, max_step=math.inf, low=-1.0, high=1.0)
+    assert seg.status == -1
 
 
 def test_finite_time_blowup_raises_step_failure(monkeypatch):

@@ -2,17 +2,19 @@
 
 The golden fixtures were produced by an independent dense nested-quadrature
 evaluation of the defining double integral, refinement-stable to about 1e-14,
-and are frozen here as plain constants.
+and are frozen here as plain constants. The closed form is also checked
+against the damped Fourier integral over the form factor (_fourier_veff).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from effpot import kernel
 from effpot.errors import DomainError
-from effpot.kernel import effective_potential, sinhc
+from effpot.kernel import _fourier_veff, effective_potential, sinhc
 from effpot.lowmomentum import LowMomentumModel, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
@@ -65,11 +67,13 @@ def test_golden_fixtures(q, p, expected):
 
 
 def test_zero_momentum_reduces_to_smoothed():
+    # at p = 0 the closed form is the profile's V to roundoff; the Fourier
+    # integral agrees to quadrature tolerance
     model = LowMomentumModel(PARAMS, BARRIER)
     for q in (-2.0, -0.4, 0.0, 0.6, 1.5):
-        full = effective_potential(PARAMS, BARRIER, q, 0.0)
         reduced = smoothed_potential(model, q)
-        assert abs(full - reduced) <= 1e-10 * max(1.0, abs(reduced))
+        assert abs(effective_potential(PARAMS, BARRIER, q, 0.0) - reduced) <= 1e-14 * max(1.0, abs(reduced))
+        assert abs(_fourier_veff(PARAMS, BARRIER, q, 0.0) - reduced) <= 1e-10 * max(1.0, abs(reduced))
 
 
 @pytest.mark.parametrize("n", [11, 41])
@@ -80,8 +84,8 @@ def test_zero_momentum_reduces_to_smoothed_tabulated(n):
     tab = TabulatedPotential(tuple(grid), tuple(0.9 * np.minimum((grid + 1.0) / 1.2, (1.0 - grid) / 0.8)))
     model = LowMomentumModel(PARAMS, tab)
     for q in (-1.3, -0.2, 0.0, 0.45, 1.1):
-        full = effective_potential(PARAMS, tab, q, 0.0)
-        assert abs(full - smoothed_potential(model, q)) < 1e-8
+        assert abs(effective_potential(PARAMS, tab, q, 0.0) - smoothed_potential(model, q)) < 1e-14
+        assert abs(_fourier_veff(PARAMS, tab, q, 0.0) - smoothed_potential(model, q)) < 1e-8
 
 
 def test_constant_potential_is_fixed_point():
@@ -102,7 +106,7 @@ def test_even_in_momentum():
 def test_smoothing_reduces_total_variation():
     qs = np.linspace(-4.0, 4.0, 601)
     for p in (0.0, 1.5):
-        vals = np.array([effective_potential(PARAMS, BARRIER, float(q), p) for q in qs])
+        vals = effective_potential(PARAMS, BARRIER, qs, p)
         tv = float(np.sum(np.abs(np.diff(vals))))
         assert tv <= 2.0 * BARRIER.v0 + 1e-9
 
@@ -150,3 +154,104 @@ def test_tabulated_route():
         a = effective_potential(PARAMS, tab, q, p)
         b = effective_potential(PARAMS, BARRIER, q, p)
         assert abs(a - b) < 1e-4
+
+
+# ------------------------------------------------ closed form vs Fourier oracle
+
+_GRID = np.linspace(-1.0, 1.0, 41)
+SHAPES = {
+    "square": BARRIER,
+    "steps": PiecewiseConstantPotential((-0.86, -0.48, 0.02, 0.99), (0.0, 0.86, 0.65, 0.92, 0.0)),
+    "tent": TabulatedPotential(tuple(_GRID), tuple(0.8 * (1.0 - np.abs(_GRID)))),
+    "bump": TabulatedPotential(tuple(_GRID), tuple(0.5 * (1.0 + np.cos(np.pi * _GRID)))),
+}
+
+
+def _assert_matches_oracle(pot, q, p, params=PARAMS, rel=1e-8):
+    closed = effective_potential(params, pot, q, p)
+    oracle = _fourier_veff(params, pot, q, p)
+    assert abs(closed - oracle) <= rel * max(1.0, abs(oracle)), (q, p, closed, oracle)
+
+
+@st.composite
+def _shapes(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    x = np.cumsum(gaps) - 0.5 * sum(gaps)
+    level = draw(st.floats(min_value=-1.0, max_value=1.0))
+    values = draw(st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return PiecewiseConstantPotential(tuple(x[:-1]), (level, *values[1:-1], level))
+    return TabulatedPotential(tuple(x), (level, *values[1:-1], level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shapes(), st.floats(min_value=-2.5, max_value=2.5), st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=0.5, max_value=6.0))
+def test_closed_form_matches_fourier_oracle(pot, q, p, hbar):
+    _assert_matches_oracle(pot, q, p, PhysicalParams(m=1.0, beta=0.125, hbar=hbar))
+
+
+@pytest.mark.parametrize("kinetic", [9.0, 16.0])
+@pytest.mark.parametrize("name", SHAPES)
+def test_closed_form_at_high_momentum(name, kinetic):
+    # beta p^2 / 2m = kinetic: the terms grow like e^kinetic and cancel, in
+    # both routes alike
+    p = math.sqrt(2.0 * PARAMS.m * kinetic / PARAMS.beta)
+    for q in (-1.2, 0.0, 0.37, 2.0):
+        _assert_matches_oracle(SHAPES[name], q, p)
+        assert effective_potential(PARAMS, SHAPES[name], q, -p) == effective_potential(
+            PARAMS, SHAPES[name], q, p)
+
+
+@pytest.mark.parametrize("hbar", [0.5, 3.0, 6.0])
+@pytest.mark.parametrize("name", SHAPES)
+def test_zero_momentum_is_the_profile_to_roundoff(name, hbar):
+    params = PhysicalParams(m=1.0, beta=0.125, hbar=hbar)
+    model = LowMomentumModel(params, SHAPES[name])
+    qs = np.linspace(-4.0, 4.0, 201)
+    closed = effective_potential(params, SHAPES[name], qs, 0.0)
+    reduced = model.profile.on(qs)[0]
+    assert np.all(np.abs(closed - reduced) <= 1e-14 * np.maximum(1.0, np.abs(reduced)))
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_closed_form_at_tiny_momentum(name):
+    pot = SHAPES[name]
+    model = LowMomentumModel(PARAMS, pot)
+    for q in (-1.2, -0.5, 0.0, 0.37, 2.0):
+        _assert_matches_oracle(pot, q, 1e-12)
+        assert abs(effective_potential(PARAMS, pot, q, 1e-12) - smoothed_potential(model, q)) < 1e-12
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_array_calls_equal_scalar_calls(name):
+    pot = SHAPES[name]
+    qs = np.linspace(-2.0, 2.0, 9)
+    ps = np.array([-1.5, 0.0, 0.3, 4.0])
+    table = effective_potential(PARAMS, pot, qs[:, None], ps)
+    assert table.shape == (9, 4)
+    for i, q in enumerate(qs.tolist()):
+        for j, p in enumerate(ps.tolist()):
+            scalar = effective_potential(PARAMS, pot, q, p)
+            assert type(scalar) is float
+            assert table[i, j] == scalar
+    # even in p over whole arrays
+    assert np.array_equal(effective_potential(PARAMS, pot, qs, -ps[2]), table[:, 2])
+
+
+def test_overflow_raises_domain_error():
+    # beta p^2 / 2m = 2500: the terms leave floating range
+    with pytest.raises(DomainError):
+        effective_potential(PARAMS, BARRIER, 0.0, 200.0)
+    with pytest.raises(DomainError):
+        effective_potential(PARAMS, SHAPES["tent"], np.linspace(-1.0, 1.0, 5), np.array([[1.0], [200.0]]))
+
+
+def test_chunked_evaluation_matches_whole(monkeypatch):
+    # large grids are evaluated a few (position, breakpoint) pairs at a time
+    pot = SHAPES["tent"]
+    qs, ps = np.linspace(-2.0, 2.0, 7)[:, None], np.array([0.0, 0.5, 2.0])
+    whole = effective_potential(PARAMS, pot, qs, ps)
+    monkeypatch.setattr(kernel, "CHUNK", 100)
+    assert np.array_equal(effective_potential(PARAMS, pot, qs, ps), whole)

@@ -1,6 +1,8 @@
 """The integration engine against closed-form Gaussian oracles."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -121,3 +123,39 @@ def test_tiny_values_do_not_raise():
 
     val = integrate_adaptive(f, -0.5, 0.5, QuadratureConfig())
     assert abs(val - 1e-4 * math.erf(0.5) * math.sqrt(math.pi)) < 1e-12
+
+
+def test_scipy_integrate_is_imported_on_first_quadrature():
+    # model builds, trajectories and V_eff never integrate numerically, so a
+    # process that only does those never loads scipy.integrate
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import effpot\n"
+        "model = effpot.LowMomentumModel(effpot.PhysicalParams(1.0, 0.125, 3.0),\n"
+        "                                effpot.SquareBarrier(1.0, 0.5))\n"
+        "assert effpot.classify_traversal(model, 0.9) == effpot.SURPASSED\n"
+        "effpot.effective_potential(model.params, model.pot, np.linspace(-2, 2, 5), np.array([[0.0], [1.0]]))\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "effpot.integrate_adaptive(lambda x: x, 0.0, 1.0)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
+
+
+def test_quad_is_read_as_a_module_attribute(monkeypatch):
+    # a wrapper set in place of quadrature.quad sees every call
+    calls = []
+    real = quadrature.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "quad", counted)
+    assert abs(integrate_adaptive(lambda x: x, 0.0, 2.0) - 2.0) < 1e-14
+    assert calls == [(0.0, 2.0)]
+    with pytest.raises(AttributeError):
+        quadrature.no_such_name
