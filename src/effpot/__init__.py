@@ -38,13 +38,11 @@ from .kernel import effective_potential, sinhc
 from .lowmomentum import (
     LowMomentumModel,
     Profile,
-    VqMax,
     evaluation_domain,
     inverse_mass,
     mass,
     smoothed_potential,
     tunneling_threshold,
-    vq_max_square,
     vq_potential,
 )
 from .dynamics import (

@@ -8,12 +8,14 @@ sigma = sqrt(beta hbar^2 / (4 m)) and an inverse mass
     1/M(q) = 1/m - (beta^2 hbar^2 / (12 m^2)) V''(q),
 
 where V'' is the second derivative of the smoothed potential. Every
-potential is constant or linear between breakpoints (potential.Shape), and
-the Gaussian smoothing of such a segment is a few error-function and
-Gaussian terms, so V, V', 1/M and (1/M)' are closed-form sums over the
-segments (``Profile``), for one position or a whole array of them. The model
-is only meaningful while M(q) stays positive, which is checked on a dense
-grid at construction; the same scan gives the tunneling threshold.
+potential is constant or linear between breakpoints, so it is fixed by its
+corners (potential.Shape.corners): where it jumps by J and where its slope
+changes by K. Smoothing turns each corner into one error function and one
+Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
+(``Profile``), for one position or a whole array of them; the kinks' share
+of V and V' is summed by parts, which keeps its digits far from the shape.
+The model is only meaningful while M(q) stays positive, which is checked on
+a dense grid at construction; the same scan gives the tunneling threshold.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -31,7 +33,6 @@ from .physical import PhysicalParams
 from .potential import (
     ClassicalPotential,
     Shape,
-    SquareBarrier,
     classical_max,
     eval_classical,
     support_interval,
@@ -42,15 +43,29 @@ EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute a
 
 
 class Profile:
-    """V, V', 1/M and (1/M)' as closed-form sums over a potential's segments.
+    """V, V', 1/M and (1/M)' as closed-form sums over a shape's corners.
 
-    A constant segment of height h on (a, b) contributes
-    V = h/2 (erf(c (q - a)) + erf(c (b - q))) with c = 1/(sqrt(2) sigma) and
-    1/M - 1/m = h/(3 hbar) sqrt(2 beta/(pi m)) ((b - q) e_b + (q - a) e_a)
-    with e_x = exp(-w (q - x)^2), w = 2m/(beta hbar^2); a linear segment adds
-    the smoothing of its ramp. Positions are measured from ``origin``: the
-    trajectory integrator works in coordinates local to each force zone,
-    where the segment ends at a lone wall are exactly 0.
+    A breakpoint x where the bare potential jumps by J or its slope changes
+    by K (``Shape.corners``) adds terms in one e = erf(u) and one
+    g = exp(-u^2), with u = c (q - x), c = 1/(sqrt(2) sigma) and
+    k = c/sqrt(pi):
+
+        jump: V += J e/2,    V' += J k g,   V'' += -2 c J k u g,
+              V''' += J k c^2 (4 u^2 - 2) g;
+        kink: V'' += K k g,  V''' += -2 K k c u g;
+
+    and 1/M = 1/m - (beta^2 hbar^2 / (12 m^2)) V''. The kinks' share of V
+    and V' is summed by parts along the continuous part of the shape (its
+    jumps removed), which is linear between kinks: the line C + s (q - x)
+    that ends at a kink weighs e_prev - e, the difference to the previous
+    kink's erf, and the kink adds K g/(2 c sqrt(pi)); beyond the last kink
+    the line is -sum J. The direct form K (u e + g/sqrt(pi))/(2c) grows like
+    K |q - x|/2 and those terms cancel between kinks, which far from the
+    shape costs digits the by-parts sum keeps.
+
+    Positions are measured from ``origin``: the trajectory integrator works
+    in coordinates local to each force zone. q - x is formed first, so the
+    argument at a lone wall is exact there.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
@@ -59,24 +74,31 @@ class Profile:
         beta_hbar2 = beta * hbar * hbar
         if not (sigma > 0 and beta_hbar2 > 0 and 2.0 * m / beta_hbar2 < math.inf):
             raise DomainError(f"hbar = {hbar:g} is too small for finite smoothing constants")
-        mass_root = math.sqrt(2.0 * beta / (math.pi * m))
-        self.level = shape.level
-        self.inv_m = 1.0 / m
-        self.c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
-        self.w = 2.0 * m / beta_hbar2
-        self.gauss = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-        self.mass_coeff = mass_root / (3.0 * hbar)
-        self.constant, self.linear = [], []
-        x = shape.x
-        for a, b, va, vb in zip(x[:-1], x[1:], shape.left, shape.right):
-            ha, hb = va - shape.level, vb - shape.level
-            a, b = a - origin, b - origin
-            if ha != hb:
-                self.linear.append((a, b, ha, hb, (hb - ha) / (b - a)))
-            elif ha != 0.0:
-                # same operation order as the square barrier's closed forms in
-                # the reference figures, so those keep every bit
-                self.constant.append((a, b, 0.5 * ha, self.gauss * ha, (ha / (3.0 * hbar)) * mass_root))
+        c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
+        k = c / math.sqrt(math.pi)
+        curv = beta * beta_hbar2 / (12.0 * m * m)  # 1/M = 1/m - curv V''
+        self.level, self.inv_m, self.c = shape.level, 1.0 / m, c
+        xs, left, right = shape.x, shape.left, shape.right
+        slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb in zip(xs[:-1], xs[1:], left, right)))
+        # per corner the position and the weights of e in V, of g in V', of
+        # u g in 1/M and of (1/2 - u^2) g in (1/M)'; a kink adds those of the
+        # line's value and slope, and of g, g, u g in V, 1/M, (1/M)'
+        self.jumps, self.kinks = [], []
+        jumped = 0.0  # sum of the jumps to the left
+        for x, jump, kink, before, slope in zip(*shape.corners.tolist(), (shape.level, *right), slopes):
+            terms = (x - origin, 0.5 * jump, k * jump, 2.0 * c * curv * k * jump,
+                     4.0 * c * c * curv * k * jump)
+            if kink != 0.0:
+                # the continuous part just left of x: value and slope
+                value = (before - shape.level) - jumped
+                self.kinks.append((*terms, 0.5 * value, 0.5 * slope, kink / (2.0 * c * math.sqrt(math.pi)),
+                                   -curv * k * kink, 2.0 * c * curv * k * kink))
+            elif jump != 0.0:
+                self.jumps.append(terms)
+            jumped += jump
+        # beyond the last kink the continuous part is -sum J, which weighs
+        # that kink's erf
+        self.tail = -0.5 * jumped if self.kinks else 0.0
 
     def at(self, q: float):
         """(V, V', 1/M, (1/M)') at one position, on math scalars."""
@@ -88,29 +110,34 @@ class Profile:
         return self._sum(q, np.exp, erf, np.zeros_like(q))
 
     def _sum(self, q, exp, erf, zero):
-        c, w = self.c, self.w
+        c = self.c
         v = vp = mi = mip = zero
-        for a, b, half, grad, coeff in self.constant:
-            lp, lm = q - a, b - q
-            ea, eb = exp(-w * lp * lp), exp(-w * lm * lm)
-            v = v + half * (erf(c * lp) + erf(c * lm))
-            vp = vp + grad * (ea - eb)
-            mi = mi + coeff * (lm * eb + lp * ea)
-            mip = mip + coeff * (eb * (2.0 * w * lm * lm - 1.0) + ea * (1.0 - 2.0 * w * lp * lp))
-        gauss, coeff, var = self.gauss, self.mass_coeff, 0.5 / w
-        for a, b, ha, hb, slope in self.linear:
-            lp, lm = q - a, b - q
-            ea, eb = exp(-w * lp * lp), exp(-w * lm * lm)
-            inside = 0.5 * (erf(c * lp) + erf(c * lm))
-            v = v + (ha + slope * lp) * inside + slope * var * gauss * (ea - eb)
-            vp = vp + gauss * (ha * ea - hb * eb) + slope * inside
-            mi = mi + coeff * (ha * lp * ea + hb * lm * eb - slope * var * (ea - eb))
-            mip = mip + coeff * (
-                ha * ea * (1.0 - 2.0 * w * lp * lp)
-                + hb * eb * (2.0 * w * lm * lm - 1.0)
-                + slope * (lp * ea + lm * eb)
-            )
-        return self.level + v, vp, self.inv_m + mi, mip
+        for x, half, grad, jm, jm_p in self.jumps:
+            u = c * (q - x)
+            uu = u * u
+            g = exp(-uu)
+            v = v + half * erf(u)
+            vp = vp + grad * g
+            mi = mi + jm * u * g
+            mip = mip + jm_p * (0.5 - uu) * g
+        e_prev = 1.0
+        for x, half, grad, jm, jm_p, value, slope, bend, km, km_p in self.kinks:
+            d = q - x
+            u = c * d
+            e = erf(u)
+            g = exp(-u * u)
+            de = e_prev - e
+            v = v + (value + slope * d) * de + bend * g
+            vp = vp + slope * de
+            mi = mi + km * g
+            mip = mip + km_p * u * g
+            if half:  # the potential also jumps here
+                v = v + half * e
+                vp = vp + grad * g
+                mi = mi + jm * u * g
+                mip = mip + jm_p * (0.5 - u * u) * g
+            e_prev = e
+        return self.level + (v + self.tail * e_prev), vp, self.inv_m + mi, mip
 
 
 @dataclass(frozen=True)
@@ -243,45 +270,6 @@ def _peak(value, slope, qs: np.ndarray, vals: np.ndarray):
         if top >= vals[i]:
             return q, top
     return float(qs[i]), float(vals[i])
-
-
-class VqMax(NamedTuple):
-    value: float        # closed-form barrier top of the reduced potential
-    numeric_max: float  # grid maximum refined at the root of the slope
-    argmax: float       # location of the numeric maximum
-    displaced: bool     # True when the maximum left the barrier center
-
-
-def vq_max_square(model: LowMomentumModel, eps: float) -> VqMax:
-    """Maximum of the reduced potential for a square barrier.
-
-    The closed form evaluates the reduced potential at the barrier center.
-    A numerical maximization runs alongside; the displaced flag trips when
-    its argmax leaves the center by more than the scan resolution, which is
-    the regime where the closed form stops being the true maximum.
-    """
-    pot = model.pot
-    if not isinstance(pot, SquareBarrier):
-        raise DomainError("closed-form barrier maximum applies to square barriers only")
-    params = model.params
-    if params.hbar == 0:
-        return VqMax(value=pot.v0, numeric_max=pot.v0, argmax=0.0, displaced=False)
-    value = vq_potential(model, 0.0, eps)
-    lo, hi = evaluation_domain(model)
-    qs = np.linspace(lo, hi, SCAN_POINTS)
-    v, _, m_inv, _ = model.profile.on(qs)
-    m, at = params.m, model.profile.at
-
-    def slope(q):
-        # VQ' = m (V' Minv + (V - eps) Minv')
-        v, vp, minv, minvp = at(q)
-        return m * (vp * minv + (v - eps) * minvp)
-
-    argmax, numeric_max = _peak(
-        lambda q: vq_potential(model, q, eps), slope, qs, m * m_inv * (v - eps) + eps
-    )
-    resolution = (hi - lo) / (SCAN_POINTS - 1)
-    return VqMax(value=value, numeric_max=numeric_max, argmax=argmax, displaced=abs(argmax) > resolution)
 
 
 def tunneling_threshold(model: LowMomentumModel) -> float:

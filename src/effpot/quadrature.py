@@ -71,7 +71,7 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
         bound = 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if not (math.isfinite(value) and estimate <= bound):
             raise NonConvergence(
-                f"quadrature on [{a:g}, {b:g}] did not converge: {out[3]} "
+                f"quadrature on [{a:g}, {b:g}] did not converge: {' '.join(out[3].split())} "
                 f"(value {value:.6g}, error estimate {estimate:.3g})",
                 value=value,
                 estimate=estimate,

@@ -263,3 +263,6 @@ def test_failed_run_leaves_no_output(tmp_path):
     res = run(*flags)
     assert res.returncode == 1
     assert res.stdout == ""
+    # one error line, without the solver's multi-line warning text
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -1,31 +1,35 @@
-"""Reduced model: closed segment forms against the quadrature convolution route."""
+"""Reduced model: closed corner sums against the quadrature convolution route."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
-from effpot.errors import DomainError, NonPositiveMass
+from effpot.errors import NonPositiveMass
 from effpot.lowmomentum import (
+    SCAN_POINTS,
     LowMomentumModel,
+    Profile,
+    _peak,
     evaluation_domain,
     inverse_mass,
     mass,
     smoothed_potential,
     tunneling_threshold,
-    vq_max_square,
     vq_potential,
 )
 from effpot.physical import PhysicalParams
 from effpot.potential import (
     PiecewiseConstantPotential,
+    Shape,
     SquareBarrier,
     TabulatedPotential,
     classical_max,
 )
-from reference_profiles import reference_profiles
+from reference_profiles import SegmentProfile, reference_profiles
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 PW_BARRIER = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
@@ -35,6 +39,11 @@ _TENT_GRID = np.linspace(-1.0, 1.0, 41)
 TENT = TabulatedPotential(tuple(_TENT_GRID), tuple(0.8 * (1.0 - np.abs(_TENT_GRID))))
 _BUMP_X = np.clip((_TENT_GRID - 0.1) / 0.6, -1.0, 1.0)
 BUMP = TabulatedPotential(tuple(_TENT_GRID), tuple(0.7 * 0.5 * (1.0 + np.cos(np.pi * _BUMP_X))))
+_RNG = np.random.default_rng(2005)
+_LONG_GRID = np.concatenate(([-50.0], np.sort(_RNG.uniform(-50.0, 50.0, 198)), [50.0]))
+_LONG_VALUES = _RNG.uniform(-1.0, 2.0, 200)
+_LONG_VALUES[-1] = _LONG_VALUES[0]
+LONG_TABLE = TabulatedPotential(tuple(_LONG_GRID), tuple(_LONG_VALUES))  # 200 random samples
 
 
 def _params(hbar):
@@ -90,6 +99,58 @@ def test_segment_profiles_match_convolution(pot, hbar):
     # the same gate for the other shapes: steps at uneven heights and a
     # tabulated ramp sequence
     assert _worst_vs_quadrature(pot, hbar, np.linspace(-1.8, 1.8, 19)) < 1e-8
+
+
+def _assert_matches_segment_form(shape, hbar, origin):
+    # out to the edges of the evaluation domain, where a direct corner sum's
+    # kink terms K E0(u)/(2c) cancel like K |q - x|/2 against a small V
+    params = _params(hbar)
+    a, b = shape.x[0], shape.x[-1]
+    pad = (b - a) + 6.0 * math.sqrt(params.beta / (4.0 * params.m)) * hbar
+    qs = np.linspace(a - pad, b + pad, 1001) - origin
+    corners, segments = Profile(params, shape, origin), SegmentProfile(params, shape, origin)
+    want = np.array(segments.on(qs))
+    scale = 1e-12 * np.abs(want - np.array([[shape.level], [0.0], [1.0 / params.m], [0.0]])).max(axis=1)
+    assert np.all(np.abs(np.array(corners.on(qs)) - want) <= scale[:, None])
+    for q in qs[::50].tolist():
+        assert np.all(np.abs(np.subtract(corners.at(q), segments.at(q))) <= scale), q
+
+
+@st.composite
+def _mixed_shapes(draw):
+    # constant and linear segments in any order, joined by jumps or not
+    n = draw(st.integers(min_value=1, max_value=6))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.5), min_size=n, max_size=n))
+    x = np.cumsum((0.0, *gaps)) + draw(st.floats(min_value=-2.0, max_value=2.0))
+    heights = st.floats(min_value=-2.0, max_value=2.0)
+    left, right = [], []
+    for _ in range(n):
+        joined = left and draw(st.booleans())
+        left.append(right[-1] if joined else draw(heights))
+        right.append(draw(heights) if draw(st.booleans()) else left[-1])
+    return Shape(draw(heights), tuple(x.tolist()), tuple(left), tuple(right))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_shapes(), st.floats(min_value=0.3, max_value=6.0),
+       st.floats(min_value=-3.0, max_value=3.0).filter(lambda origin: origin != 0.0))
+@example(Shape(0.0, (3.0, 4.0), (0.0,), (1.0,)), 1.0, 1.0)  # the last kink also jumps
+def test_corner_sum_matches_segment_form(shape, hbar, origin):
+    _assert_matches_segment_form(shape, hbar, origin)
+
+
+@pytest.mark.parametrize("hbar", [0.3, 3.0, 6.0])
+def test_corner_sum_matches_segment_form_on_a_long_table(hbar):
+    _assert_matches_segment_form(LONG_TABLE.shape, hbar, 0.0)
+
+
+def test_collinear_samples_cost_nothing():
+    # 41 samples of a tent on a dyadic grid, so that its slopes are exactly
+    # equal on each side: it bends at three breakpoints only
+    grid = np.arange(-20, 21) / 16.0
+    tent = TabulatedPotential(tuple(grid), tuple(0.75 * np.maximum(0.0, 1.0 - np.abs(grid))))
+    profile = LowMomentumModel(_params(3.0), tent).profile
+    assert (len(profile.jumps), len(profile.kinks)) == (0, 3)
 
 
 def test_deep_tail_agreement():
@@ -173,38 +234,6 @@ def test_vq_asymptotics_and_height():
     assert top < 1.0
 
 
-def test_vq_max_square_consistency():
-    model = LowMomentumModel(_params(3.0), BARRIER)
-    res = vq_max_square(model, 0.25)
-    assert not res.displaced
-    assert abs(res.value - vq_potential(model, 0.0, 0.25)) < 1e-12
-    assert abs(res.numeric_max - res.value) < 1e-10
-    assert abs(res.argmax) < 1e-5
-
-
-def test_vq_max_square_classical():
-    model = LowMomentumModel(_params(0.0), BARRIER)
-    res = vq_max_square(model, 0.25)
-    assert res.value == 1.0 and res.numeric_max == 1.0 and not res.displaced
-
-
-def test_vq_max_square_displaced_regime():
-    # strong smoothing with the energy above the flattened barrier: the true
-    # maximum of the reduced potential leaves the center and the flag trips
-    model = LowMomentumModel(PhysicalParams(m=1.0, beta=10.0, hbar=1.0), BARRIER)
-    res = vq_max_square(model, 0.9)
-    assert res.displaced
-    assert res.numeric_max > res.value
-    lo, hi = evaluation_domain(model)
-    assert abs(res.argmax) > (hi - lo) / 2000
-
-
-def test_vq_max_square_rejects_other_potentials():
-    model = LowMomentumModel(_params(3.0), PW_BARRIER)
-    with pytest.raises(DomainError):
-        vq_max_square(model, 0.25)
-
-
 SQUARE_HBARS = [1e-6, 0.05, 0.5, 1.0, 2.0, 3.0, 6.0, 10.0]
 
 
@@ -242,8 +271,18 @@ def test_threshold_fixed_point(hbar):
     # eps* solves eps = max_q V^Q(q; eps)
     model = LowMomentumModel(_params(hbar), BARRIER)
     eps_star = tunneling_threshold(model)
-    res = vq_max_square(model, eps_star)
-    assert abs(res.numeric_max - eps_star) < 1e-9
+    qs = np.linspace(*evaluation_domain(model), SCAN_POINTS)
+    v, _, inv_mass, _ = model.profile.on(qs)
+    m = model.params.m
+
+    def slope(q):
+        # VQ' = m (V' Minv + (V - eps) Minv')
+        v, vp, minv, minvp = model.profile.at(q)
+        return m * (vp * minv + (v - eps_star) * minvp)
+
+    _, top = _peak(lambda q: vq_potential(model, q, eps_star), slope, qs,
+                   m * inv_mass * (v - eps_star) + eps_star)
+    assert abs(top - eps_star) < 1e-9
 
 
 @pytest.mark.parametrize(
