@@ -24,7 +24,6 @@ from .potential import (
     asymptotic_level,
     classical_max,
     eval_classical,
-    form_factor,
     load_tabulated_csv,
     support_interval,
 )
@@ -32,7 +31,6 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     integrate_adaptive,
-    integrate_damped_fourier,
 )
 from .kernel import effective_potential, sinhc
 from .lowmomentum import (

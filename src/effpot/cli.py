@@ -230,8 +230,8 @@ def _cmd_trajectory(args) -> int:
     if args.samples is not None:
         if args.samples < 2:
             raise UsageError("--samples must be at least 2")
-        if t_end is None:
-            raise UsageError("--samples needs an explicit --t-end")
+        if t_end is None or not t_end > 0:
+            raise UsageError("--samples needs an explicit --t-end > 0")
         t_eval = np.linspace(0.0, t_end, args.samples)
     if args.form == "hamiltonian":
         traj = integrate_hamiltonian(model, q0, p0, t_end=t_end, t_eval=t_eval)

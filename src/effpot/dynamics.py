@@ -513,6 +513,8 @@ def integrate_hamiltonian(
     _require_finite("initial state and time budget", (q0, p0, 0.0 if t_end is None else t_end))
     if t_end is None:
         t_end = _default_t_end(model, p0 * inverse_mass(model, q0))
+    elif t_end < 0:
+        raise ValueError(f"time budget must be nonnegative, got {t_end:g}")
     return _propagate(model, q0, p0, t_end, t_eval, None, hamiltonian(model, q0, p0))
 
 
@@ -532,13 +534,15 @@ def integrate_newtonian(
     """
     _require_finite("initial state, energy and time budget",
                     (q0, v0, eps, 0.0 if t_end is None else t_end))
+    if t_end is None:
+        t_end = _default_t_end(model, v0)
+    elif t_end < 0:
+        raise ValueError(f"time budget must be nonnegative, got {t_end:g}")
     check = 0.5 * v0 * v0 / inverse_mass(model, q0) + smoothed_potential(model, q0)
     if abs(check - eps) > 1e-10 * max(1.0, abs(eps)):
         raise InconsistentEnergy(
             f"initial data carries energy {check:.12g}, stated energy is {eps:.12g}"
         )
-    if t_end is None:
-        t_end = _default_t_end(model, v0)
     return _propagate(model, q0, v0, t_end, t_eval, eps, eps)
 
 

@@ -1,13 +1,13 @@
-"""Classical 1-D potentials as one shape description, and their form factors.
+"""Classical 1-D potentials as one shape description, and their bare values.
 
 Every potential is an asymptotic level plus segments between breakpoints on
 which it is constant or linear (``Shape``): a square barrier is one constant
 segment, a piecewise-constant potential several, and a tabulated potential
 the linear segments between its samples, at the asymptotic level outside the
-grid. Only the deviation from the asymptotic level is ever smoothed or
-Fourier transformed, which is what makes the smoothing integrals converge;
-both are closed-form sums over the segments. Potentials with unequal
-left/right asymptotes are rejected.
+grid. Only the deviation from the asymptotic level is ever smoothed, which
+is what makes the smoothing integrals converge; the smoothing modules sum it
+in closed form over the shape's corners. Potentials with unequal left/right
+asymptotes are rejected.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from typing import Union
 
 import numpy as np
 
-# below this |k| times the segment half-width, the odd part of a linear
-# segment's transform is summed as a series (the closed form cancels)
-FILON_SERIES_BELOW = 0.25
-
 
 @dataclass(frozen=True)
 class Shape:
@@ -32,17 +28,14 @@ class Shape:
     On segment k the potential runs linearly from left[k] at x[k] to right[k]
     at x[k+1]; the two are equal on a constant segment. Outside (x[0], x[-1])
     it equals the level; segments at the level at either end are dropped.
-    fourier holds, per segment off the level, its midpoint c, half-width d,
-    2 d times its mean deviation and d times its rise, the coefficients of
-    form_factor. corners holds three rows, one column per breakpoint: its
-    position, the jump of the value and the jump of the slope across it.
+    corners holds three rows, one column per breakpoint: its position, the
+    jump of the value and the jump of the slope across it.
     """
 
     level: float
     x: tuple
     left: tuple
     right: tuple
-    fourier: tuple = field(init=False, repr=False, compare=False)
     corners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,12 +47,6 @@ class Shape:
             object.__setattr__(self, "x", self.x[first:stop + 1])
             object.__setattr__(self, "left", self.left[first:stop])
             object.__setattr__(self, "right", self.right[first:stop])
-        object.__setattr__(self, "fourier", tuple(
-            (0.5 * (a + b), 0.5 * (b - a), (b - a) * (0.5 * (va + vb) - self.level),
-             0.5 * (b - a) * (vb - va))
-            for a, b, va, vb in zip(self.x[:-1], self.x[1:], self.left, self.right)
-            if not va == vb == self.level
-        ))
         slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb
                          in zip(self.x[:-1], self.x[1:], self.left, self.right)), 0.0)
         corners = np.array((
@@ -207,34 +194,6 @@ def classical_max(pot: ClassicalPotential) -> float:
     """Largest value the bare potential takes."""
     shape = pot.shape
     return max((shape.level, *shape.left, *shape.right))
-
-
-def form_factor(pot: ClassicalPotential, k: float) -> complex:
-    """Fourier transform of the potential's deviation from its asymptotic level.
-
-    Returns the integral of (V(q') - V_inf) e^{-i k q'} dq', exactly: a
-    segment with midpoint c, half-width d, mean deviation f and rise 2r
-    contributes 2 d e^{-ikc} (f sin(kd)/(kd) - i r j1(kd)), where
-    j1(z) = (sin z - z cos z)/z^2 is summed as a series for small kd (a
-    Filon-type rule that is exact for linear segments). For the centered
-    square barrier this is 2 v0 sin(k l)/k with small-k limit 2 v0 l;
-    symmetric potentials give a real, even function of k.
-    """
-    re = im = 0.0
-    for mid, half, even, odd in pot.shape.fourier:
-        z = k * half
-        if z != 0.0:
-            even *= math.sin(z) / z
-        if odd != 0.0:
-            if abs(z) < FILON_SERIES_BELOW:
-                z2 = z * z
-                odd *= z * (1 / 3 - z2 * (1 / 30 - z2 * (1 / 840 - z2 * (1 / 45360 - z2 / 3991680))))
-            else:
-                odd *= (math.sin(z) - z * math.cos(z)) / (z * z)
-        cos_p, sin_p = math.cos(k * mid), math.sin(k * mid)
-        re += cos_p * even - sin_p * odd
-        im -= sin_p * even + cos_p * odd
-    return complex(re, im)
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:

@@ -1,11 +1,11 @@
-"""Adaptive quadrature used for the damped Fourier integrals and finite ranges.
+"""Adaptive quadrature over finite ranges.
 
 Thin contracts over QUADPACK's adaptive Gauss-Kronrod scheme. The nodes of
 that scheme are interior points, so integrands only defined by limit at an
 endpoint are sampled strictly inside the interval and need no special casing.
-Only the tolerances can be set; the tail length and the subdivision budget
-are fixed. scipy.integrate is imported on the first call, so the commands
-that never integrate (model, trajectory, veff) start without it.
+Only the tolerances can be set; the subdivision budget is fixed.
+scipy.integrate is imported on the first call, so the commands that never
+integrate (model, trajectory, veff) start without it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import NonConvergence
 
-TAIL_SIGMAS = 8.0  # damped-Fourier truncation, in damping scales past the peak
 MAX_SUBDIVISIONS = 60
 
 
@@ -77,27 +76,3 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
                 estimate=estimate,
             )
     return out[0]
-
-
-def integrate_damped_fourier(
-    integrand,
-    damping_scale: float,
-    shift: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Integral over k in [0, k_max] of a Gaussian-damped Fourier-type integrand.
-
-    The caller passes the full integrand, damping included; damping_scale and
-    shift only size the truncation. The integrand is assumed to behave like
-    exp(-k^2/(2 scale^2) + shift k) times slowly varying factors, whose
-    exponent peaks at k* = shift scale^2, so
-    k_max = shift scale^2 + TAIL_SIGMAS * scale leaves only Gaussian tail
-    mass (< 1e-15 of the total). Even integrands over the whole line must be
-    doubled by the caller.
-    """
-    if not damping_scale > 0:
-        raise ValueError(f"damping_scale must be positive, got {damping_scale}")
-    if shift < 0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
-    k_max = shift * damping_scale**2 + TAIL_SIGMAS * damping_scale
-    return integrate_adaptive(integrand, 0.0, k_max, cfg)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lowmomentum import LowMomentumModel, tunneling_threshold
-from .physical import PhysicalParams, dimensionless
+from .physical import PhysicalParams
 from .potential import (
     PiecewiseConstantPotential,
     SquareBarrier,
@@ -66,14 +66,12 @@ def effective_t_of_H(H: float) -> float:
 def effective_coefficients(model: LowMomentumModel) -> CoefficientPair:
     """Threshold-based coefficients for a uniform beam on (base, max V).
 
-    For the square barrier this is the closed form t = 1 - erf(sqrt(2)/H);
-    for other admissible potentials the beam fraction above the tunneling
-    threshold, measured from the asymptotic level. At hbar = 0 the threshold
-    is the bare barrier top, so t is exactly 0.
+    t is the beam fraction above the tunneling threshold, measured from the
+    asymptotic level; for the square barrier that is the closed form
+    1 - erf(sqrt(2)/H) of effective_t_of_H, to roundoff. At hbar = 0 the
+    threshold is the bare barrier top, so t is exactly 0.
     """
     pot = model.pot
-    if isinstance(pot, SquareBarrier):
-        return CoefficientPair(effective_t_of_H(dimensionless(model.params, pot).H))
     base = asymptotic_level(pot)
     top = classical_max(pot)
     if top <= base:

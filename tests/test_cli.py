@@ -106,6 +106,13 @@ def test_trajectory_samples_need_t_end():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_trajectory_samples_need_positive_t_end(t_end):
+    res = run("trajectory", "--samples", "2", "--t-end", t_end)
+    assert res.returncode == 2
+    assert "--t-end > 0" in res.stderr
+
+
 def test_trajectory_resampled():
     res = run("trajectory", "--samples", "50", "--t-end", "10")
     assert res.returncode == 0
@@ -187,6 +194,7 @@ def test_negative_hbar_is_usage_error():
     ("trajectory", "--q0", "nan", "--p0", "1"),
     ("trajectory", "--t-end", "nan"),
     ("trajectory", "--eps", "nan"),  # used to hang in the stepper
+    ("trajectory", "--t-end", "-1"),  # used to write a one-row trajectory
 ])
 def test_non_finite_parameter_is_usage_error(tmp_path, flags):
     # flags is the whole command line; none may open --out or hang

@@ -308,6 +308,17 @@ def test_non_finite_input_rejected(run):
         run(_model(3.0))
 
 
+def test_negative_time_budget_rejected():
+    # a negative budget used to return the start alone, at t = 0
+    model = _model(3.0)
+    q0, p0 = -4.0, 1.0
+    v0 = p0 * inverse_mass(model, q0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_hamiltonian(model, q0, p0, t_end=-1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_newtonian(model, q0, v0, hamiltonian(model, q0, p0), t_end=-1.0)
+
+
 # ------------------------------------------------ general potentials, adaptive
 
 

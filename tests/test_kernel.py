@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 from effpot import kernel
 from effpot.errors import DomainError
 from effpot.kernel import _fourier_veff, effective_potential, sinhc
-from effpot.lowmomentum import LowMomentumModel, inverse_mass, smoothed_potential
+from effpot.lowmomentum import LowMomentumModel, evaluation_domain, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from test_lowmomentum import LONG_TABLE
 
 PARAMS = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
@@ -213,6 +214,31 @@ def test_zero_momentum_is_the_profile_to_roundoff(name, hbar):
     closed = effective_potential(params, SHAPES[name], qs, 0.0)
     reduced = model.profile.on(qs)[0]
     assert np.all(np.abs(closed - reduced) <= 1e-14 * np.maximum(1.0, np.abs(reduced)))
+
+
+@pytest.mark.parametrize("hbar", [0.3, 3.0, 6.0])
+def test_zero_momentum_is_the_profile_on_a_long_table(hbar):
+    # p = 0 entries are the profile's own V: exact even on 200 samples, where
+    # a second corner sum drifts from it
+    params = PhysicalParams(m=1.0, beta=0.125, hbar=hbar)
+    model = LowMomentumModel(params, LONG_TABLE)
+    qs = np.linspace(*evaluation_domain(model), 301)
+    want = [model.profile.at(q)[0] for q in qs.tolist()]
+    assert effective_potential(params, LONG_TABLE, qs, 0.0).tolist() == want
+    assert [smoothed_potential(model, q) for q in qs[::30].tolist()] == want[::30]
+
+
+@pytest.mark.parametrize("name", ["square", "tent"])
+def test_fourier_oracle_truncation_is_converged(name, monkeypatch):
+    # twice the tail length past the peak changes the oracle by roundoff only
+    pot = SHAPES[name]
+    p_top = math.sqrt(2.0 * PARAMS.m * 16.0 / PARAMS.beta)  # beta p^2 / 2m = 16
+    points = [(q, p) for q in (-1.2, 0.0, 0.37) for p in (0.0, 1.5, p_top)]
+    short = [_fourier_veff(PARAMS, pot, q, p) for q, p in points]
+    monkeypatch.setattr(kernel, "TAIL_SIGMAS", 16.0)
+    for (q, p), v8 in zip(points, short):
+        v16 = _fourier_veff(PARAMS, pot, q, p)
+        assert abs(v16 - v8) <= 1e-12 * max(1.0, abs(v16)), (q, p, v8, v16)
 
 
 @pytest.mark.parametrize("name", SHAPES)

@@ -1,4 +1,4 @@
-"""The integration engine against closed-form Gaussian oracles."""
+"""The adaptive integration engine against closed-form oracles."""
 
 import math
 import subprocess
@@ -8,9 +8,7 @@ import pytest
 
 from effpot import quadrature
 from effpot.errors import NonConvergence
-from effpot.quadrature import QuadratureConfig, integrate_adaptive, integrate_damped_fourier
-
-HALF_GAUSSIAN = math.sqrt(math.pi / 2.0)
+from effpot.quadrature import QuadratureConfig, integrate_adaptive
 
 
 def test_config_validation():
@@ -20,45 +18,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-14)
-
-
-def test_damped_fourier_half_gaussian():
-    val = integrate_damped_fourier(lambda k: math.exp(-0.5 * k * k), 1.0, 0.0)
-    assert abs(val - HALF_GAUSSIAN) < 1e-12
-    assert abs(val - 1.2533) < 5e-5
-
-
-def test_damped_fourier_cosine():
-    val = integrate_damped_fourier(lambda k: math.exp(-0.5 * k * k) * math.cos(k), 1.0, 0.0)
-    oracle = HALF_GAUSSIAN * math.exp(-0.5)
-    assert abs(val - oracle) < 1e-12
-
-
-def test_damped_fourier_moment():
-    val = integrate_damped_fourier(lambda k: k * k * math.exp(-0.5 * k * k), 1.0, 0.0)
-    assert abs(val - HALF_GAUSSIAN) < 1e-12
-
-
-def test_damped_fourier_shift_moves_truncation():
-    # with a positive shift the peak sits at k* = shift * scale^2; the
-    # truncation must still capture the whole mass
-    shift = 2.0
-
-    def f(k):
-        return math.exp(-0.5 * k * k + shift * k)
-
-    val = integrate_damped_fourier(f, 1.0, shift)
-    from scipy.integrate import quad
-
-    oracle = quad(f, 0.0, 40.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-    assert abs(val - oracle) <= 1e-11 * abs(oracle)
-
-
-def test_damped_fourier_argument_validation():
-    with pytest.raises(ValueError):
-        integrate_damped_fourier(lambda k: 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate_damped_fourier(lambda k: 0.0, 1.0, -0.1)
 
 
 def test_adaptive_polynomial():
@@ -88,19 +47,6 @@ def test_linearity():
         math.cos, 0.0, 2.0, cfg
     )
     assert abs(lhs - rhs) <= cfg.rel_tol * max(1.0, abs(lhs))
-
-
-def test_tail_doubling_invariant():
-    # the fixed truncation at 8 damping scales loses nothing that twice the
-    # range would catch
-    cfg = QuadratureConfig()
-
-    def f(k):
-        return math.exp(-0.5 * k * k) * math.cos(3.0 * k)
-
-    v8 = integrate_damped_fourier(f, 1.0, 0.0, cfg)
-    v16 = integrate_adaptive(f, 0.0, 16.0, cfg)
-    assert abs(v8 - v16) <= cfg.rel_tol * max(1.0, abs(v8))
 
 
 def test_nonconvergence_reports_estimate(monkeypatch):
