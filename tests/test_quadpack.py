@@ -1,0 +1,164 @@
+"""The in-house QAGS port against scipy.integrate.quad, bit for bit.
+
+Each case compares the value and the error estimate as bit patterns, the
+work counts neval and last, and the failure code: the port's message and
+scipy's text are both mapped back to QUADPACK's ier. The effpot cases run
+the program's own integrands through a stand-in for quadrature.quad that
+asks both integrators and checks that they agree.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad as scipy_quad
+
+from effpot import quadrature
+from effpot.figures import CURVE_GRID
+from effpot.kernel import _fourier_veff
+from effpot.physical import PhysicalParams
+from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from effpot.quadrature import DEFAULT_CONFIG, MAX_SUBDIVISIONS
+from effpot.transmission import mixture_average, quantum_t_mixture
+
+PORT = quadrature.quad
+
+# the opening words of scipy's text for each failure code
+SCIPY_TEXT = {
+    1: "The maximum number of subdivisions",
+    2: "The occurrence of roundoff error",
+    3: "Extremely bad integrand behavior",
+    4: "The algorithm does not converge",
+    5: "The integral is probably divergent",
+}
+
+
+def _port_code(out, limit):
+    if len(out) < 4:
+        return 0
+    codes = [c for c, text in quadrature._MESSAGES.items() if out[3] == text.format(limit=limit)]
+    assert len(codes) == 1, out[3]
+    return codes[0]
+
+
+def _scipy_code(out):
+    if len(out) < 4:
+        return 0
+    codes = [c for c, text in SCIPY_TEXT.items() if out[3].startswith(text)]
+    assert len(codes) == 1, out[3]
+    return codes[0]
+
+
+def _compare(f, a, b, epsabs, epsrel, limit):
+    port = PORT(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    ref = scipy_quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    got = (port[0].hex(), port[1].hex(), port[2]["neval"], port[2]["last"], _port_code(port, limit))
+    want = (float(ref[0]).hex(), float(ref[1]).hex(), ref[2]["neval"], ref[2]["last"], _scipy_code(ref))
+    assert got == want, (a, b, epsabs, epsrel, limit)
+    return port
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Route every quadrature through _compare; yields the list of calls."""
+    calls = []
+
+    def both(f, a, b, *, epsabs, epsrel, limit):
+        out = _compare(f, a, b, epsabs, epsrel, limit)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(quadrature, "quad", both)
+    return calls
+
+
+def test_fig4_mixture_curve(compared):
+    for Q in CURVE_GRID.tolist():
+        quantum_t_mixture(Q)
+    assert len(compared) == len(CURVE_GRID) == 500
+
+
+def test_mixture_average_over_hbar(compared):
+    barrier = SquareBarrier(v0=1.0, l=0.5)
+    for hbar in np.linspace(0.2, 6.0, 30).tolist():
+        mixture_average(barrier, PhysicalParams(m=1.0, beta=0.125, hbar=hbar))
+    assert len(compared) == 30
+
+
+_GRID = np.linspace(-1.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("pot", [
+    SquareBarrier(v0=1.0, l=0.5),
+    PiecewiseConstantPotential((-0.86, -0.48, 0.02, 0.99), (0.0, 0.86, 0.65, 0.92, 0.0)),
+    TabulatedPotential(tuple(_GRID), tuple(0.8 * (1.0 - np.abs(_GRID)))),
+], ids=["square", "steps", "tent"])
+def test_fourier_oracle(compared, pot):
+    params = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
+    p_top = math.sqrt(2.0 * params.m * 16.0 / params.beta)  # beta p^2 / 2m = 16
+    for q in (-1.2, 0.0, 0.37, 2.5):
+        for p in (0.0, 1.5, p_top):
+            _fourier_veff(params, pot, q, p)
+    assert len(compared) == 12
+
+
+HARD = {
+    "inverse sqrt": lambda x: 1.0 / math.sqrt(x),
+    "log": math.log,
+    "x^-0.9": lambda x: x**-0.9,
+    "step": lambda x: 1.0 if x > 0.3 else 0.0,
+    "narrow peak": lambda x: 1.0 / (1e-4 + (x - 0.37) ** 2),
+    "cos 50x e^-x": lambda x: math.cos(50.0 * x) * math.exp(-x),
+    # non-integrable or too oscillatory: every failure code shows
+    "1/|x - 1/3|": lambda x: 1.0 / abs(x - 1.0 / 3.0) if x != 1.0 / 3.0 else 0.0,
+    "x^-1.5": lambda x: x**-1.5,
+    "sin(1/x)/x": lambda x: math.sin(1.0 / x) / x,
+}
+TOLERANCES = {
+    "default": (DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol),
+    "tight": (1e-300, 1e-14),
+    "unreachable": (1e-300, 1e-15),
+}
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("name", HARD)
+def test_singular_oscillatory_and_discontinuous(name, tol):
+    epsabs, epsrel = TOLERANCES[tol]
+    for limit in (1, 3, MAX_SUBDIVISIONS, 200):
+        _compare(HARD[name], 0.0, 1.0, epsabs, epsrel, limit)
+
+
+def test_every_failure_code_is_compared():
+    seen = set()
+    for f in HARD.values():
+        for epsabs, epsrel in TOLERANCES.values():
+            for limit in (1, 3, MAX_SUBDIVISIONS):
+                seen.add(_port_code(_compare(f, 0.0, 1.0, epsabs, epsrel, limit), limit))
+    assert seen == {0, 1, 2, 3, 4, 5}
+
+
+_coef = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.tuples(_coef, _coef, _coef, _coef), a=st.floats(-2.0, 1.0), width=st.floats(0.01, 8.0),
+       tol=st.sampled_from(sorted(TOLERANCES)))
+def test_smooth_integrands(c, a, width, tol):
+    def f(x):
+        return c[0] * math.exp(c[1] * x) + math.sin(c[2] * x * x) + c[3] / (1.0 + x * x)
+
+    _compare(f, a, a + width, *TOLERANCES[tol], MAX_SUBDIVISIONS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.05, 0.95), alpha=st.floats(-0.99, 1.5), w=st.floats(1.0, 200.0),
+       tol=st.sampled_from(sorted(TOLERANCES)), limit=st.sampled_from((MAX_SUBDIVISIONS, 200)))
+@example(c=0.948, alpha=1.489, w=168.2, tol="tight", limit=MAX_SUBDIVISIONS)  # counts iroff1
+def test_singular_and_oscillatory_families(c, alpha, w, tol, limit):
+    # an interior power singularity or kink, and a damped oscillation: these
+    # drive the roundoff counters and the extrapolation
+    epsabs, epsrel = TOLERANCES[tol]
+    _compare(lambda x: abs(x - c) ** alpha if x != c else 0.0, 0.0, 1.0, epsabs, epsrel, limit)
+    _compare(lambda x: math.cos(w * x) * math.exp(-x), 0.0, 1.0, epsabs, epsrel, limit)

@@ -71,24 +71,46 @@ def test_tiny_values_do_not_raise():
     assert abs(val - 1e-4 * math.erf(0.5) * math.sqrt(math.pi)) < 1e-12
 
 
-def test_scipy_integrate_is_imported_on_first_quadrature():
-    # model builds, trajectories and V_eff never integrate numerically, so a
-    # process that only does those never loads scipy.integrate
+def test_no_command_loads_scipy_integrate(tmp_path):
+    # the quadrature is in-house, so no subcommand imports scipy.integrate
     code = (
         "import sys\n"
-        "import numpy as np\n"
-        "import effpot\n"
-        "model = effpot.LowMomentumModel(effpot.PhysicalParams(1.0, 0.125, 3.0),\n"
-        "                                effpot.SquareBarrier(1.0, 0.5))\n"
-        "assert effpot.classify_traversal(model, 0.9) == effpot.SURPASSED\n"
-        "effpot.effective_potential(model.params, model.pot, np.linspace(-2, 2, 5), np.array([[0.0], [1.0]]))\n"
-        "print('scipy.integrate' in sys.modules)\n"
-        "effpot.integrate_adaptive(lambda x: x, 0.0, 1.0)\n"
+        "from effpot import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "runs = [['coeff', '--hbar', '3'], ['validate'], ['figures', '--out', out],\n"
+        "        ['model', '--n', '41'], ['trajectory', '--eps', '0.9'], ['veff', '--nq', '9', '--np', '3']]\n"
+        "for argv in runs:\n"
+        "    assert cli.main(argv) == 0, argv\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "True"]
+    assert res.stdout.splitlines()[-1] == "False"
+
+
+def test_non_finite_value_is_refused():
+    # QUADPACK reports success for an infinite node value: (inf, inf), ier 0
+    def spike(x):
+        return math.inf if x == 0.5 else x
+
+    assert len(quadrature.quad(spike, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=60)) == 3
+    for f in (spike, lambda x: math.nan if x == 0.5 else x):
+        with pytest.raises(NonConvergence) as err:
+            integrate_adaptive(f, 0.0, 1.0)
+        assert "not finite" in str(err.value)
+
+
+def test_failure_message_is_one_line(monkeypatch):
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
+    with pytest.raises(NonConvergence) as err:
+        integrate_adaptive(math.sin, 0.0, 1.0, cfg)
+    text = str(err.value)
+    assert "\n" not in text and "roundoff error prevents the requested tolerance" in text
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
+    with pytest.raises(NonConvergence) as err:
+        integrate_adaptive(lambda x: math.cos(50.0 / (x + 0.02)), 0.0, 1.0)
+    text = str(err.value)
+    assert "\n" not in text and "maximum number (3) of subdivisions reached" in text
 
 
 def test_quad_is_read_as_a_module_attribute(monkeypatch):
