@@ -8,9 +8,12 @@ Subcommands:
   figures     regenerate the four reference data sets
   validate    run the built-in cross-checks and report PASS/FAIL
 
-Numerical options resolve in three layers: built-in defaults, then a JSON
-config file given with --config, then explicit flags. Exit codes: 0 success,
-1 computational failure, 2 usage error.
+Each subcommand declares a flag only for the parameters it reads; validate
+and figures take none. Parameters resolve in three layers: built-in
+defaults, then a JSON config file given with --config (any key of PARAMS,
+with a number value), then explicit flags. A --potential-csv run records the
+file in its header in place of L and V0, and refuses --L and --V0. Exit
+codes: 0 success, 1 computational failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -56,15 +59,15 @@ from .transmission import (
     transfer_matrix_transmission,
 )
 
-DEFAULTS = {
-    "m": 1.0,
-    "beta": 0.125,
-    "hbar": 3.0,
-    "L": 0.5,
-    "V0": 1.0,
-    "eps": 0.25,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-14,
+PARAMS = {
+    "m": (1.0, "particle mass"),
+    "beta": (0.125, "inverse temperature"),
+    "hbar": (3.0, "quantum strength"),
+    "L": (0.5, "barrier half-width"),
+    "V0": (1.0, "barrier height"),
+    "eps": (0.25, "trajectory energy"),
+    "rel_tol": (1e-10, "quadrature relative tolerance"),
+    "abs_tol": (1e-14, "quadrature absolute tolerance"),
 }
 
 
@@ -97,27 +100,31 @@ class RunConfig:
 
 
 def _build_config(args) -> RunConfig:
-    merged = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    merged = {key: default for key, (default, _) in PARAMS.items()}
+    if args.config:
         try:
-            with open(config_path) as fh:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}") from exc
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(DEFAULTS))
+        unknown = sorted(set(loaded) - set(PARAMS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        # bool is an int subclass, and true must not pass for 1
+        bad = sorted(k for k, v in loaded.items()
+                     if isinstance(v, bool) or not isinstance(v, (int, float)))
+        if bad:
+            raise UsageError(f"config values must be numbers: {', '.join(bad)}")
         merged.update(loaded)
-    for key in DEFAULTS:
+    for key in PARAMS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
     try:
         values = {k: float(v) for k, v in merged.items()}
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise UsageError(f"bad parameter value: {exc}") from exc
     _reject_non_finite(values)
     return RunConfig(**values)
@@ -129,20 +136,13 @@ def _reject_non_finite(values: dict) -> None:
         raise UsageError(f"non-finite value for {', '.join(bad)}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_params(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """Add --config and one flag for each PARAMS key the command reads."""
     parser.add_argument("--config", help="JSON file with parameter overrides")
-    parser.add_argument("--m", type=float, help=f"particle mass (default {DEFAULTS['m']})")
-    parser.add_argument("--beta", type=float, help=f"inverse temperature (default {DEFAULTS['beta']})")
-    parser.add_argument("--hbar", type=float, help=f"quantum strength (default {DEFAULTS['hbar']})")
-    parser.add_argument("--L", type=float, help=f"barrier half-width (default {DEFAULTS['L']})")
-    parser.add_argument("--V0", type=float, help=f"barrier height (default {DEFAULTS['V0']})")
-    parser.add_argument("--eps", type=float, help=f"trajectory energy (default {DEFAULTS['eps']})")
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        help=f"quadrature relative tolerance, read by coeff; veff is closed-form "
-                             f"and validate keeps the default (default {DEFAULTS['rel_tol']})")
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float,
-                        help=f"quadrature absolute tolerance, read by coeff; veff is closed-form "
-                             f"and validate keeps the default (default {DEFAULTS['abs_tol']})")
+    for key in keys:
+        default, text = PARAMS[key]
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float,
+                            help=f"{text} (default {default})")
 
 
 def _emit(args, text: str) -> None:
@@ -165,11 +165,14 @@ def _emit(args, text: str) -> None:
             os.remove(tmp)
 
 
-def _write_metadata(fh, cfg: RunConfig, extra=None) -> None:
-    for key in ("m", "beta", "hbar", "L", "V0"):
-        fh.write(f"# {key}={getattr(cfg, key):.12g}\n")
-    for key, value in (extra or {}).items():
-        fh.write(f"# {key}={value}\n")
+def _header(cfg: RunConfig, potential_csv=None, **extra) -> str:
+    """The metadata lines every CSV command starts with, naming the
+    parameters or file its potential was built from."""
+    keys = ("m", "beta", "hbar") + (() if potential_csv else ("L", "V0"))
+    meta = {key: f"{getattr(cfg, key):.12g}" for key in keys}
+    if potential_csv:
+        meta["potential_csv"] = potential_csv
+    return "".join(f"# {key}={value}\n" for key, value in {**meta, **extra}.items())
 
 
 # ------------------------------------------------------------------- commands
@@ -183,7 +186,7 @@ def _cmd_veff(args) -> int:
     ps = np.linspace(args.pmin, args.pmax, args.np_)
     table = effective_potential(cfg.params(), cfg.barrier(), qs[:, None], ps[None, :])
     fh = io.StringIO()
-    _write_metadata(fh, cfg)
+    fh.write(_header(cfg))
     fh.write("q,p,veff\n")
     for q, row in zip(qs, table):
         for p, v in zip(ps, row):
@@ -193,10 +196,11 @@ def _cmd_veff(args) -> int:
 
 
 def _load_pot(args, cfg: RunConfig):
-    path = getattr(args, "potential_csv", None)
-    if path:
-        return load_tabulated_csv(path)
-    return cfg.barrier()
+    if not args.potential_csv:
+        return cfg.barrier()
+    if args.L is not None or args.V0 is not None:
+        raise UsageError("--L and --V0 do not apply to a --potential-csv run")
+    return load_tabulated_csv(args.potential_csv)
 
 
 def _cmd_model(args) -> int:
@@ -204,7 +208,7 @@ def _cmd_model(args) -> int:
     model = cfg.model(_load_pot(args, cfg))
     qs = np.linspace(args.qmin, args.qmax, args.n)
     fh = io.StringIO()
-    _write_metadata(fh, cfg, {"eps": f"{cfg.eps:.12g}"})
+    fh.write(_header(cfg, args.potential_csv, eps=f"{cfg.eps:.12g}"))
     fh.write("q,V,M,VQ\n")
     for q in qs:
         q = float(q)
@@ -240,11 +244,8 @@ def _cmd_trajectory(args) -> int:
         eps = hamiltonian(model, q0, p0)
         traj = integrate_newtonian(model, q0, v0, eps, t_end=t_end, t_eval=t_eval)
     fh = io.StringIO()
-    meta = {"form": args.form, "q0": f"{q0:.12g}", "p0": f"{p0:.12g}"}
-    write_trajectory_csv(traj, fh, metadata={
-        **{k: f"{getattr(cfg, k):.12g}" for k in ("m", "beta", "hbar", "L", "V0")},
-        **meta,
-    })
+    fh.write(_header(cfg, args.potential_csv))
+    write_trajectory_csv(traj, fh, metadata={"form": args.form, "q0": f"{q0:.12g}", "p0": f"{p0:.12g}"})
     _emit(args, fh.getvalue())
     return 0
 
@@ -254,7 +255,7 @@ def _cmd_coeff(args) -> int:
     model = cfg.model()
     dims = dimensionless(cfg.params(), cfg.barrier())
     fh = io.StringIO()
-    _write_metadata(fh, cfg, {"H": f"{dims.H:.12g}", "Q": f"{dims.Q:.12g}"})
+    fh.write(_header(cfg, H=f"{dims.H:.12g}", Q=f"{dims.Q:.12g}"))
     eff = effective_coefficients(model)
     fh.write(f"t_effective={eff.t:.12g}\n")
     fh.write(f"r_effective={eff.r:.12g}\n")
@@ -274,7 +275,6 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _build_config(args)  # surface usage errors in config/flags before running
     checks = []
 
     def check(name, fn):
@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("veff", help="sample the momentum-dependent effective potential")
-    _add_common(p)
+    _add_params(p, "m", "beta", "hbar", "L", "V0")
     p.add_argument("--qmin", type=float, default=-2.0)
     p.add_argument("--qmax", type=float, default=2.0)
     p.add_argument("--nq", type=int, default=41)
@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_veff)
 
     p = sub.add_parser("model", help="emit V, M, and V^Q profiles")
-    _add_common(p)
+    _add_params(p, "m", "beta", "hbar", "L", "V0", "eps")
     p.add_argument("--qmin", type=float, default=-4.0)
     p.add_argument("--qmax", type=float, default=4.0)
     p.add_argument("--n", type=int, default=201)
@@ -416,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("trajectory", help="integrate one trajectory and export samples")
-    _add_common(p)
+    _add_params(p, "m", "beta", "hbar", "L", "V0", "eps")
     p.add_argument("--q0", type=float, help="initial position (default: asymptotic launch)")
     p.add_argument("--p0", type=float, help="initial momentum")
     p.add_argument("--t-end", dest="t_end", type=float, help="time budget")
@@ -427,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("coeff", help="print transmission/reflection coefficients")
-    _add_common(p)
+    _add_params(p, "m", "beta", "hbar", "L", "V0", "rel_tol", "abs_tol")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_coeff)
 
@@ -436,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("validate", help="run built-in cross-checks")
-    _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
     return parser
@@ -451,11 +450,8 @@ def main(argv=None) -> int:
     try:
         _reject_non_finite(vars(args))
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # parameter validation from the domain types: bad input, not a bug
+    except (UsageError, ValueError) as exc:
+        # ValueError is the domain types' parameter validation: bad input, not a bug
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except EffpotError as exc:

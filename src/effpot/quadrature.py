@@ -45,7 +45,7 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
     estimate) when the value or the estimate is not finite, the subdivision
     budget is exhausted, or the estimate stays above tolerance.
     """
-    out = sys.modules[__name__].quad(
+    out = quad(
         f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=MAX_SUBDIVISIONS
     )
     value, estimate = out[0], out[1]

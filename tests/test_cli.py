@@ -1,4 +1,4 @@
-"""End-to-end command-line checks via subprocess."""
+"""Command-line checks, end to end via subprocess and in process via cli.main."""
 
 import json
 import subprocess
@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from effpot import cli
 from effpot.physical import PhysicalParams
 from effpot.potential import SquareBarrier
 from effpot.transmission import mixture_average
@@ -187,7 +188,7 @@ def test_negative_hbar_is_usage_error():
     ("coeff", "--hbar", "nan"),
     ("coeff", "--hbar", "inf"),
     ("coeff", "--V0", "inf"),
-    ("coeff", "--eps", "nan"),
+    ("model", "--eps", "nan"),
     ("coeff", "--rel-tol", "inf"),
     ("model", "--qmin", "nan"),
     ("veff", "--pmax", "inf"),
@@ -224,6 +225,67 @@ def test_non_finite_config_value_is_usage_error(tmp_path):
     res = run("coeff", "--config", str(cfg))
     assert res.returncode == 2
     assert "usage error" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["true", '"3"', "1" + "0" * 400], ids=["true", "string", "huge"])
+def test_config_value_must_be_a_finite_json_number(tmp_path, capsys, value):
+    # true used to run at hbar = 1, "3" at hbar = 3, and the huge integer
+    # raised OverflowError with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"hbar": {value}}}')
+    assert cli.main(["coeff", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+
+
+# every parameter flag a subcommand declared but never read
+UNREAD = [
+    *(("validate", flag) for flag in (
+        "--config", "--m", "--beta", "--hbar", "--L", "--V0", "--eps", "--rel-tol", "--abs-tol")),
+    ("veff", "--eps"), ("veff", "--rel-tol"), ("veff", "--abs-tol"),
+    ("coeff", "--eps"),
+    ("model", "--rel-tol"), ("model", "--abs-tol"),
+    ("trajectory", "--rel-tol"), ("trajectory", "--abs-tol"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD)
+def test_unread_parameter_flag_is_usage_error(tmp_path, capsys, command, flag):
+    out, cfg = tmp_path / "out.csv", tmp_path / "empty.json"
+    cfg.write_text("{}")
+    value = str(cfg) if flag == "--config" else "1"
+    # validate has no --out, and an unknown --out would hide a declared flag
+    tail = [] if command == "validate" else ["--out", str(out)]
+    assert cli.main([command, flag, value, *tail]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def _tent_csv(tmp_path):
+    pot = tmp_path / "pot.csv"
+    pot.write_text("q,V\n-1.0,0.0\n-0.2,0.8\n1.0,0.0\n")
+    return pot
+
+
+@pytest.mark.parametrize("command,flag", [("model", "--V0"), ("model", "--L"),
+                                          ("trajectory", "--V0"), ("trajectory", "--L")])
+def test_barrier_flag_with_potential_csv_is_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "out.csv"
+    argv = [command, "--potential-csv", str(_tent_csv(tmp_path)), flag, "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["model", "trajectory"])
+def test_potential_csv_header_names_the_file(tmp_path, capsys, command):
+    pot = _tent_csv(tmp_path)
+    assert cli.main([command, "--potential-csv", str(pot), "--eps", "0.5"]) == 0
+    header = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    assert f"# potential_csv={pot}" in header
+    assert not any(line.startswith(("# L=", "# V0=")) for line in header)
+    assert header[:3] == ["# m=1", "# beta=0.125", "# hbar=3"]
 
 
 def test_non_finite_csv_row_is_usage_error(tmp_path):
