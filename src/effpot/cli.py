@@ -222,13 +222,12 @@ def _cmd_model(args) -> int:
 
 def _cmd_trajectory(args) -> int:
     cfg = _build_config(args)
-    model = cfg.model(_load_pot(args, cfg))
-    if args.q0 is not None and args.p0 is not None:
-        q0, p0 = args.q0, args.p0
-    elif args.q0 is None and args.p0 is None:
-        q0, p0 = launch_state(model, cfg.eps)
-    else:
+    if (args.q0 is None) != (args.p0 is None):
         raise UsageError("give both --q0 and --p0, or neither")
+    if args.q0 is not None and args.eps is not None:
+        raise UsageError("--eps does not apply to a run from --q0 and --p0")
+    model = cfg.model(_load_pot(args, cfg))
+    q0, p0 = launch_state(model, cfg.eps) if args.q0 is None else (args.q0, args.p0)
     t_end = args.t_end
     t_eval = None
     if args.samples is not None:

@@ -23,8 +23,10 @@ exceeds dV and reflects otherwise.
 
 A zone of nonzero width is crossed by one adaptive Dormand-Prince 5(4)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
-the speed at entry, keeps it from stepping over a wall. The segment ends
-when the state leaves downward through the zone's low surface or upward
+the speed at entry, keeps it from stepping over a wall. The canonical
+right-hand side (``Profile.canonical_rhs``) never forms V, so a jump costs it
+no error function; the Newtonian one reads V through ``Profile.at``. The
+segment ends when the state leaves downward through the zone's low surface or upward
 through its high one, each the zone edge clipped to the evaluation domain;
 leaving through a domain edge decides the outcome. The stepper follows
 scipy's RK45 rule for rule (tableau, first step, step control, dense output
@@ -82,6 +84,7 @@ class Trajectory:
     energy_drift: np.ndarray
     max_energy_drift: float
     outcome: Optional[str] = None
+    n_rhs: int = 0  # right-hand-side calls, summed over the run's segments
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -134,8 +137,11 @@ class Segment(NamedTuple):
     exit: Optional[tuple]
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _rms(a: float, b: float) -> float:
-    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+    return math.sqrt(a * a + b * b) / _SQRT2
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
@@ -221,8 +227,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
                   + k5q * (17253 / 339200) + k6q * (-22 / 525) + k7q * (1 / 40)) * h
             es = (k1s * (-71 / 57600) + k3s * (71 / 16695) + k4s * (-71 / 1920)
                   + k5s * (17253 / 339200) + k6s * (-22 / 525) + k7s * (1 / 40)) * h
-            error = _rms(eq / (atol + max(abs(q), abs(q_new)) * rtol),
-                         es / (atol + max(abs(s), abs(s_new)) * rtol))
+            eq = eq / (atol + max(abs(q), abs(q_new)) * rtol)
+            es = es / (atol + max(abs(s), abs(s_new)) * rtol)
+            error = math.sqrt(eq * eq + es * es) / _SQRT2  # _rms, inline on the hot path
             if error < 1.0:
                 factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error ** -0.2)
                 h_abs = h * (min(1.0, factor) if rejected else factor)
@@ -341,17 +348,16 @@ def _zones(model) -> list:
 
 def _rhs(profile, eps):
     """Equations of motion on one profile, on Python floats: canonical (q, p)
-    when eps is None, else the Newtonian (q, dq/dt) form at energy eps."""
-    at = profile.at
+    when eps is None, which never forms V, else the Newtonian (q, dq/dt)
+    form at energy eps."""
     if eps is None:
-        def rhs(q, p):
-            _, vp, minv, minvp = at(q)
-            return p * minv, -vp - 0.5 * minvp * p * p
-    else:
-        # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
-        def rhs(q, u):
-            v, vp, minv, minvp = at(q)
-            return u, -(vp * minv + (v - eps) * minvp)
+        return profile.canonical_rhs()
+    at = profile.at
+
+    # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
+    def rhs(q, u):
+        v, vp, minv, minvp = at(q)
+        return u, -(vp * minv + (v - eps) * minvp)
     return rhs
 
 
@@ -403,7 +409,7 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     gap = k + 1  # gap g lies between zones g - 1 and g
     if zone is not None and zones[zone].profile is None:
         raise DomainError("start the trajectory strictly between potential steps")
-    t, q, s, outcome = 0.0, q0, s0, None
+    t, q, s, outcome, n_rhs = 0.0, q0, s0, None, 0
 
     for _ in range(MAX_EVENTS):
         if zone is None:
@@ -454,6 +460,7 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
                 low=low,
                 high=high,
             )
+            n_rhs += seg.nfev
             if seg.status == -1:
                 raise StepFailure("adaptive step size fell below 10 ulp of the time")
             xs, ss = np.array(seg.q), np.array(seg.s)
@@ -482,7 +489,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             f"energy drift {max_drift:.3e} breaches the {DRIFT_LIMIT:g} conservation gate"
         )
     return Trajectory(
-        t=t, q=q, p=p, energy0=energy0, energy_drift=drift, max_energy_drift=max_drift, outcome=outcome
+        t=t, q=q, p=p, energy0=energy0, energy_drift=drift, max_energy_drift=max_drift, outcome=outcome,
+        n_rhs=n_rhs,
     )
 
 

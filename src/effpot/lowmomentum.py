@@ -65,7 +65,9 @@ class Profile:
 
     Positions are measured from ``origin``: the trajectory integrator works
     in coordinates local to each force zone. q - x is formed first, so the
-    argument at a lone wall is exact there.
+    argument at a lone wall is exact there. The integrator's canonical
+    right-hand side (``canonical_rhs``) never forms V, so a jump costs it
+    one Gaussian and no erf; a kink keeps its erf, which V' reads.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
@@ -103,6 +105,40 @@ class Profile:
     def at(self, q: float):
         """(V, V', 1/M, (1/M)') at one position, on math scalars."""
         return self._sum(q, math.exp, math.erf, 0.0)
+
+    def canonical_rhs(self):
+        """The canonical equations of motion (q, p) -> (p/M, -V' - (1/2) (1/M)' p^2)
+        as one closure on Python floats. It sums V', 1/M and (1/M)' term for
+        term as ``at`` does, so its values are bitwise those of ``at``, but it
+        never forms V: a jump costs one exp and no erf."""
+        c, inv_m, jumps, kinks = self.c, self.inv_m, self.jumps, self.kinks
+        exp, erf = math.exp, math.erf
+
+        def rhs(q, p):
+            vp = mi = mip = 0.0
+            for x, _, grad, jm, jm_p in jumps:
+                u = c * (q - x)
+                uu = u * u
+                g = exp(-uu)
+                vp = vp + grad * g
+                mi = mi + jm * u * g
+                mip = mip + jm_p * (0.5 - uu) * g
+            e_prev = 1.0
+            for x, half, grad, jm, jm_p, _, slope, _, km, km_p in kinks:
+                u = c * (q - x)
+                e = erf(u)
+                g = exp(-u * u)
+                vp = vp + slope * (e_prev - e)
+                mi = mi + km * g
+                mip = mip + km_p * u * g
+                if half:
+                    vp = vp + grad * g
+                    mi = mi + jm * u * g
+                    mip = mip + jm_p * (0.5 - u * u) * g
+                e_prev = e
+            return p * (inv_m + mi), -vp - 0.5 * mip * p * p
+
+        return rhs
 
     def on(self, q: np.ndarray):
         """(V, V', 1/M, (1/M)') at every position of an array."""

@@ -5,6 +5,7 @@ its derivatives, segment by segment, with adaptive quadrature. SegmentProfile
 is the closed form summed per constant or linear segment, two error
 functions and two Gaussians each. The package sums the same profiles over the
 shape's corners; this module only serves the tests that compare the routes.
+canonical_rhs_from_at is the canonical right-hand side built on Profile.at.
 """
 
 import math
@@ -132,3 +133,13 @@ class SegmentProfile:
         return self.level + v, vp, self.inv_m + mi, mip
 
 
+def canonical_rhs_from_at(profile):
+    """The canonical equations of motion read off ``Profile.at`` (V formed
+    and dropped): the oracle of ``Profile.canonical_rhs``."""
+    at = profile.at
+
+    def rhs(q, p):
+        _, vp, minv, minvp = at(q)
+        return p * minv, -vp - 0.5 * minvp * p * p
+
+    return rhs

@@ -102,6 +102,16 @@ def test_trajectory_requires_paired_initial_state():
     assert "usage error" in res.stderr
 
 
+def test_trajectory_eps_with_initial_state_is_usage_error(tmp_path, capsys):
+    # the energy of a run from (q0, p0) is that state's, so --eps cannot take effect
+    out = tmp_path / "traj.csv"
+    argv = ["trajectory", "--q0", "-4", "--p0", "1.2", "--eps", "0.9", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "usage error: --eps" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["trajectory", "--q0", "-4", "--p0", "1.2", "--t-end", "1", "--out", str(out)]) == 0
+
+
 def test_trajectory_samples_need_t_end():
     res = run("trajectory", "--samples", "50")
     assert res.returncode == 2

@@ -40,12 +40,15 @@ from effpot.potential import (
     TabulatedPotential,
     eval_classical,
 )
+from reference_profiles import canonical_rhs_from_at
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 TWIN = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
 STEP4 = PiecewiseConstantPotential((-0.86, -0.48, 0.02, 0.99), (0.0, 0.86, 0.65, 0.92, 0.0))
 _TENT_GRID = np.linspace(-1.0, 1.0, 41)
 TENT = TabulatedPotential(tuple(_TENT_GRID), tuple(0.8 * (1.0 - np.abs(_TENT_GRID))))
+_BUMP_X = np.clip((_TENT_GRID - 0.1) / 0.6, -1.0, 1.0)
+BUMP = TabulatedPotential(tuple(_TENT_GRID), tuple(0.7 * 0.5 * (1.0 + np.cos(np.pi * _BUMP_X))))
 
 
 def _model(hbar):
@@ -61,7 +64,7 @@ def test_trajectory_invariants():
         energy_drift=np.array([0.0, 0.0]),
         max_energy_drift=0.0,
     )
-    assert ok.outcome is None
+    assert ok.outcome is None and ok.n_rhs == 0
     with pytest.raises(ValueError):
         Trajectory(
             t=np.array([0.0, 0.0]),
@@ -89,6 +92,39 @@ def test_trajectory_invariants():
             energy_drift=np.array([]),
             max_energy_drift=0.0,
         )
+
+
+@pytest.mark.parametrize("hbar", [0.05, 2.0, 6.0])
+@pytest.mark.parametrize("pot", [BARRIER, TWIN, TENT, BUMP], ids=["square", "twin", "tent", "bump"])
+def test_canonical_rhs_runs_bitwise_as_the_at_route(monkeypatch, pot, hbar):
+    # the closure that never forms V steps exactly as the one reading Profile.at
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
+    thr = tunneling_threshold(model)
+    starts = [launch_state(model, eps) for eps in (0.6 * thr, 1.1 * thr)]
+    runs = [integrate_hamiltonian(model, q0, p0) for q0, p0 in starts]
+    monkeypatch.setattr(dynamics, "_rhs", lambda profile, eps: canonical_rhs_from_at(profile))
+    oracle = [integrate_hamiltonian(model, q0, p0) for q0, p0 in starts]
+    assert [run.outcome for run in runs] == [REFLECTED, SURPASSED]
+    for run, ref in zip(runs, oracle):
+        assert run.outcome == ref.outcome and run.n_rhs == ref.n_rhs
+        for field in ("t", "q", "p", "energy_drift"):
+            assert np.array_equal(getattr(run, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("hbar", [0.0, 0.05, 2.0])
+def test_n_rhs_sums_the_segments_calls(monkeypatch, hbar):
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), STEP4)
+    segments = []
+
+    def counted(*args, **kwargs):
+        segments.append(solve_ivp(*args, **kwargs))
+        return segments[-1]
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    q0, p0 = launch_state(model, 0.5)
+    traj = integrate_hamiltonian(model, q0, p0)
+    assert traj.n_rhs == sum(seg.nfev for seg in segments)
+    assert (traj.n_rhs == 0) == (hbar == 0.0)
 
 
 def test_hamiltonian_values():
@@ -660,12 +696,21 @@ def test_overflowing_first_step_fails_the_step():
 def test_finite_time_blowup_raises_step_failure(monkeypatch):
     # q' = q^2 from q = 1 reaches infinity at t = 1: the step size falls
     # below 10 ulp of t, where scipy's RK45 stops with status -1 as well
-    monkeypatch.setattr(dynamics, "_rhs", lambda profile, eps: lambda q, s: (q * q, 0.0))
-    monkeypatch.setattr(dynamics, "evaluation_domain", lambda model: (-math.inf, math.inf))
+    def blowup(q, s):
+        return q * q, 0.0
+
     ref = scipy_solve_ivp(lambda _, y: [y[0] ** 2, 0.0], (0.0, 2.0), [1.0, 1.0], method="RK45",
                           rtol=REL_TOL, atol=ABS_TOL)
     assert ref.status == -1
-    with pytest.raises(StepFailure):
+    seg = solve_ivp(blowup, (0.0, 2.0), (1.0, 1.0), t_eval=None, max_step=math.inf,
+                    low=-math.inf, high=math.inf)
+    assert seg.status == -1 and seg.exit is None
+    # the event loop reports it: an unbounded zone keeps the run inside it,
+    # so it is the step floor that stops the run, not a zone exit
+    monkeypatch.setattr(dynamics, "_rhs", lambda profile, eps: blowup)
+    monkeypatch.setattr(dynamics, "evaluation_domain", lambda model: (-math.inf, math.inf))
+    monkeypatch.setattr(dynamics, "ZONE_SIGMAS", math.inf)
+    with pytest.raises(StepFailure, match="step size fell below 10 ulp"):
         dynamics._propagate(_model(2.0), 1.0, 1.0, 2.0, None, None, 1.0)
 
 

@@ -29,7 +29,7 @@ from effpot.potential import (
     TabulatedPotential,
     classical_max,
 )
-from reference_profiles import SegmentProfile, reference_profiles
+from reference_profiles import SegmentProfile, canonical_rhs_from_at, reference_profiles
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 PW_BARRIER = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
@@ -142,6 +142,23 @@ def test_corner_sum_matches_segment_form(shape, hbar, origin):
 @pytest.mark.parametrize("hbar", [0.3, 3.0, 6.0])
 def test_corner_sum_matches_segment_form_on_a_long_table(hbar):
     _assert_matches_segment_form(LONG_TABLE.shape, hbar, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_shapes(), st.floats(min_value=0.05, max_value=6.0),
+       st.floats(min_value=-3.0, max_value=3.0).filter(lambda origin: origin != 0.0),
+       st.floats(min_value=-4.0, max_value=4.0))
+@example(Shape(0.0, (3.0, 4.0), (0.0,), (1.0,)), 1.0, 1.0, -0.7)  # the last kink also jumps
+def test_canonical_rhs_is_bitwise_the_at_route(shape, hbar, origin, p):
+    profile = Profile(_params(hbar), shape, origin)
+    rhs, oracle = profile.canonical_rhs(), canonical_rhs_from_at(profile)
+    sigma = math.sqrt(0.125 / 4.0) * hbar
+    a, b = shape.x[0] - origin, shape.x[-1] - origin
+    pad = (b - a) + 6.0 * sigma
+    # across the evaluation domain, and within a few widths of every corner
+    near = (x - origin + k * sigma for x in shape.x for k in (-3.0, -1.0, -0.25, 0.0, 0.5, 2.0))
+    for q in (*np.linspace(a - pad, b + pad, 101).tolist(), *near):
+        assert rhs(q, p) == oracle(q, p), q
 
 
 def test_collinear_samples_cost_nothing():
