@@ -165,6 +165,11 @@ def _emit(args, text: str) -> None:
             os.remove(tmp)
 
 
+def _require_grid_size(flag: str, size: int) -> None:
+    if size < 1:
+        raise UsageError(f"{flag} must be at least 1, got {size}")
+
+
 def _header(cfg: RunConfig, potential_csv=None, **extra) -> str:
     """The metadata lines every CSV command starts with, naming the
     parameters or file its potential was built from."""
@@ -179,6 +184,8 @@ def _header(cfg: RunConfig, potential_csv=None, **extra) -> str:
 
 
 def _cmd_veff(args) -> int:
+    _require_grid_size("--nq", args.nq)
+    _require_grid_size("--np", args.np_)
     cfg = _build_config(args)
     if cfg.hbar <= 0:
         raise UsageError("veff needs hbar > 0")
@@ -204,6 +211,7 @@ def _load_pot(args, cfg: RunConfig):
 
 
 def _cmd_model(args) -> int:
+    _require_grid_size("--n", args.n)
     cfg = _build_config(args)
     model = cfg.model(_load_pot(args, cfg))
     qs = np.linspace(args.qmin, args.qmax, args.n)

@@ -197,23 +197,23 @@ def classical_max(pot: ClassicalPotential) -> float:
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:
-    """Read a two-column CSV of (position, value); a single header row is allowed."""
+    """Read a two-column CSV of (position, value); the first non-blank row
+    may be a header."""
     positions, values = [], []
     with open(path, newline="") as fh:
-        for row_num, row in enumerate(csv.reader(fh)):
-            cells = [c.strip() for c in row if c.strip() != ""]
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise ValueError(f"{path}: row {row_num + 1}: expected two columns, got {len(cells)}")
-            try:
-                x, v = float(cells[0]), float(cells[1])
-            except ValueError:
-                if row_num == 0:
-                    continue  # header row
-                raise ValueError(f"{path}: row {row_num + 1}: non-numeric data") from None
-            positions.append(x)
-            values.append(v)
+        rows = [(num, cells) for num, row in enumerate(csv.reader(fh), start=1)
+                if (cells := [c.strip() for c in row if c.strip() != ""])]
+    for index, (row_num, cells) in enumerate(rows):
+        if len(cells) != 2:
+            raise ValueError(f"{path}: row {row_num}: expected two columns, got {len(cells)}")
+        try:
+            x, v = float(cells[0]), float(cells[1])
+        except ValueError:
+            if index == 0:
+                continue  # header row
+            raise ValueError(f"{path}: row {row_num}: non-numeric data") from None
+        positions.append(x)
+        values.append(v)
     if len(positions) < 2:
         raise ValueError(f"{path}: need at least two data rows")
     return TabulatedPotential(grid=tuple(positions), values=tuple(values))

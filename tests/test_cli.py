@@ -1,8 +1,12 @@
-"""Command-line checks, end to end via subprocess and in process via cli.main."""
+"""Command-line checks, in process via cli.main, and end to end via
+subprocess for what only a process shows: the entry point, the exit code
+through sys.exit and a failed run's files."""
 
 import json
+import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,31 +18,55 @@ from effpot.transmission import mixture_average
 CMD = [sys.executable, "-m", "effpot"]
 
 
-def run(*args, **kw):
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, **kw
-    )
+def launch(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture
+def run(capsys):
+    """cli.main in process, returning its exit code and captured output."""
+
+    def main(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return main
+
+
+@pytest.fixture
+def within_60s():
+    """Fail, rather than hang, a command that runs past 60 s."""
+
+    def expire(signum, frame):
+        pytest.fail("command ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def _data_lines(text):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
-def test_coeff_defaults():
+def test_coeff_defaults(run):
     res = run("coeff")
     assert res.returncode == 0
     assert "t_effective=" in res.stdout
     assert "t_quantum_mixture=" in res.stdout
 
 
-def test_coeff_deterministic():
+def test_coeff_deterministic(run):
     a = run("coeff")
     b = run("coeff")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 
-def test_coeff_half_transmission_point():
+def test_coeff_half_transmission_point(run):
     res = run("coeff", "--hbar", "4.200214285714286")
     assert res.returncode == 0
     values = dict(
@@ -49,7 +77,7 @@ def test_coeff_half_transmission_point():
 
 
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
-def test_coeff_mixture_matches_k_space_average(hbar):
+def test_coeff_mixture_matches_k_space_average(run, hbar):
     res = run("coeff", "--hbar", str(hbar))
     assert res.returncode == 0
     values = dict(line.split("=") for line in _data_lines(res.stdout) if "=" in line)
@@ -57,7 +85,7 @@ def test_coeff_mixture_matches_k_space_average(hbar):
     assert abs(float(values["t_quantum_mixture"]) - want) < 1e-8
 
 
-def test_model_profile():
+def test_model_profile(run):
     res = run("model", "--n", "11")
     assert res.returncode == 0
     lines = _data_lines(res.stdout)
@@ -66,7 +94,7 @@ def test_model_profile():
     assert all(len(line.split(",")) == 4 for line in lines[1:])
 
 
-def test_veff_grid_size():
+def test_veff_grid_size(run):
     res = run("veff", "--nq", "3", "--np", "2")
     assert res.returncode == 0
     lines = _data_lines(res.stdout)
@@ -74,12 +102,12 @@ def test_veff_grid_size():
     assert len(lines) == 1 + 3 * 2
 
 
-def test_veff_rejects_classical():
+def test_veff_rejects_classical(run):
     res = run("veff", "--hbar", "0")
     assert res.returncode == 2
 
 
-def test_veff_overflow_fails_cleanly():
+def test_veff_overflow_fails_cleanly(run):
     # beta p^2 / 2m = 2500 leaves floating range: exit 1, one error line
     res = run("veff", "--pmin", "200", "--pmax", "200")
     assert res.returncode == 1
@@ -87,7 +115,7 @@ def test_veff_overflow_fails_cleanly():
     assert res.stdout == ""
 
 
-def test_trajectory_default_reflects():
+def test_trajectory_default_reflects(run):
     res = run("trajectory")
     assert res.returncode == 0
     assert "# outcome=reflected" in res.stdout
@@ -96,7 +124,7 @@ def test_trajectory_default_reflects():
     assert len(lines) > 10
 
 
-def test_trajectory_requires_paired_initial_state():
+def test_trajectory_requires_paired_initial_state(run):
     res = run("trajectory", "--q0", "-3.0")
     assert res.returncode == 2
     assert "usage error" in res.stderr
@@ -112,32 +140,32 @@ def test_trajectory_eps_with_initial_state_is_usage_error(tmp_path, capsys):
     assert cli.main(["trajectory", "--q0", "-4", "--p0", "1.2", "--t-end", "1", "--out", str(out)]) == 0
 
 
-def test_trajectory_samples_need_t_end():
+def test_trajectory_samples_need_t_end(run):
     res = run("trajectory", "--samples", "50")
     assert res.returncode == 2
 
 
 @pytest.mark.parametrize("t_end", ["0", "-1"])
-def test_trajectory_samples_need_positive_t_end(t_end):
+def test_trajectory_samples_need_positive_t_end(run, t_end):
     res = run("trajectory", "--samples", "2", "--t-end", t_end)
     assert res.returncode == 2
     assert "--t-end > 0" in res.stderr
 
 
-def test_trajectory_resampled():
+def test_trajectory_resampled(run):
     res = run("trajectory", "--samples", "50", "--t-end", "10")
     assert res.returncode == 0
     assert len(_data_lines(res.stdout)) == 1 + 50
 
 
-def test_trajectory_newtonian_form():
+def test_trajectory_newtonian_form(run):
     res = run("trajectory", "--form", "newtonian")
     assert res.returncode == 0
     assert "# form=newtonian" in res.stdout
     assert "# outcome=reflected" in res.stdout
 
 
-def test_figures_roundtrip(tmp_path):
+def test_figures_roundtrip(run, tmp_path):
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     r1 = run("figures", "--out", str(out1))
     r2 = run("figures", "--out", str(out2))
@@ -149,7 +177,7 @@ def test_figures_roundtrip(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_validate_passes():
+def test_validate_passes(run):
     res = run("validate")
     assert res.returncode == 0
     assert "all 9 checks passed" in res.stdout
@@ -157,7 +185,7 @@ def test_validate_passes():
     assert "FAIL" not in res.stdout
 
 
-def test_config_file_and_flag_precedence(tmp_path):
+def test_config_file_and_flag_precedence(run, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"hbar": 10.0, "beta": 0.125}))
     res = run("coeff", "--config", str(cfg), "--hbar", "2")
@@ -167,7 +195,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "# hbar=10" in res2.stdout
 
 
-def test_config_unknown_key(tmp_path):
+def test_config_unknown_key(run, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"hbarr": 3.0}))
     res = run("coeff", "--config", str(cfg))
@@ -175,21 +203,21 @@ def test_config_unknown_key(tmp_path):
     assert "unknown config keys: hbarr" in res.stderr
 
 
-def test_config_malformed(tmp_path):
+def test_config_malformed(run, tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     res = run("coeff", "--config", str(cfg))
     assert res.returncode == 2
 
 
-def test_unphysical_mass_is_computational_failure():
+def test_unphysical_mass_is_computational_failure(run):
     # beta so large the curvature correction drives 1/M negative
     res = run("model", "--beta", "100", "--hbar", "1")
     assert res.returncode == 1
     assert "error" in res.stderr
 
 
-def test_negative_hbar_is_usage_error():
+def test_negative_hbar_is_usage_error(run):
     res = run("coeff", "--hbar", "-3")
     assert res.returncode == 2
 
@@ -207,11 +235,10 @@ def test_negative_hbar_is_usage_error():
     ("trajectory", "--eps", "nan"),  # used to hang in the stepper
     ("trajectory", "--t-end", "-1"),  # used to write a one-row trajectory
 ])
-def test_non_finite_parameter_is_usage_error(tmp_path, flags):
+def test_non_finite_parameter_is_usage_error(run, within_60s, tmp_path, flags):
     # flags is the whole command line; none may open --out or hang
     out = tmp_path / "out.csv"
-    res = subprocess.run(CMD + [*flags, "--out", str(out)], capture_output=True, text=True,
-                         timeout=60)
+    res = run(*flags, "--out", str(out))
     assert res.returncode == 2
     assert "usage error" in res.stderr
     assert not out.exists()
@@ -222,14 +249,14 @@ def test_non_finite_parameter_is_usage_error(tmp_path, flags):
     ("trajectory", "--hbar", "1e-145", "--eps", "0.9"),  # used to divide by a zero first step
     ("coeff", "--hbar", "1e-300"),  # used to divide by zero
 ], ids=["1e-154", "1e-145", "1e-300"])
-def test_tiny_hbar_fails_cleanly(flags):
-    res = subprocess.run(CMD + list(flags), capture_output=True, text=True, timeout=60)
+def test_tiny_hbar_fails_cleanly(run, within_60s, flags):
+    res = run(*flags)
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
 
 
-def test_non_finite_config_value_is_usage_error(tmp_path):
+def test_non_finite_config_value_is_usage_error(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"abs_tol": "nan"}')
     res = run("coeff", "--config", str(cfg))
@@ -298,7 +325,7 @@ def test_potential_csv_header_names_the_file(tmp_path, capsys, command):
     assert header[:3] == ["# m=1", "# beta=0.125", "# hbar=3"]
 
 
-def test_non_finite_csv_row_is_usage_error(tmp_path):
+def test_non_finite_csv_row_is_usage_error(run, tmp_path):
     pot = tmp_path / "pot.csv"
     pot.write_text("q,V\n-1.0,0.0\nnan,0.5\n1.0,0.0\n")
     out = tmp_path / "model.csv"
@@ -307,7 +334,7 @@ def test_non_finite_csv_row_is_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_model_from_tabulated_csv(tmp_path):
+def test_model_from_tabulated_csv(run, tmp_path):
     pot = tmp_path / "pot.csv"
     pot.write_text("q,V\n-1.0,0.0\n-0.2,0.8\n1.0,0.0\n")
     res = run("model", "--potential-csv", str(pot), "--n", "5")
@@ -315,20 +342,20 @@ def test_model_from_tabulated_csv(tmp_path):
     assert len(_data_lines(res.stdout)) == 1 + 5
 
 
-def test_out_into_missing_directory():
+def test_out_into_missing_directory(run):
     res = run("coeff", "--out", "/nonexistent_dir_xyz/out.txt")
     assert res.returncode == 1
 
 
 def test_help_exits_zero():
-    res = run("--help")
+    res = launch("--help")
     assert res.returncode == 0
     for sub in ("veff", "model", "trajectory", "coeff", "figures", "validate"):
         assert sub in res.stdout
 
 
 def test_unknown_subcommand():
-    res = run("frobnicate")
+    res = launch("frobnicate")
     assert res.returncode == 2
 
 
@@ -337,12 +364,36 @@ def test_failed_run_leaves_no_output(tmp_path):
     # have been written; neither the file nor stdout may carry a partial table
     flags = ("coeff", "--rel-tol", "1e-15", "--abs-tol", "1e-300")
     out = tmp_path / "v.csv"
-    res = run(*flags, "--out", str(out))
+    res = launch(*flags, "--out", str(out))
     assert res.returncode == 1
     assert list(tmp_path.iterdir()) == []
-    res = run(*flags)
+    res = launch(*flags)
     assert res.returncode == 1
     assert res.stdout == ""
     # one error line, without the solver's multi-line warning text
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ("model", "--n", "0"),
+    ("model", "--n", "-3"),
+    ("veff", "--nq", "0"),
+    ("veff", "--np", "-3"),
+])
+def test_grid_size_below_one_is_usage_error(run, tmp_path, flags):
+    # a zero size used to write a table with no rows, and a negative one
+    # surfaced numpy's message
+    out = tmp_path / "out.csv"
+    res = run(*flags, "--out", str(out))
+    assert res.returncode == 2
+    assert f"usage error: {flags[1]} must be at least 1" in res.stderr
+    assert not out.exists()
+
+
+def test_potential_csv_header_after_blank_lines(run, tmp_path):
+    pot = tmp_path / "pot.csv"
+    pot.write_text("\n\nq,V\n-1.0,0.0\n-0.2,0.8\n1.0,0.0\n")
+    res = run("model", "--potential-csv", str(pot), "--n", "5")
+    assert res.returncode == 0
+    assert len(_data_lines(res.stdout)) == 1 + 5

@@ -203,6 +203,18 @@ def test_load_tabulated_csv(tmp_path):
     assert pot2.grid == (-1.0, 1.0)
 
 
+def test_header_after_blank_lines(tmp_path):
+    # the header is the first non-blank row, wherever it sits
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\nq,V\n-1.0,0.0\n0.0,1.5\n1.0,0.0\n")
+    assert load_tabulated_csv(path).values == (0.0, 1.5, 0.0)
+    # a second non-numeric row is still data that cannot be read
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\nq,V\nx,y\n-1.0,0.0\n1.0,0.0\n")
+    with pytest.raises(ValueError, match="row 3: non-numeric data"):
+        load_tabulated_csv(twice)
+
+
 def test_load_tabulated_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1.0\n")
