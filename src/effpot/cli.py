@@ -22,7 +22,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .errors import EffpotError
-from .figures import emit_all
+from .figures import emit_all, write_atomic
 from .kernel import _fourier_veff, effective_potential
 from .lowmomentum import (
     LowMomentumModel,
@@ -146,23 +145,12 @@ def _add_params(parser: argparse.ArgumentParser, *keys: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    """Write a command's finished output to --out or stdout.
-
-    The file is written under a temporary name beside --out and renamed
-    into place, so a failure never leaves a partial output file.
-    """
+    """Write a command's finished output to --out (whole or not at all) or stdout."""
     out = getattr(args, "out", None)
-    if not out:
+    if out:
+        write_atomic(out, text)
+    else:
         sys.stdout.write(text)
-        return
-    tmp = f"{out}.tmp"
-    try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def _require_grid_size(flag: str, size: int) -> None:

@@ -370,14 +370,18 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     end; with it, the requested times reached plus the exit point when the
     run ends at an exit.
     """
+    if t_eval is not None:
+        t_eval = np.array(t_eval, dtype=float, ndmin=1)
+        if not (np.isfinite(t_eval).all() and (np.diff(t_eval) > 0).all()):
+            raise ValueError("t_eval must be finite and strictly increasing")
+        t_eval = t_eval[(t_eval >= 0.0) & (t_eval <= t_end)]
+        if not t_eval.size:
+            raise ValueError(f"t_eval has no time in [0, t_end] = [0, {t_end:g}]")
     zones = _zones(model)
     lo_edge, hi_edge = evaluation_domain(model)
     m = model.params.m
     levels = (model.pot.shape.level, *(z.level for z in zones))  # of each gap
     newton = eps is not None
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        t_eval = t_eval[(t_eval >= 0.0) & (t_eval <= t_end)]
     samples = ([], [], [], [])  # t, q, p, energy
     cursor = 0  # first requested time not yet sampled
 
@@ -516,7 +520,9 @@ def integrate_hamiltonian(
     The trajectory record carries the relative energy drift per sample; runs
     breaching the 1e-9 conservation gate raise StepFailure instead of
     returning. The outcome field reports 'surpassed' or 'reflected' when an
-    asymptotic exit boundary was crossed within t_end, else None.
+    asymptotic exit boundary was crossed within t_end, else None. A t_eval
+    must be finite and strictly increasing with a time in [0, t_end]; its
+    times outside that interval are dropped.
     """
     _require_finite("initial state and time budget", (q0, p0, 0.0 if t_end is None else t_end))
     if t_end is None:
@@ -538,7 +544,7 @@ def integrate_newtonian(
 
     The initial data must satisfy eps = M(q0) v0^2 / 2 + V(q0); the reported
     momentum is p = M(q) dq/dt so records are directly comparable with the
-    canonical form.
+    canonical form. t_eval is read as by integrate_hamiltonian.
     """
     _require_finite("initial state, energy and time budget",
                     (q0, v0, eps, 0.0 if t_end is None else t_end))

@@ -16,6 +16,7 @@ of its columns.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Tuple
@@ -81,6 +82,19 @@ def _plot_script(spec: FigureSpec) -> str:
     )
 
 
+def write_atomic(path, text: str) -> None:
+    """Write text to path under a temporary name beside it and rename it into
+    place, so a failure never leaves a partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def emit_figure(spec: FigureSpec, out_dir) -> list:
     """Write fig<N>.csv and fig<N>.gp into out_dir; returns the paths."""
     out = Path(out_dir)
@@ -94,17 +108,11 @@ def emit_figure(spec: FigureSpec, out_dir) -> list:
     )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        table = np.column_stack(spec.columns())
-        csv_path = out / f"fig{spec.id}.csv"
-        with open(csv_path, "w", newline="\n") as fh:
-            for line in metadata:
-                fh.write(line + "\n")
-            fh.write(",".join(spec.header) + "\n")
-            for row in table:
-                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-        gp_path = out / f"fig{spec.id}.gp"
-        with open(gp_path, "w", newline="\n") as fh:
-            fh.write(_plot_script(spec))
+        rows = (",".join(f"{x:.12g}" for x in row) for row in np.column_stack(spec.columns()))
+        lines = (*metadata, ",".join(spec.header), *rows)
+        csv_path, gp_path = out / f"fig{spec.id}.csv", out / f"fig{spec.id}.gp"
+        write_atomic(csv_path, "".join(line + "\n" for line in lines))
+        write_atomic(gp_path, _plot_script(spec))
     except OSError as exc:
         raise OSError(f"cannot write figure {spec.id} under {out}: {exc}") from exc
     return [csv_path, gp_path]

@@ -45,10 +45,11 @@ EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute a
 class Profile:
     """V, V', 1/M and (1/M)' as closed-form sums over a shape's corners.
 
-    A breakpoint x where the bare potential jumps by J or its slope changes
-    by K (``Shape.corners``) adds terms in one e = erf(u) and one
-    g = exp(-u^2), with u = c (q - x), c = 1/(sqrt(2) sigma) and
-    k = c/sqrt(pi):
+    A breakpoint x where the bare potential jumps by J adds one entry to
+    ``jumps``, and one where its slope changes by K one entry to ``kinks``
+    (``Shape.corners``); a breakpoint that does both adds one of each. Each
+    entry adds terms in one e = erf(u) and one g = exp(-u^2), with
+    u = c (q - x), c = 1/(sqrt(2) sigma) and k = c/sqrt(pi):
 
         jump: V += J e/2,    V' += J k g,   V'' += -2 c J k u g,
               V''' += J k c^2 (4 u^2 - 2) g;
@@ -80,23 +81,20 @@ class Profile:
         k = c / math.sqrt(math.pi)
         curv = beta * beta_hbar2 / (12.0 * m * m)  # 1/M = 1/m - curv V''
         self.level, self.inv_m, self.c = shape.level, 1.0 / m, c
-        xs, left, right = shape.x, shape.left, shape.right
-        slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb in zip(xs[:-1], xs[1:], left, right)))
-        # per corner the position and the weights of e in V, of g in V', of
-        # u g in 1/M and of (1/2 - u^2) g in (1/M)'; a kink adds those of the
-        # line's value and slope, and of g, g, u g in V, 1/M, (1/M)'
+        # per jump the position and the weights of e in V, of g in V', of u g
+        # in 1/M and of (1/2 - u^2) g in (1/M)'; per kink the position, those
+        # of the line's value and slope, and of g, g, u g in V, 1/M, (1/M)'
         self.jumps, self.kinks = [], []
         jumped = 0.0  # sum of the jumps to the left
-        for x, jump, kink, before, slope in zip(*shape.corners.tolist(), (shape.level, *right), slopes):
-            terms = (x - origin, 0.5 * jump, k * jump, 2.0 * c * curv * k * jump,
-                     4.0 * c * c * curv * k * jump)
+        corners = zip(*shape.corners.tolist(), (shape.level, *shape.right), shape.slopes)
+        for x, jump, kink, before, slope in corners:
+            if jump != 0.0:
+                self.jumps.append((x - origin, 0.5 * jump, k * jump, 2.0 * c * curv * k * jump,
+                                   4.0 * c * c * curv * k * jump))
             if kink != 0.0:
-                # the continuous part just left of x: value and slope
-                value = (before - shape.level) - jumped
-                self.kinks.append((*terms, 0.5 * value, 0.5 * slope, kink / (2.0 * c * math.sqrt(math.pi)),
+                value = (before - shape.level) - jumped  # of the continuous part left of x
+                self.kinks.append((x - origin, 0.5 * value, 0.5 * slope, kink / (2.0 * c * math.sqrt(math.pi)),
                                    -curv * k * kink, 2.0 * c * curv * k * kink))
-            elif jump != 0.0:
-                self.jumps.append(terms)
             jumped += jump
         # beyond the last kink the continuous part is -sum J, which weighs
         # that kink's erf
@@ -116,6 +114,15 @@ class Profile:
 
         def rhs(q, p):
             vp = mi = mip = 0.0
+            e_prev = 1.0
+            for x, _, slope, _, km, km_p in kinks:
+                u = c * (q - x)
+                e = erf(u)
+                g = exp(-u * u)
+                vp = vp + slope * (e_prev - e)
+                mi = mi + km * g
+                mip = mip + km_p * u * g
+                e_prev = e
             for x, _, grad, jm, jm_p in jumps:
                 u = c * (q - x)
                 uu = u * u
@@ -123,19 +130,6 @@ class Profile:
                 vp = vp + grad * g
                 mi = mi + jm * u * g
                 mip = mip + jm_p * (0.5 - uu) * g
-            e_prev = 1.0
-            for x, half, grad, jm, jm_p, _, slope, _, km, km_p in kinks:
-                u = c * (q - x)
-                e = erf(u)
-                g = exp(-u * u)
-                vp = vp + slope * (e_prev - e)
-                mi = mi + km * g
-                mip = mip + km_p * u * g
-                if half:
-                    vp = vp + grad * g
-                    mi = mi + jm * u * g
-                    mip = mip + jm_p * (0.5 - u * u) * g
-                e_prev = e
             return p * (inv_m + mi), -vp - 0.5 * mip * p * p
 
         return rhs
@@ -148,16 +142,8 @@ class Profile:
     def _sum(self, q, exp, erf, zero):
         c = self.c
         v = vp = mi = mip = zero
-        for x, half, grad, jm, jm_p in self.jumps:
-            u = c * (q - x)
-            uu = u * u
-            g = exp(-uu)
-            v = v + half * erf(u)
-            vp = vp + grad * g
-            mi = mi + jm * u * g
-            mip = mip + jm_p * (0.5 - uu) * g
         e_prev = 1.0
-        for x, half, grad, jm, jm_p, value, slope, bend, km, km_p in self.kinks:
+        for x, value, slope, bend, km, km_p in self.kinks:
             d = q - x
             u = c * d
             e = erf(u)
@@ -167,12 +153,15 @@ class Profile:
             vp = vp + slope * de
             mi = mi + km * g
             mip = mip + km_p * u * g
-            if half:  # the potential also jumps here
-                v = v + half * e
-                vp = vp + grad * g
-                mi = mi + jm * u * g
-                mip = mip + jm_p * (0.5 - u * u) * g
             e_prev = e
+        for x, half, grad, jm, jm_p in self.jumps:
+            u = c * (q - x)
+            uu = u * u
+            g = exp(-uu)
+            v = v + half * erf(u)
+            vp = vp + grad * g
+            mi = mi + jm * u * g
+            mip = mip + jm_p * (0.5 - uu) * g
         return self.level + (v + self.tail * e_prev), vp, self.inv_m + mi, mip
 
 

@@ -28,17 +28,26 @@ class Shape:
     On segment k the potential runs linearly from left[k] at x[k] to right[k]
     at x[k+1]; the two are equal on a constant segment. Outside (x[0], x[-1])
     it equals the level; segments at the level at either end are dropped.
-    corners holds three rows, one column per breakpoint: its position, the
-    jump of the value and the jump of the slope across it.
+    Every number must be finite and x strictly increasing, with one left and
+    one right value per segment; anything else raises ValueError. slopes
+    holds the slope on each interval between breakpoints, 0 on the outer
+    ones, and corners three rows, one column per breakpoint: its position,
+    the jump of the value and the jump of the slope across it.
     """
 
     level: float
     x: tuple
     left: tuple
     right: tuple
+    slopes: tuple = field(init=False, repr=False, compare=False)
     corners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_finite("levels, breakpoints and values", (self.level, *self.x, *self.left, *self.right))
+        if not len(self.left) == len(self.right) == len(self.x) - 1:
+            raise ValueError("need one left and one right value per segment between breakpoints")
+        if any(b <= a for a, b in zip(self.x[:-1], self.x[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
         # segments at the level at either end add nothing but width; a shape
         # with no segment off the level stays as given
         off = [k for k, (va, vb) in enumerate(zip(self.left, self.right)) if not va == vb == self.level]
@@ -49,6 +58,7 @@ class Shape:
             object.__setattr__(self, "right", self.right[first:stop])
         slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb
                          in zip(self.x[:-1], self.x[1:], self.left, self.right)), 0.0)
+        object.__setattr__(self, "slopes", slopes)
         corners = np.array((
             self.x,
             np.subtract((*self.left, self.level), (self.level, *self.right)),
@@ -88,7 +98,6 @@ class SquareBarrier:
     shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_finite("barrier height and half-width", (self.v0, self.l))
         if not self.v0 > 0:
             raise ValueError(f"barrier height must be positive, got {self.v0}")
         if not self.l > 0:
@@ -113,13 +122,8 @@ class PiecewiseConstantPotential:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        _require_finite("breakpoints and values", bp + vals)
         if len(vals) != len(bp) + 1:
             raise ValueError("need exactly one more value than breakpoints")
-        if len(bp) < 1:
-            raise ValueError("need at least one breakpoint")
-        if any(b >= a for a, b in zip(bp[1:], bp[:-1])):
-            raise ValueError("breakpoints must be strictly increasing")
         if vals[0] != vals[-1]:
             raise ValueError("unequal left/right asymptotic levels are not supported")
         object.__setattr__(self, "shape", Shape(vals[0], bp, vals[1:-1], vals[1:-1]))
@@ -139,21 +143,17 @@ class TabulatedPotential:
     shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", tuple(g.tolist()))
-        object.__setattr__(self, "values", tuple(v.tolist()))
-        if g.size != v.size:
+        grid = tuple(np.asarray(self.grid, dtype=float).tolist())
+        vals = tuple(np.asarray(self.values, dtype=float).tolist())
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", vals)
+        if len(grid) != len(vals):
             raise ValueError("grid and values must have the same length")
-        if g.size < 2:
+        if len(vals) < 2:
             raise ValueError("need at least two samples")
-        _require_finite("grid positions and values", self.grid + self.values)
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid positions must be strictly increasing")
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if abs(v[0] - v[-1]) > 1e-12 * scale:
+        if abs(vals[0] - vals[-1]) > 1e-12 * max(1.0, *map(abs, vals)):
             raise ValueError("unequal left/right asymptotic levels are not supported")
-        object.__setattr__(self, "shape", Shape(self.values[0], self.grid, self.values[:-1], self.values[1:]))
+        object.__setattr__(self, "shape", Shape(vals[0], grid, vals[:-1], vals[1:]))
 
 
 ClassicalPotential = Union[SquareBarrier, PiecewiseConstantPotential, TabulatedPotential]

@@ -31,6 +31,7 @@ from .physical import PhysicalParams
 from .potential import (
     PiecewiseConstantPotential,
     SquareBarrier,
+    _require_finite,
     asymptotic_level,
     classical_max,
 )
@@ -56,6 +57,7 @@ class CoefficientPair:
 
 def effective_t_of_H(H: float) -> float:
     """Surviving beam fraction 1 - erf(sqrt(2)/H) for the smoothed square barrier."""
+    _require_finite("H", (H,))
     if H < 0:
         raise DomainError("H must be nonnegative")
     if H == 0:
@@ -90,6 +92,7 @@ def quantum_t_single(barrier: SquareBarrier, params: PhysicalParams, k: float) -
     Positive rewriting of the textbook result; the printed negative-over-
     negative form has both numerator and denominator < 0 below the barrier.
     """
+    _require_finite("wavenumber", (k,))
     if params.hbar <= 0:
         raise DomainError("quantum transmission needs hbar > 0")
     k0 = math.sqrt(2.0 * params.m * barrier.v0) / params.hbar
@@ -114,6 +117,7 @@ def quantum_t_mixture(Q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     t = 2 * integral_0^1 x^3 (x^2 - 1) / [x^4 - x^2 - sinh^2(2 sqrt(1-x^2)/Q)/4] dx,
     with the analytic endpoint value Q^2/(Q^2+1) at x = 1.
     """
+    _require_finite("Q", (Q,))
     if Q <= 0:
         raise DomainError("Q must be positive")
 
@@ -170,6 +174,7 @@ def transfer_matrix_transmission(
     overflow the product; those return t = 0 with the underflow flag set
     instead of raising.
     """
+    _require_finite("energy", (E,))
     shape = pot.shape
     if not shape.steps:
         raise DomainError("transfer matrix needs a piecewise-constant potential")

@@ -355,6 +355,29 @@ def test_negative_time_budget_rejected():
         integrate_newtonian(model, q0, v0, hamiltonian(model, q0, p0), t_end=-1.0)
 
 
+@pytest.mark.parametrize("form", ["hamiltonian", "newtonian"])
+@pytest.mark.parametrize("t_eval", [
+    [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.nan], [0.0, math.inf], [], [-2.0, -1.0], [3.0, 4.0],
+], ids=["unsorted", "repeated", "nan", "inf", "empty", "before", "after"])
+def test_bad_t_eval_refused_before_any_step(monkeypatch, form, t_eval):
+    # such a t_eval used to run the whole trajectory and then fail the
+    # record's own checks
+    model = _model(3.0)
+    q0, p0 = -4.0, 1.0
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match="t_eval"):
+        if form == "hamiltonian":
+            integrate_hamiltonian(model, q0, p0, t_end=2.0, t_eval=t_eval)
+        else:
+            integrate_newtonian(model, q0, p0 * inverse_mass(model, q0), hamiltonian(model, q0, p0),
+                                t_end=2.0, t_eval=t_eval)
+
+
+def test_t_eval_outside_the_budget_is_dropped():
+    traj = integrate_hamiltonian(_model(3.0), -4.0, 1.0, t_end=2.0, t_eval=[-1.0, 0.0, 1.5, 3.0])
+    assert traj.t.tolist() == [0.0, 1.5]
+
+
 # ------------------------------------------------ general potentials, adaptive
 
 

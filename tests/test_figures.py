@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effpot.figures import default_figure_specs, emit_all, emit_figure
+from effpot.figures import FigureSpec, default_figure_specs, emit_all, emit_figure
 from effpot.transmission import effective_t_of_H
 
 
@@ -184,3 +184,12 @@ def test_emit_single_figure(tmp_path):
 def test_emit_into_unwritable_location():
     with pytest.raises(OSError):
         emit_all("/proc/no_such_dir/figs")
+
+
+def test_failed_figure_leaves_no_file(tmp_path):
+    # the second row cannot be formatted; the figure used to be left with
+    # its header and first row
+    spec = FigureSpec(9, ("x", "y"), "y", (), lambda: [np.array([0.0, 1.0]), np.array([1.0, None])])
+    with pytest.raises(TypeError):
+        emit_figure(spec, tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -166,8 +166,12 @@ def test_collinear_samples_cost_nothing():
     # equal on each side: it bends at three breakpoints only
     grid = np.arange(-20, 21) / 16.0
     tent = TabulatedPotential(tuple(grid), tuple(0.75 * np.maximum(0.0, 1.0 - np.abs(grid))))
-    profile = LowMomentumModel(_params(3.0), tent).profile
-    assert (len(profile.jumps), len(profile.kinks)) == (0, 3)
+    # a ramp that ends in a drop: its last corner jumps and bends, which is
+    # one entry of each kind
+    ramp = Shape(0.0, (3.0, 4.0), (0.0,), (1.0,))
+    for shape, counts in ((tent.shape, (0, 3)), (ramp, (1, 2))):
+        profile = Profile(_params(3.0), shape)
+        assert (len(profile.jumps), len(profile.kinks)) == counts
 
 
 def test_deep_tail_agreement():

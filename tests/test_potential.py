@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from effpot.kernel import _form_factor
 from effpot.potential import (
     PiecewiseConstantPotential,
+    Shape,
     SquareBarrier,
     TabulatedPotential,
     asymptotic_level,
@@ -40,6 +41,28 @@ def test_constructors_reject_non_finite(bad):
         TabulatedPotential((-1.0, bad, 1.0), (0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         TabulatedPotential((-1.0, 0.0, 1.0), (0.0, bad, 0.0))
+
+
+@pytest.mark.parametrize("geometry", [
+    (0.0, (1.0, -1.0), (1.0,), (1.0,)),
+    (0.0, (-1.0, -1.0), (1.0,), (1.0,)),
+    (0.0, (-1.0, 0.0, 0.0), (1.0, 2.0), (1.0, 2.0)),
+    (0.0, (-1.0, math.nan), (1.0,), (1.0,)),
+    (0.0, (-1.0, math.inf), (1.0,), (1.0,)),
+    (0.0, (-1.0, 1.0), (math.nan,), (1.0,)),
+    (0.0, (-1.0, 1.0), (1.0,), (-math.inf,)),
+    (math.nan, (-1.0, 1.0), (1.0,), (1.0,)),
+    (0.0, (-1.0, 1.0), (1.0, 2.0), (1.0,)),
+    (0.0, (-1.0, 1.0), (1.0,), ()),
+    (0.0, (-1.0, 0.0, 1.0), (1.0,), (1.0,)),
+    (0.0, (), (), ()),
+], ids=["decreasing", "repeated", "repeated-inner", "nan-x", "inf-x", "nan-left", "inf-right",
+        "nan-level", "long-left", "short-right", "short-values", "empty"])
+def test_shape_refuses_bad_geometry(geometry):
+    # a decreasing pair used to smooth a +1 barrier into V(0.5) < 0, a
+    # repeated breakpoint to divide by zero, and extra values to be cut off
+    with pytest.raises(ValueError):
+        Shape(*geometry)
 
 
 def test_shapes_of_the_three_types():

@@ -106,6 +106,20 @@ def test_quantum_t_single_domain():
         quantum_t_single(BARRIER, _params(0.0), 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: transfer_matrix_transmission(BARRIER, PhysicalParams(1.0, 0.125, 3.0), x),
+    lambda x: quantum_t_single(BARRIER, PhysicalParams(1.0, 0.125, 3.0), x),
+    effective_t_of_H,
+    quantum_t_mixture,
+], ids=["transfer-E", "single-k", "effective-H", "mixture-Q"])
+def test_non_finite_input_rejected(call, bad):
+    # E = nan used to report an opaque barrier, k and H = nan to return nan,
+    # and Q = nan to fail as a quadrature that did not converge
+    with pytest.raises(ValueError, match="must be finite"):
+        call(bad)
+
+
 def test_quantum_t_single_at_cutoff():
     # k0 l = 1/1.75 gives the closed value 49/65
     hbar = 1.75 * math.sqrt(2.0) * 0.5
