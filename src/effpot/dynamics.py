@@ -25,9 +25,10 @@ A zone of nonzero width is crossed by one adaptive Dormand-Prince 5(4)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
 the speed at entry, keeps it from stepping over a wall. The canonical
 right-hand side (``Profile.canonical_rhs``) never forms V, so a jump costs it
-no error function; the Newtonian one reads V through ``Profile.at``. The
-segment ends when the state leaves downward through the zone's low surface or upward
-through its high one, each the zone edge clipped to the evaluation domain;
+no error function; the Newtonian one (``Profile.newtonian_rhs``) needs V and
+sums it in its own one-frame closure. The segment ends when the state leaves
+downward through the zone's low surface or upward through its high one,
+each the zone edge clipped to the evaluation domain;
 leaving through a domain edge decides the outcome. The stepper follows
 scipy's RK45 rule for rule (tableau, first step, step control, dense output
 and event location), so its steps are scipy's to roundoff, at a fraction of
@@ -185,15 +186,26 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, interval, max_step)
 
+    # The hot loop calls no max, min or abs: each is a comparison that picks
+    # the operand the builtin would, ties and NaN included (max(a, b) is a
+    # unless b > a, min(a, b) is a unless b < a).
+    nextafter, inf = math.nextafter, math.inf
     g_low, g_high = q - low, q - high
     while True:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        min_step = 10.0 * (nextafter(t, inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif min_step > h_abs:
+            h_abs = min_step
+        q_abs = -q if q < 0.0 else q
+        s_abs = -s if s < 0.0 else s
         rejected = False
         while True:
             if not h_abs >= min_step:  # also a NaN step from a NaN right-hand side
                 return Segment(ts, qs, ss, nfev, -1, None)
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
             h = t_new - t
             k1q, k1s = fq, fs
             k2q, k2s = fun(q + k1q * (1 / 5) * h, s + k1s * (1 / 5) * h)
@@ -227,31 +239,41 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
                   + k5q * (17253 / 339200) + k6q * (-22 / 525) + k7q * (1 / 40)) * h
             es = (k1s * (-71 / 57600) + k3s * (71 / 16695) + k4s * (-71 / 1920)
                   + k5s * (17253 / 339200) + k6s * (-22 / 525) + k7s * (1 / 40)) * h
-            eq = eq / (atol + max(abs(q), abs(q_new)) * rtol)
-            es = es / (atol + max(abs(s), abs(s_new)) * rtol)
+            # the sign of a zero or a NaN in |y| cannot reach the scale
+            y_abs = -q_new if q_new < 0.0 else q_new
+            eq = eq / (atol + (y_abs if y_abs > q_abs else q_abs) * rtol)
+            y_abs = -s_new if s_new < 0.0 else s_new
+            es = es / (atol + (y_abs if y_abs > s_abs else s_abs) * rtol)
             error = math.sqrt(eq * eq + es * es) / _SQRT2  # _rms, inline on the hot path
             if error < 1.0:
-                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error ** -0.2)
-                h_abs = h * (min(1.0, factor) if rejected else factor)
+                factor = 10.0
+                if error != 0.0:
+                    factor = 0.9 * error ** -0.2
+                    if not factor < 10.0:
+                        factor = 10.0
+                if rejected and not factor < 1.0:
+                    factor = 1.0
+                h_abs = h * factor
                 break
-            h_abs = h * max(0.2, 0.9 * error ** -0.2)
+            factor = 0.9 * error ** -0.2
+            h_abs = h * (factor if factor > 0.2 else 0.2)
             rejected = True
 
         t_old, q_old, s_old = t, q, s
         t, q, s, fq, fs = t_new, q_new, s_new, k7q, k7s
         status = 0 if t >= t_end else None
-        crossed = []
-        if g_low >= 0.0 and q - low <= 0.0:
-            crossed.append((-1, low))
-        if g_high <= 0.0 and q - high >= 0.0:
-            crossed.append((1, high))
-        g_low, g_high = q - low, q - high
+        d_low, d_high = q - low, q - high
+        out_low = g_low >= 0.0 and d_low <= 0.0
+        out_high = g_high <= 0.0 and d_high >= 0.0
+        g_low, g_high = d_low, d_high
         sampled = t_eval is not None and cursor < len(t_eval) and t_eval[cursor] <= t
-        if crossed or sampled:
+        if out_low or out_high or sampled:
             dense = _dense_output(t_old, h, q_old, s_old, (k1q, k3q, k4q, k5q, k6q, k7q),
                                   (k1s, k3s, k4s, k5s, k6s, k7s))
         leaving = None
-        if crossed:
+        if out_low or out_high:
+            crossed = [(side, edge) for side, edge, out in ((-1, low, out_low), (1, high, out_high))
+                       if out]
             t, side = min(
                 (_brent(lambda tau, edge=edge: dense(tau)[0] - edge, t_old, t), side)
                 for side, edge in crossed
@@ -349,16 +371,10 @@ def _zones(model) -> list:
 def _rhs(profile, eps):
     """Equations of motion on one profile, on Python floats: canonical (q, p)
     when eps is None, which never forms V, else the Newtonian (q, dq/dt)
-    form at energy eps."""
+    form at energy eps. Each is one closure of the profile's."""
     if eps is None:
         return profile.canonical_rhs()
-    at = profile.at
-
-    # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
-    def rhs(q, u):
-        v, vp, minv, minvp = at(q)
-        return u, -(vp * minv + (v - eps) * minvp)
-    return rhs
+    return profile.newtonian_rhs(eps)
 
 
 def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:

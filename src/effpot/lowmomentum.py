@@ -68,7 +68,10 @@ class Profile:
     in coordinates local to each force zone. q - x is formed first, so the
     argument at a lone wall is exact there. The integrator's canonical
     right-hand side (``canonical_rhs``) never forms V, so a jump costs it
-    one Gaussian and no erf; a kink keeps its erf, which V' reads.
+    one Gaussian and no erf; a kink keeps its erf, which V' reads. The
+    Newtonian one (``newtonian_rhs``) needs V, so it keeps every erf, but
+    sums all four profiles in the one frame of its closure rather than
+    through ``at``.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
@@ -131,6 +134,42 @@ class Profile:
                 mi = mi + jm * u * g
                 mip = mip + jm_p * (0.5 - uu) * g
             return p * (inv_m + mi), -vp - 0.5 * mip * p * p
+
+        return rhs
+
+    def newtonian_rhs(self, eps: float):
+        """The Newtonian equations of motion at energy eps,
+        (q, dq/dt) -> (dq/dt, -VQ'/m) with VQ' = m (V' M^-1 + (V - eps) (M^-1)'),
+        as one closure on Python floats. It sums V, V', 1/M and (1/M)' term
+        for term as ``at`` does, so its values are bitwise those of ``at``."""
+        c, level, tail, inv_m, jumps, kinks = (
+            self.c, self.level, self.tail, self.inv_m, self.jumps, self.kinks)
+        exp, erf = math.exp, math.erf
+
+        def rhs(q, dq):
+            v = vp = mi = mip = 0.0
+            e_prev = 1.0
+            for x, value, slope, bend, km, km_p in kinks:
+                d = q - x
+                u = c * d
+                e = erf(u)
+                g = exp(-u * u)
+                de = e_prev - e
+                v = v + (value + slope * d) * de + bend * g
+                vp = vp + slope * de
+                mi = mi + km * g
+                mip = mip + km_p * u * g
+                e_prev = e
+            for x, half, grad, jm, jm_p in jumps:
+                u = c * (q - x)
+                uu = u * u
+                g = exp(-uu)
+                v = v + half * erf(u)
+                vp = vp + grad * g
+                mi = mi + jm * u * g
+                mip = mip + jm_p * (0.5 - uu) * g
+            v = level + (v + tail * e_prev)
+            return dq, -(vp * (inv_m + mi) + (v - eps) * mip)
 
         return rhs
 

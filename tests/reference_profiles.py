@@ -5,7 +5,8 @@ its derivatives, segment by segment, with adaptive quadrature. SegmentProfile
 is the closed form summed per constant or linear segment, two error
 functions and two Gaussians each. The package sums the same profiles over the
 shape's corners; this module only serves the tests that compare the routes.
-canonical_rhs_from_at is the canonical right-hand side built on Profile.at.
+canonical_rhs_from_at and newtonian_rhs_from_at are the right-hand sides of
+the two equations of motion built on Profile.at.
 """
 
 import math
@@ -141,5 +142,18 @@ def canonical_rhs_from_at(profile):
     def rhs(q, p):
         _, vp, minv, minvp = at(q)
         return p * minv, -vp - 0.5 * minvp * p * p
+
+    return rhs
+
+
+def newtonian_rhs_from_at(profile, eps):
+    """The Newtonian equations of motion at energy eps read off
+    ``Profile.at``: the oracle of ``Profile.newtonian_rhs``."""
+    at = profile.at
+
+    # force/m with VQ' = m (V' Minv + (V - eps) Minv'); the two m's cancel
+    def rhs(q, u):
+        v, vp, minv, minvp = at(q)
+        return u, -(vp * minv + (v - eps) * minvp)
 
     return rhs

@@ -40,7 +40,7 @@ from effpot.potential import (
     TabulatedPotential,
     eval_classical,
 )
-from reference_profiles import canonical_rhs_from_at
+from reference_profiles import canonical_rhs_from_at, newtonian_rhs_from_at
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 TWIN = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
@@ -104,6 +104,26 @@ def test_canonical_rhs_runs_bitwise_as_the_at_route(monkeypatch, pot, hbar):
     runs = [integrate_hamiltonian(model, q0, p0) for q0, p0 in starts]
     monkeypatch.setattr(dynamics, "_rhs", lambda profile, eps: canonical_rhs_from_at(profile))
     oracle = [integrate_hamiltonian(model, q0, p0) for q0, p0 in starts]
+    assert [run.outcome for run in runs] == [REFLECTED, SURPASSED]
+    for run, ref in zip(runs, oracle):
+        assert run.outcome == ref.outcome and run.n_rhs == ref.n_rhs
+        for field in ("t", "q", "p", "energy_drift"):
+            assert np.array_equal(getattr(run, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("hbar", [0.05, 2.0, 6.0])
+@pytest.mark.parametrize("pot", [BARRIER, TWIN, TENT, BUMP], ids=["square", "twin", "tent", "bump"])
+def test_newtonian_rhs_runs_bitwise_as_the_at_route(monkeypatch, pot, hbar):
+    # the one-frame Newtonian closure steps exactly as the one reading Profile.at
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
+    thr = tunneling_threshold(model)
+    starts = []
+    for eps in (0.6 * thr, 1.1 * thr):
+        q0, p0 = launch_state(model, eps)
+        starts.append((q0, p0 * inverse_mass(model, q0), eps))
+    runs = [integrate_newtonian(model, *start) for start in starts]
+    monkeypatch.setattr(dynamics, "_rhs", lambda profile, eps: newtonian_rhs_from_at(profile, eps))
+    oracle = [integrate_newtonian(model, *start) for start in starts]
     assert [run.outcome for run in runs] == [REFLECTED, SURPASSED]
     for run, ref in zip(runs, oracle):
         assert run.outcome == ref.outcome and run.n_rhs == ref.n_rhs
@@ -602,20 +622,22 @@ def test_resampled_run_ends_at_its_exit_point(hbar):
 # ------------------------------------------------- scipy RK45 as the oracle
 
 
-def _first_zone_run(hbar, eps, t_eval=None):
+def _first_zone_run(hbar, eps, t_eval=None, t_end=50.0, max_step=None):
     """The in-house stepper and scipy's RK45 across the model's first force
-    zone, entered with the launch momentum: the merged zone of both walls at
-    hbar = 2, the left wall neighbourhood in its local coordinates at
-    hbar = 0.05."""
+    zone, entered with the launch momentum, over (0, t_end): the merged zone
+    of both walls at hbar = 2, the left wall neighbourhood in its local
+    coordinates at hbar = 0.05. max_step defaults to the event loop's
+    2 sigma over the speed at entry."""
     model = _model(hbar)
     zone = dynamics._zones(model)[0]
     lo_edge, hi_edge = evaluation_domain(model)
     low, high = max(zone.lo, lo_edge) - zone.origin, min(zone.hi, hi_edge) - zone.origin
     q0, p0 = launch_state(model, eps)
     xi0 = max(q0, zone.lo) - zone.origin
-    max_step = 2.0 * model.smoothing_sigma / (p0 * zone.profile.at(xi0)[2])
+    if max_step is None:
+        max_step = 2.0 * model.smoothing_sigma / (p0 * zone.profile.at(xi0)[2])
     rhs = dynamics._rhs(zone.profile, None)
-    ours = solve_ivp(rhs, (0.0, 50.0), (xi0, p0), t_eval=t_eval, max_step=max_step,
+    ours = solve_ivp(rhs, (0.0, t_end), (xi0, p0), t_eval=t_eval, max_step=max_step,
                      low=low, high=high)
 
     def leave_low(_, y):
@@ -626,7 +648,7 @@ def _first_zone_run(hbar, eps, t_eval=None):
 
     leave_low.terminal = leave_high.terminal = True
     leave_low.direction, leave_high.direction = -1.0, 1.0
-    ref = scipy_solve_ivp(lambda _, y: rhs(*y.tolist()), (0.0, 50.0), [xi0, p0], method="RK45",
+    ref = scipy_solve_ivp(lambda _, y: rhs(*y.tolist()), (0.0, t_end), [xi0, p0], method="RK45",
                           rtol=REL_TOL, atol=ABS_TOL, max_step=max_step, t_eval=t_eval,
                           events=[leave_low, leave_high])
     return ours, ref
@@ -651,6 +673,16 @@ def _sequential_rk_step(fun, t, y, f, h, A, B, C, K):
     return y_new, f_new
 
 
+def _scipy_sums_in_stage_order(monkeypatch):
+    """Make scipy's RK45 take its stage sums and error norm term by term."""
+    from scipy.integrate._ivp import rk
+
+    monkeypatch.setattr(rk, "rk_step", _sequential_rk_step)
+    monkeypatch.setattr(rk.RK45, "_estimate_error",
+                        lambda self, K, h: _sequential_dot(K, self.E) * h)
+    monkeypatch.setattr(rk, "norm", lambda x: math.sqrt(x[0] * x[0] + x[1] * x[1]) / math.sqrt(2.0))
+
+
 @pytest.mark.parametrize("sequential", [False, True], ids=["blas", "sequential"])
 @pytest.mark.parametrize("hbar", [2.0, 0.05])  # merged walls, lone wall
 @pytest.mark.parametrize("eps", [0.5, 1.2])    # reflected, surpassed
@@ -663,15 +695,13 @@ def test_stepper_takes_the_steps_of_scipy_rk45(monkeypatch, eps, hbar, sequentia
     # error norm's sum of squares is one more such sum: numpy's dot may fuse
     # it, which moves the norm by an ulp in some steps.
     if sequential:
-        from scipy.integrate._ivp import rk
-
-        monkeypatch.setattr(rk, "rk_step", _sequential_rk_step)
-        monkeypatch.setattr(rk.RK45, "_estimate_error",
-                            lambda self, K, h: _sequential_dot(K, self.E) * h)
-        monkeypatch.setattr(rk, "norm", lambda x: math.sqrt(x[0] * x[0] + x[1] * x[1]) / math.sqrt(2.0))
+        _scipy_sums_in_stage_order(monkeypatch)
     ours, ref = _first_zone_run(hbar, eps)
     assert ref.status == ours.status == 1
     assert ours.nfev == ref.nfev
+    # two calls choose the first step and each attempt makes six, so some
+    # step was rejected and the factor rule after a rejection ran
+    assert ours.nfev > 6 * (len(ours.t) - 1) + 2
     assert len(ours.t) == len(ref.t)
     np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12 if sequential else 1e-6, atol=0.0)
     fired = 1 if ref.t_events[1].size else -1
@@ -680,6 +710,29 @@ def test_stepper_takes_the_steps_of_scipy_rk45(monkeypatch, eps, hbar, sequentia
     assert abs(t_exit - ref.t_events[max(fired, 0)][0]) <= 1e-12 * t_exit
     np.testing.assert_allclose([q_exit, s_exit], ref.y_events[max(fired, 0)][0],
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("hbar", [2.0, 0.05])
+def test_stepper_stops_at_the_end_of_t_span_like_scipy_rk45(monkeypatch, hbar):
+    # a t_span that ends inside the zone: the last step is clamped to its end
+    _scipy_sums_in_stage_order(monkeypatch)
+    full, _ = _first_zone_run(hbar, 0.5)
+    t_end = 0.5 * full.exit[1]
+    ours, ref = _first_zone_run(hbar, 0.5, t_end=t_end)
+    assert ref.status == ours.status == 0 and ours.exit is None
+    assert ours.nfev == ref.nfev
+    assert ours.t[-1] == ref.t[-1] == t_end
+    np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12, atol=0.0)
+
+
+def test_stepper_grows_its_steps_like_scipy_rk45(monkeypatch):
+    # without a max step the step grows by the factor rule alone, so its
+    # cap of 10 per step sets the steps taken
+    _scipy_sums_in_stage_order(monkeypatch)
+    ours, ref = _first_zone_run(0.05, 0.5, max_step=math.inf)
+    assert ref.status == ours.status == 1
+    assert ours.nfev == ref.nfev
+    np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("hbar", [2.0, 0.05])

@@ -29,7 +29,12 @@ from effpot.potential import (
     TabulatedPotential,
     classical_max,
 )
-from reference_profiles import SegmentProfile, canonical_rhs_from_at, reference_profiles
+from reference_profiles import (
+    SegmentProfile,
+    canonical_rhs_from_at,
+    newtonian_rhs_from_at,
+    reference_profiles,
+)
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 PW_BARRIER = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
@@ -110,7 +115,13 @@ def _assert_matches_segment_form(shape, hbar, origin):
     qs = np.linspace(a - pad, b + pad, 1001) - origin
     corners, segments = Profile(params, shape, origin), SegmentProfile(params, shape, origin)
     want = np.array(segments.on(qs))
-    scale = 1e-12 * np.abs(want - np.array([[shape.level], [0.0], [1.0 / params.m], [0.0]])).max(axis=1)
+    asymptote = np.array([shape.level, 0.0, 1.0 / params.m, 0.0])
+    # 1e-12 of each column's largest deviation from its asymptote, but never
+    # below 2 ulp of the asymptote: the final level + v and 1/m + mi
+    # roundings alone can spend one, and a shape of small area deviates by
+    # less than 1e4 ulp
+    scale = np.maximum(1e-12 * np.abs(want - asymptote[:, None]).max(axis=1),
+                       2.0 * np.spacing(np.abs(asymptote)))
     assert np.all(np.abs(np.array(corners.on(qs)) - want) <= scale[:, None])
     for q in qs[::50].tolist():
         assert np.all(np.abs(np.subtract(corners.at(q), segments.at(q))) <= scale), q
@@ -135,6 +146,7 @@ def _mixed_shapes(draw):
 @given(_mixed_shapes(), st.floats(min_value=0.3, max_value=6.0),
        st.floats(min_value=-3.0, max_value=3.0).filter(lambda origin: origin != 0.0))
 @example(Shape(0.0, (3.0, 4.0), (0.0,), (1.0,)), 1.0, 1.0)  # the last kink also jumps
+@example(Shape(0.0, (0.0, 0.05), (0.01,), (0.01,)), 2.3649168545007897, 3.0)  # 1/M off by 1 ulp of 1/m
 def test_corner_sum_matches_segment_form(shape, hbar, origin):
     _assert_matches_segment_form(shape, hbar, origin)
 
@@ -159,6 +171,23 @@ def test_canonical_rhs_is_bitwise_the_at_route(shape, hbar, origin, p):
     near = (x - origin + k * sigma for x in shape.x for k in (-3.0, -1.0, -0.25, 0.0, 0.5, 2.0))
     for q in (*np.linspace(a - pad, b + pad, 101).tolist(), *near):
         assert rhs(q, p) == oracle(q, p), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_shapes(), st.floats(min_value=0.05, max_value=6.0),
+       st.floats(min_value=-3.0, max_value=3.0).filter(lambda origin: origin != 0.0),
+       st.floats(min_value=-2.5, max_value=2.5), st.floats(min_value=-4.0, max_value=4.0))
+@example(Shape(0.0, (3.0, 4.0), (0.0,), (1.0,)), 1.0, 1.0, 0.4, -0.7)  # the last kink also jumps
+def test_newtonian_rhs_is_bitwise_the_at_route(shape, hbar, origin, eps, u):
+    # eps spans the shapes' heights [-2, 2], so V - eps takes both signs
+    profile = Profile(_params(hbar), shape, origin)
+    rhs, oracle = profile.newtonian_rhs(eps), newtonian_rhs_from_at(profile, eps)
+    sigma = math.sqrt(0.125 / 4.0) * hbar
+    a, b = shape.x[0] - origin, shape.x[-1] - origin
+    pad = (b - a) + 6.0 * sigma
+    near = (x - origin + k * sigma for x in shape.x for k in (-3.0, -1.0, -0.25, 0.0, 0.5, 2.0))
+    for q in (*np.linspace(a - pad, b + pad, 101).tolist(), *near):
+        assert rhs(q, u) == oracle(q, u), q
 
 
 def test_collinear_samples_cost_nothing():
