@@ -21,7 +21,7 @@ on a discontinuous force would be meaningless): a particle reaching a step
 of height dV crosses with |p'| = sqrt(p^2 - 2 m dV) when its kinetic energy
 exceeds dV and reflects otherwise.
 
-A zone of nonzero width is crossed by one adaptive Dormand-Prince 5(4)
+A zone of nonzero width is crossed by one adaptive Dormand-Prince 8(5,3)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
 the speed at entry, keeps it from stepping over a wall. The canonical
 right-hand side (``Profile.canonical_rhs``) never forms V, so a jump costs it
@@ -30,9 +30,13 @@ sums it in its own one-frame closure. The segment ends when the state leaves
 downward through the zone's low surface or upward through its high one,
 each the zone edge clipped to the evaluation domain;
 leaving through a domain edge decides the outcome. The stepper follows
-scipy's RK45 rule for rule (tableau, first step, step control, dense output
+scipy's DOP853 rule for rule (tableau, first step, step control, dense output
 and event location), so its steps are scipy's to roundoff, at a fraction of
-the per-step cost.
+the per-step cost. At the tolerance REL_TOL an eighth-order step is about
+four times the length of a fifth-order one, so it crosses a zone in about a
+quarter of the steps at twice the calls per step. Where the max step, not
+the tolerance, sets the step (narrow walls, hbar well below 1) that trade
+is lost: each clamped step costs twelve calls.
 """
 
 from __future__ import annotations
@@ -105,17 +109,52 @@ def hamiltonian(model: LowMomentumModel, q: float, p: float) -> float:
     return 0.5 * p * p * minv + v
 
 
-# ------------------------------------------------------ Dormand-Prince 5(4)
+# ------------------------------------------------------- Dormand-Prince 8(5,3)
 
-# dense output of the stages k1, k3, ..., k7 (k2 has zero weight): the
-# coefficients of x, x^2, x^3, x^4 on a step, x its fraction
-DENSE = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+# Coefficients of DOP853 as scipy's dop853_coefficients holds them, indexed
+# by its stage rows: stages 0-11 make a step and stage 12, the derivative at
+# its end, is the next step's stage 0. The dense output adds stages 13-15
+# (_A_EXTRA, as (stage, coefficient) pairs) and forms the interpolant's top
+# four coefficients from all sixteen (_D).
+_A_EXTRA = (
+    ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+     (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
+     (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
+     (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)),
+    ((0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+     (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+     (10, -1.08347328697249322858509316994e-4), (11, 3.82571090835658412954920192323e-4),
+     (12, -3.40465008687404560802977114492e-4), (13, 1.41312443674632500278074618366e-1)),
+    ((0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+     (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+     (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
+     (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)),
+)
+_D = (
+    ((0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
+     (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
+     (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
+     (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
+     (12, -0.88990336451333310820698117400e-1), (13, 0.18148505520854727256656404962e+2),
+     (14, -0.91946323924783554000451984436e+1), (15, -0.44360363875948939664310572000e+1)),
+    ((0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
+     (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
+     (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
+     (10, -0.30674084731089398182061213626e+2), (11, -0.93321305264302278729567221706e+1),
+     (12, 0.15697238121770843886131091075e+2), (13, -0.31139403219565177677282850411e+2),
+     (14, -0.93529243588444783865713862664e+1), (15, 0.35816841486394083752465898540e+2)),
+    ((0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
+     (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
+     (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
+     (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
+     (12, -0.27782057523535084065932004339e+1), (13, -0.60196695231264120758267380846e+2),
+     (14, 0.84320405506677161018159903784e+2), (15, 0.11992291136182789328035130030e+2)),
+    ((0, -0.25693933462703749003312586129e+2), (5, -0.15418974869023643374053993627e+3),
+     (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
+     (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
+     (10, 0.10409964950896230045147246184e+3), (11, 0.29840293426660503123344363579e+2),
+     (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
+     (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)),
 )
 
 
@@ -127,7 +166,8 @@ class Segment(NamedTuple):
     the requested times reached. status is 0 when the run reached the end of
     t_span, 1 when it left the zone and -1 when the step size fell below
     10 ulp of the time; exit is (side, t, q, s) when status is 1, side -1
-    through the low surface and +1 through the high one.
+    through the low surface and +1 through the high one. nfev counts every
+    right-hand-side call, the dense output's included.
     """
 
     t: list
@@ -146,17 +186,21 @@ def _rms(a: float, b: float) -> float:
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
-    """Dormand-Prince 5(4) run of (q, s)' = fun(q, s) from y0 = (q, s) over
+    """Dormand-Prince 8(5,3) run of (q, s)' = fun(q, s) from y0 = (q, s) over
     t_span, ending early when q leaves downward through low or upward
     through high.
 
-    The control is scipy's RK45, rule for rule (Dormand & Prince 1980; Hairer,
-    Norsett & Wanner, Solving ODEs I, II.4): the same first-step choice, an
-    RMS error norm with scale ABS_TOL + max(|y|, |y_new|) REL_TOL, safety
-    factor 0.9, step factors within [0.2, 10] and none above 1 right after a
-    rejection, a minimum step of 10 ulp(t) and clamps at max_step and the
-    end of t_span. The requested samples and the exit come from the quartic
-    dense output; the exit time is its root by Brent's method to EVENT_TOL.
+    The control is scipy's DOP853, rule for rule (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.10): twelve stages a step, the first of them the last
+    of the step before; the first-step choice for an error of order 7; the
+    error norm |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n) of the fifth- and
+    third-order estimates, each scaled by ABS_TOL + max(|y|, |y_new|) REL_TOL;
+    step factors 0.9 err^(-1/8) within [0.2, 10] and none above 1 right
+    after a rejection; a minimum step of 10 ulp(t) and clamps at max_step
+    and the end of t_span. The requested samples and the exit come from the
+    degree-7 dense output, whose three extra stages are computed only on a
+    step that needs it; the exit time is its root by Brent's method to
+    EVENT_TOL.
     """
     t, t_end = t_span
     q, s = y0
@@ -170,7 +214,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
         return Segment(ts, qs, ss, nfev, 0, None)
     rtol, atol = REL_TOL, ABS_TOL
 
-    # first step: the error estimate is of order 4
+    # first step: the error estimate is of order 7
     interval = t_end - t
     sq, ssc = atol + abs(q) * rtol, atol + abs(s) * rtol
     d0, d1 = _rms(q / sq, s / ssc), _rms(fq / sq, fs / ssc)
@@ -183,13 +227,13 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, interval, max_step)
 
     # The hot loop calls no max, min or abs: each is a comparison that picks
     # the operand the builtin would, ties and NaN included (max(a, b) is a
     # unless b > a, min(a, b) is a unless b < a).
-    nextafter, inf = math.nextafter, math.inf
+    nextafter, inf, sqrt = math.nextafter, math.inf, math.sqrt
     g_low, g_high = q - low, q - high
     while True:
         min_step = 10.0 * (nextafter(t, inf) - t)
@@ -207,60 +251,204 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
             if t_end < t_new:
                 t_new = t_end
             h = t_new - t
-            k1q, k1s = fq, fs
-            k2q, k2s = fun(q + k1q * (1 / 5) * h, s + k1s * (1 / 5) * h)
+            # stages 0-11, the rows of scipy's A, each summed term by term in stage order
+            k0q, k0s = fq, fs
+            k1q, k1s = fun(
+                q + (k0q * 5.26001519587677318785587544488e-2) * h,
+                s + (k0s * 5.26001519587677318785587544488e-2) * h,
+            )
+            k2q, k2s = fun(
+                q + (k0q * 1.97250569845378994544595329183e-2
+                     + k1q * 5.91751709536136983633785987549e-2) * h,
+                s + (k0s * 1.97250569845378994544595329183e-2
+                     + k1s * 5.91751709536136983633785987549e-2) * h,
+            )
             k3q, k3s = fun(
-                q + (k1q * (3 / 40) + k2q * (9 / 40)) * h,
-                s + (k1s * (3 / 40) + k2s * (9 / 40)) * h,
+                q + (k0q * 2.95875854768068491816892993775e-2
+                     + k2q * 8.87627564304205475450678981324e-2) * h,
+                s + (k0s * 2.95875854768068491816892993775e-2
+                     + k2s * 8.87627564304205475450678981324e-2) * h,
             )
             k4q, k4s = fun(
-                q + (k1q * (44 / 45) + k2q * (-56 / 15) + k3q * (32 / 9)) * h,
-                s + (k1s * (44 / 45) + k2s * (-56 / 15) + k3s * (32 / 9)) * h,
+                q + (k0q * 2.41365134159266685502369798665e-1
+                     + k2q * -8.84549479328286085344864962717e-1
+                     + k3q * 9.24834003261792003115737966543e-1) * h,
+                s + (k0s * 2.41365134159266685502369798665e-1
+                     + k2s * -8.84549479328286085344864962717e-1
+                     + k3s * 9.24834003261792003115737966543e-1) * h,
             )
             k5q, k5s = fun(
-                q + (k1q * (19372 / 6561) + k2q * (-25360 / 2187) + k3q * (64448 / 6561)
-                     + k4q * (-212 / 729)) * h,
-                s + (k1s * (19372 / 6561) + k2s * (-25360 / 2187) + k3s * (64448 / 6561)
-                     + k4s * (-212 / 729)) * h,
+                q + (k0q * 3.7037037037037037037037037037e-2
+                     + k3q * 1.70828608729473871279604482173e-1
+                     + k4q * 1.25467687566822425016691814123e-1) * h,
+                s + (k0s * 3.7037037037037037037037037037e-2
+                     + k3s * 1.70828608729473871279604482173e-1
+                     + k4s * 1.25467687566822425016691814123e-1) * h,
             )
             k6q, k6s = fun(
-                q + (k1q * (9017 / 3168) + k2q * (-355 / 33) + k3q * (46732 / 5247)
-                     + k4q * (49 / 176) + k5q * (-5103 / 18656)) * h,
-                s + (k1s * (9017 / 3168) + k2s * (-355 / 33) + k3s * (46732 / 5247)
-                     + k4s * (49 / 176) + k5s * (-5103 / 18656)) * h,
+                q + (k0q * 3.7109375e-2 + k3q * 1.70252211019544039314978060272e-1
+                     + k4q * 6.02165389804559606850219397283e-2 + k5q * -1.7578125e-2) * h,
+                s + (k0s * 3.7109375e-2 + k3s * 1.70252211019544039314978060272e-1
+                     + k4s * 6.02165389804559606850219397283e-2 + k5s * -1.7578125e-2) * h,
             )
-            q_new = q + h * (k1q * (35 / 384) + k3q * (500 / 1113) + k4q * (125 / 192)
-                             + k5q * (-2187 / 6784) + k6q * (11 / 84))
-            s_new = s + h * (k1s * (35 / 384) + k3s * (500 / 1113) + k4s * (125 / 192)
-                             + k5s * (-2187 / 6784) + k6s * (11 / 84))
-            k7q, k7s = fun(q_new, s_new)  # first stage of the next step
-            nfev += 6
-            eq = (k1q * (-71 / 57600) + k3q * (71 / 16695) + k4q * (-71 / 1920)
-                  + k5q * (17253 / 339200) + k6q * (-22 / 525) + k7q * (1 / 40)) * h
-            es = (k1s * (-71 / 57600) + k3s * (71 / 16695) + k4s * (-71 / 1920)
-                  + k5s * (17253 / 339200) + k6s * (-22 / 525) + k7s * (1 / 40)) * h
+            k7q, k7s = fun(
+                q + (k0q * 3.70920001185047927108779319836e-2
+                     + k3q * 1.70383925712239993810214054705e-1
+                     + k4q * 1.07262030446373284651809199168e-1
+                     + k5q * -1.53194377486244017527936158236e-2
+                     + k6q * 8.27378916381402288758473766002e-3) * h,
+                s + (k0s * 3.70920001185047927108779319836e-2
+                     + k3s * 1.70383925712239993810214054705e-1
+                     + k4s * 1.07262030446373284651809199168e-1
+                     + k5s * -1.53194377486244017527936158236e-2
+                     + k6s * 8.27378916381402288758473766002e-3) * h,
+            )
+            k8q, k8s = fun(
+                q + (k0q * 6.24110958716075717114429577812e-1
+                     + k3q * -3.36089262944694129406857109825
+                     + k4q * -8.68219346841726006818189891453e-1
+                     + k5q * 2.75920996994467083049415600797e1
+                     + k6q * 2.01540675504778934086186788979e1
+                     + k7q * -4.34898841810699588477366255144e1) * h,
+                s + (k0s * 6.24110958716075717114429577812e-1
+                     + k3s * -3.36089262944694129406857109825
+                     + k4s * -8.68219346841726006818189891453e-1
+                     + k5s * 2.75920996994467083049415600797e1
+                     + k6s * 2.01540675504778934086186788979e1
+                     + k7s * -4.34898841810699588477366255144e1) * h,
+            )
+            k9q, k9s = fun(
+                q + (k0q * 4.77662536438264365890433908527e-1
+                     + k3q * -2.48811461997166764192642586468
+                     + k4q * -5.90290826836842996371446475743e-1
+                     + k5q * 2.12300514481811942347288949897e1
+                     + k6q * 1.52792336328824235832596922938e1
+                     + k7q * -3.32882109689848629194453265587e1
+                     + k8q * -2.03312017085086261358222928593e-2) * h,
+                s + (k0s * 4.77662536438264365890433908527e-1
+                     + k3s * -2.48811461997166764192642586468
+                     + k4s * -5.90290826836842996371446475743e-1
+                     + k5s * 2.12300514481811942347288949897e1
+                     + k6s * 1.52792336328824235832596922938e1
+                     + k7s * -3.32882109689848629194453265587e1
+                     + k8s * -2.03312017085086261358222928593e-2) * h,
+            )
+            k10q, k10s = fun(
+                q + (k0q * -9.3714243008598732571704021658e-1
+                     + k3q * 5.18637242884406370830023853209
+                     + k4q * 1.09143734899672957818500254654
+                     + k5q * -8.14978701074692612513997267357
+                     + k6q * -1.85200656599969598641566180701e1
+                     + k7q * 2.27394870993505042818970056734e1
+                     + k8q * 2.49360555267965238987089396762
+                     + k9q * -3.0467644718982195003823669022) * h,
+                s + (k0s * -9.3714243008598732571704021658e-1
+                     + k3s * 5.18637242884406370830023853209
+                     + k4s * 1.09143734899672957818500254654
+                     + k5s * -8.14978701074692612513997267357
+                     + k6s * -1.85200656599969598641566180701e1
+                     + k7s * 2.27394870993505042818970056734e1
+                     + k8s * 2.49360555267965238987089396762
+                     + k9s * -3.0467644718982195003823669022) * h,
+            )
+            k11q, k11s = fun(
+                q + (k0q * 2.27331014751653820792359768449
+                     + k3q * -1.05344954667372501984066689879e1
+                     + k4q * -2.00087205822486249909675718444
+                     + k5q * -1.79589318631187989172765950534e1
+                     + k6q * 2.79488845294199600508499808837e1
+                     + k7q * -2.85899827713502369474065508674
+                     + k8q * -8.87285693353062954433549289258
+                     + k9q * 1.23605671757943030647266201528e1
+                     + k10q * 6.43392746015763530355970484046e-1) * h,
+                s + (k0s * 2.27331014751653820792359768449
+                     + k3s * -1.05344954667372501984066689879e1
+                     + k4s * -2.00087205822486249909675718444
+                     + k5s * -1.79589318631187989172765950534e1
+                     + k6s * 2.79488845294199600508499808837e1
+                     + k7s * -2.85899827713502369474065508674
+                     + k8s * -8.87285693353062954433549289258
+                     + k9s * 1.23605671757943030647266201528e1
+                     + k10s * 6.43392746015763530355970484046e-1) * h,
+            )
+            q_new = q + h * (k0q * 5.42937341165687622380535766363e-2
+                           + k5q * 4.45031289275240888144113950566
+                           + k6q * 1.89151789931450038304281599044
+                           + k7q * -5.8012039600105847814672114227
+                           + k8q * 3.1116436695781989440891606237e-1
+                           + k9q * -1.52160949662516078556178806805e-1
+                           + k10q * 2.01365400804030348374776537501e-1
+                           + k11q * 4.47106157277725905176885569043e-2)
+            s_new = s + h * (k0s * 5.42937341165687622380535766363e-2
+                           + k5s * 4.45031289275240888144113950566
+                           + k6s * 1.89151789931450038304281599044
+                           + k7s * -5.8012039600105847814672114227
+                           + k8s * 3.1116436695781989440891606237e-1
+                           + k9s * -1.52160949662516078556178806805e-1
+                           + k10s * 2.01365400804030348374776537501e-1
+                           + k11s * 4.47106157277725905176885569043e-2)
+            e5q = (k0q * 0.1312004499419488073250102996e-1
+                   + k5q * -0.1225156446376204440720569753e+1
+                   + k6q * -0.4957589496572501915214079952
+                   + k7q * 0.1664377182454986536961530415e+1
+                   + k8q * -0.3503288487499736816886487290
+                   + k9q * 0.3341791187130174790297318841
+                   + k10q * 0.8192320648511571246570742613e-1
+                   + k11q * -0.2235530786388629525884427845e-1)
+            e5s = (k0s * 0.1312004499419488073250102996e-1
+                   + k5s * -0.1225156446376204440720569753e+1
+                   + k6s * -0.4957589496572501915214079952
+                   + k7s * 0.1664377182454986536961530415e+1
+                   + k8s * -0.3503288487499736816886487290
+                   + k9s * 0.3341791187130174790297318841
+                   + k10s * 0.8192320648511571246570742613e-1
+                   + k11s * -0.2235530786388629525884427845e-1)
+            e3q = (k0q * (5.42937341165687622380535766363e-2 - 0.244094488188976377952755905512)
+                   + k5q * 4.45031289275240888144113950566
+                   + k6q * 1.89151789931450038304281599044
+                   + k7q * -5.8012039600105847814672114227
+                   + k8q * (3.1116436695781989440891606237e-1 - 0.733846688281611857341361741547)
+                   + k9q * -1.52160949662516078556178806805e-1
+                   + k10q * 2.01365400804030348374776537501e-1
+                   + k11q * (4.47106157277725905176885569043e-2
+                               - 0.220588235294117647058823529412e-1))
+            e3s = (k0s * (5.42937341165687622380535766363e-2 - 0.244094488188976377952755905512)
+                   + k5s * 4.45031289275240888144113950566
+                   + k6s * 1.89151789931450038304281599044
+                   + k7s * -5.8012039600105847814672114227
+                   + k8s * (3.1116436695781989440891606237e-1 - 0.733846688281611857341361741547)
+                   + k9s * -1.52160949662516078556178806805e-1
+                   + k10s * 2.01365400804030348374776537501e-1
+                   + k11s * (4.47106157277725905176885569043e-2
+                               - 0.220588235294117647058823529412e-1))
+            k12q, k12s = fun(q_new, s_new)  # stage 0 of the next step
+            nfev += 12
             # the sign of a zero or a NaN in |y| cannot reach the scale
             y_abs = -q_new if q_new < 0.0 else q_new
-            eq = eq / (atol + (y_abs if y_abs > q_abs else q_abs) * rtol)
+            scale_q = atol + (y_abs if y_abs > q_abs else q_abs) * rtol
             y_abs = -s_new if s_new < 0.0 else s_new
-            es = es / (atol + (y_abs if y_abs > s_abs else s_abs) * rtol)
-            error = math.sqrt(eq * eq + es * es) / _SQRT2  # _rms, inline on the hot path
+            scale_s = atol + (y_abs if y_abs > s_abs else s_abs) * rtol
+            e5q, e5s = e5q / scale_q, e5s / scale_s
+            e3q, e3s = e3q / scale_q, e3s / scale_s
+            n5 = e5q * e5q + e5s * e5s
+            n3 = e3q * e3q + e3s * e3s
+            error = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2)
             if error < 1.0:
                 factor = 10.0
                 if error != 0.0:
-                    factor = 0.9 * error ** -0.2
+                    factor = 0.9 * error ** -0.125
                     if not factor < 10.0:
                         factor = 10.0
                 if rejected and not factor < 1.0:
                     factor = 1.0
                 h_abs = h * factor
                 break
-            factor = 0.9 * error ** -0.2
+            factor = 0.9 * error ** -0.125
             h_abs = h * (factor if factor > 0.2 else 0.2)
             rejected = True
 
         t_old, q_old, s_old = t, q, s
-        t, q, s, fq, fs = t_new, q_new, s_new, k7q, k7s
+        t, q, s, fq, fs = t_new, q_new, s_new, k12q, k12s
         status = 0 if t >= t_end else None
         d_low, d_high = q - low, q - high
         out_low = g_low >= 0.0 and d_low <= 0.0
@@ -268,8 +456,13 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
         g_low, g_high = d_low, d_high
         sampled = t_eval is not None and cursor < len(t_eval) and t_eval[cursor] <= t
         if out_low or out_high or sampled:
-            dense = _dense_output(t_old, h, q_old, s_old, (k1q, k3q, k4q, k5q, k6q, k7q),
-                                  (k1s, k3s, k4s, k5s, k6s, k7s))
+            dense = _dense_output(
+                fun, t_old, h, (q_old, s_old), (q, s),
+                ((k0q, k0s), (k1q, k1s), (k2q, k2s), (k3q, k3s), (k4q, k4s), (k5q, k5s),
+                 (k6q, k6s), (k7q, k7s), (k8q, k8s), (k9q, k9s), (k10q, k10s), (k11q, k11s),
+                 (k12q, k12s)),
+            )
+            nfev += 3
         leaving = None
         if out_low or out_high:
             crossed = [(side, edge) for side, edge, out in ((-1, low, out_low), (1, high, out_high))
@@ -296,18 +489,36 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
             return Segment(ts, qs, ss, nfev, status, leaving)
 
 
-def _dense_output(t_old, h, q_old, s_old, kq, ks):
-    """Quartic interpolant (q, s)(tau) on the step of size h from t_old."""
-    cq = [sum(k * row[j] for k, row in zip(kq, DENSE)) for j in range(4)]
-    cs = [sum(k * row[j] for k, row in zip(ks, DENSE)) for j in range(4)]
+def _stage_sum(k, row, c):
+    """Sum of k[j][c] a over a row of (stage j, coefficient a) pairs, term by
+    term in stage order."""
+    (j, a), *rest = row
+    acc = k[j][c] * a
+    for j, a in rest:
+        acc = acc + k[j][c] * a
+    return acc
+
+
+def _dense_output(fun, t_old, h, y_old, y, k):
+    """Degree-7 interpolant (q, s)(tau) on the step of size h from y_old at
+    t_old to y, built as scipy's DOP853 builds it from the step's thirteen
+    stages k, (q, s) pairs, and three extra ones: three more calls of fun."""
+    k = list(k)
+    for row in _A_EXTRA:
+        k.append(fun(y_old[0] + _stage_sum(k, row, 0) * h, y_old[1] + _stage_sum(k, row, 1) * h))
+    coeffs = []
+    for c in (0, 1):
+        delta = y[c] - y_old[c]
+        coeffs.append((delta, h * k[0][c] - delta, 2 * delta - h * (k[12][c] + k[0][c]),
+                       *(h * _stage_sum(k, row, c) for row in _D)))
 
     def dense(tau):
         x = (tau - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q_old,
-                h * (cs[0] * x + cs[1] * x2 + cs[2] * x3 + cs[3] * x4) + s_old)
+        x1 = 1 - x
+        return tuple(
+            ((((((f6 * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1 + f0) * x + y0
+            for (f0, f1, f2, f3, f4, f5, f6), y0 in zip(coeffs, y_old)
+        )
 
     return dense
 

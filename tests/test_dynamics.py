@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from effpot import dynamics
@@ -40,7 +41,7 @@ from effpot.potential import (
     TabulatedPotential,
     eval_classical,
 )
-from reference_profiles import canonical_rhs_from_at, newtonian_rhs_from_at
+from reference_profiles import SegmentProfile, canonical_rhs_from_at, newtonian_rhs_from_at
 
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
 TWIN = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
@@ -619,11 +620,38 @@ def test_resampled_run_ends_at_its_exit_point(hbar):
     assert abs(traj.p[-1] - full.p[-1]) < 1e-9
 
 
-# ------------------------------------------------- scipy RK45 as the oracle
+@pytest.mark.parametrize("hbar", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("pot", [BARRIER, TWIN], ids=["square", "twin"])
+def test_exit_time_is_the_transit_quadrature(pot, hbar):
+    # energy conservation gives dq/dt = sqrt(2 (eps - V)/M), so a surpassed
+    # run's exit time is the integral of dt/dq from the launch point to the
+    # domain edge: scipy's quad of the segment-form profiles, which share no
+    # code with the stepper
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
+    profile = SegmentProfile(model.params, pot.shape)
+    _, hi_edge = evaluation_domain(model)
+    thr = tunneling_threshold(model)
+    for eps in (1.05 * thr, 1.5 * thr):
+        q0, p0 = launch_state(model, eps)
+        traj = integrate_hamiltonian(model, q0, p0)
+        assert traj.outcome == SURPASSED and abs(traj.q[-1] - hi_edge) <= 1e-15 * hi_edge
+
+        def slowness(q):
+            v, _, minv, _ = profile.at(q)
+            return 1.0 / math.sqrt(2.0 * (eps - v) * minv)
+
+        transit, _ = quad(slowness, q0, traj.q[-1], points=pot.shape.x, epsabs=0.0, epsrel=1e-13,
+                          limit=200)
+        assert abs(traj.t[-1] - transit) <= 1e-9 * transit
+
+
+# ----------------------------------------------- scipy DOP853 as the oracle
+# The tests named *_rk45 compare against DOP853 too; their names are kept so
+# that their test ids stay stable.
 
 
 def _first_zone_run(hbar, eps, t_eval=None, t_end=50.0, max_step=None):
-    """The in-house stepper and scipy's RK45 across the model's first force
+    """The in-house stepper and scipy's DOP853 across the model's first force
     zone, entered with the launch momentum, over (0, t_end): the merged zone
     of both walls at hbar = 2, the left wall neighbourhood in its local
     coordinates at hbar = 0.05. max_step defaults to the event loop's
@@ -648,7 +676,7 @@ def _first_zone_run(hbar, eps, t_eval=None, t_end=50.0, max_step=None):
 
     leave_low.terminal = leave_high.terminal = True
     leave_low.direction, leave_high.direction = -1.0, 1.0
-    ref = scipy_solve_ivp(lambda _, y: rhs(*y.tolist()), (0.0, t_end), [xi0, p0], method="RK45",
+    ref = scipy_solve_ivp(lambda _, y: rhs(*y.tolist()), (0.0, t_end), [xi0, p0], method="DOP853",
                           rtol=REL_TOL, atol=ABS_TOL, max_step=max_step, t_eval=t_eval,
                           events=[leave_low, leave_high])
     return ours, ref
@@ -673,37 +701,55 @@ def _sequential_rk_step(fun, t, y, f, h, A, B, C, K):
     return y_new, f_new
 
 
+def _sequential_error_norm(self, K, h, scale):
+    """DOP853's error norm with its sums taken term by term."""
+    e5 = _sequential_dot(K, self.E5) / scale
+    e3 = _sequential_dot(K, self.E3) / scale
+    n5 = e5[0] * e5[0] + e5[1] * e5[1]
+    n3 = e3[0] * e3[0] + e3[1] * e3[1]
+    if n5 == 0 and n3 == 0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
+
+
 def _scipy_sums_in_stage_order(monkeypatch):
-    """Make scipy's RK45 take its stage sums and error norm term by term."""
+    """Make scipy's DOP853 take its stage sums and error norm term by term."""
     from scipy.integrate._ivp import rk
 
     monkeypatch.setattr(rk, "rk_step", _sequential_rk_step)
-    monkeypatch.setattr(rk.RK45, "_estimate_error",
-                        lambda self, K, h: _sequential_dot(K, self.E) * h)
-    monkeypatch.setattr(rk, "norm", lambda x: math.sqrt(x[0] * x[0] + x[1] * x[1]) / math.sqrt(2.0))
+    monkeypatch.setattr(rk.DOP853, "_estimate_error_norm", _sequential_error_norm)
 
 
 @pytest.mark.parametrize("sequential", [False, True], ids=["blas", "sequential"])
 @pytest.mark.parametrize("hbar", [2.0, 0.05])  # merged walls, lone wall
 @pytest.mark.parametrize("eps", [0.5, 1.2])    # reflected, surpassed
 def test_stepper_takes_the_steps_of_scipy_rk45(monkeypatch, eps, hbar, sequential):
-    # Same rules give the same steps, but the step factor error^(-1/5) turns
-    # the rounding of the error estimate, a sum that cancels to ~1e-11 of its
-    # terms, into ~1e-8 relative changes of the step size. scipy forms its
-    # stage sums with BLAS (fused, blocked); with those sums taken term by
-    # term, as the stepper takes them, the step times agree to roundoff. The
-    # error norm's sum of squares is one more such sum: numpy's dot may fuse
-    # it, which moves the norm by an ulp in some steps.
+    # Same rules give the same steps when the sums are formed alike. scipy
+    # forms its stage sums and error estimates with BLAS (fused, blocked);
+    # with those sums taken term by term, as the stepper takes them, the step
+    # times agree to roundoff, and with BLAS sums to 1e-6 at hbar = 0.05. At
+    # hbar = 2 the BLAS sums move more: where the merged zone's force
+    # underflows, the fifth-order error estimate is the rounding of a sum
+    # whose exact value is 0 (9.7e-17 under BLAS and -1.7e-16 term by term,
+    # of terms summing to 6.5), and the step factor error^(-1/8) turns that
+    # into a second step 10 % apart. There the BLAS run is held to the same
+    # step count and to nfev and step times within 15 %, measured 0 steps,
+    # 9.2 % (857 against 785 calls) and 11 %.
     if sequential:
         _scipy_sums_in_stage_order(monkeypatch)
     ours, ref = _first_zone_run(hbar, eps)
     assert ref.status == ours.status == 1
-    assert ours.nfev == ref.nfev
-    # two calls choose the first step and each attempt makes six, so some
-    # step was rejected and the factor rule after a rejection ran
-    assert ours.nfev > 6 * (len(ours.t) - 1) + 2
+    # two calls choose the first step, each attempt makes twelve and the
+    # exit's dense output three, so some step was rejected and the factor
+    # rule after a rejection ran
+    assert ours.nfev > 12 * (len(ours.t) - 1) + 2 + 3
     assert len(ours.t) == len(ref.t)
-    np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12 if sequential else 1e-6, atol=0.0)
+    if sequential or hbar == 0.05:
+        assert ours.nfev == ref.nfev
+        np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12 if sequential else 1e-6, atol=0.0)
+    else:
+        assert abs(ours.nfev - ref.nfev) <= 0.15 * ref.nfev
+        np.testing.assert_allclose(ours.t, ref.t, rtol=0.15, atol=0.0)
     fired = 1 if ref.t_events[1].size else -1
     side, t_exit, q_exit, s_exit = ours.exit
     assert side == fired
@@ -733,6 +779,19 @@ def test_stepper_grows_its_steps_like_scipy_rk45(monkeypatch):
     assert ref.status == ours.status == 1
     assert ours.nfev == ref.nfev
     np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12, atol=0.0)
+
+
+def test_stepper_grows_tenfold_on_a_zero_error_estimate():
+    # a zero right-hand side makes every error estimate exactly 0, so each
+    # step is ten times the one before, from the first-step rule's 1e-6
+    ref = scipy_solve_ivp(lambda _, y: [0.0, 0.0], (0.0, 1.0), [1.0, 1.0], method="DOP853",
+                          rtol=REL_TOL, atol=ABS_TOL)
+    ours = solve_ivp(lambda q, s: (0.0, 0.0), (0.0, 1.0), (1.0, 1.0), t_eval=None,
+                     max_step=math.inf, low=-math.inf, high=math.inf)
+    assert ref.status == ours.status == 0
+    assert ours.nfev == ref.nfev
+    np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(ours.t[1:4], [1e-6, 1.1e-5, 1.11e-4], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("hbar", [2.0, 0.05])
@@ -771,11 +830,11 @@ def test_overflowing_first_step_fails_the_step():
 
 def test_finite_time_blowup_raises_step_failure(monkeypatch):
     # q' = q^2 from q = 1 reaches infinity at t = 1: the step size falls
-    # below 10 ulp of t, where scipy's RK45 stops with status -1 as well
+    # below 10 ulp of t, where scipy's DOP853 stops with status -1 as well
     def blowup(q, s):
         return q * q, 0.0
 
-    ref = scipy_solve_ivp(lambda _, y: [y[0] ** 2, 0.0], (0.0, 2.0), [1.0, 1.0], method="RK45",
+    ref = scipy_solve_ivp(lambda _, y: [y[0] ** 2, 0.0], (0.0, 2.0), [1.0, 1.0], method="DOP853",
                           rtol=REL_TOL, atol=ABS_TOL)
     assert ref.status == -1
     seg = solve_ivp(blowup, (0.0, 2.0), (1.0, 1.0), t_eval=None, max_step=math.inf,
