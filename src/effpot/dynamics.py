@@ -628,12 +628,11 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             ts, cursor = t_eval[cursor:stop].tolist(), stop
         put(ts, [q_a + v * (tt - t_a) for tt in ts], [p] * len(ts), [energy] * len(ts))
 
-    def zone_state(profile, xi, s):
-        """Lists of p and energy of zone states at the local positions xi."""
-        v, _, minv, _ = profile.on(xi)
+    def zone_state(v, minv, s):
+        """p and energy of zone states from V and 1/M there, on arrays or floats."""
         if newton:
-            return (s / minv).tolist(), (0.5 * s * s / minv + v).tolist()
-        return s.tolist(), (0.5 * s * s * minv + v).tolist()
+            return s / minv, 0.5 * s * s / minv + v
+        return s, 0.5 * s * s * minv + v
 
     k = bisect_right([z.lo for z in zones], q0) - 1
     zone = k if k >= 0 and q0 <= zones[k].hi else None
@@ -695,7 +694,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             if seg.status == -1:
                 raise StepFailure("adaptive step size fell below 10 ulp of the time")
             xs, ss = np.array(seg.q), np.array(seg.s)
-            put(seg.t, (z.origin + xs).tolist(), *zone_state(z.profile, xs, ss))
+            smoothed, _, minv, _ = z.profile.on(xs)
+            put(seg.t, (z.origin + xs).tolist(), *(col.tolist() for col in zone_state(smoothed, minv, ss)))
             if t_eval is not None:
                 cursor += len(seg.t)
             if seg.status == 0:
@@ -703,7 +703,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             side, t, xi, s = seg.exit
             q = z.origin + xi
             gap = zone + 1 if side > 0 else zone
-            exit_state = zone_state(z.profile, np.array([xi]), np.array([s]))
+            smoothed, _, minv, _ = z.profile.at(xi)
+            exit_state = tuple([col] for col in zone_state(smoothed, minv, s))
         if (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
             outcome = SURPASSED if side > 0 else REFLECTED
             put([t], [q], *exit_state)

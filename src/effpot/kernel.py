@@ -22,9 +22,11 @@ by K adds J E0(u) / (2c) + K E2(u) / (2c^2) to A, at u = c (q - x + i a), where
     E2(u) = (u^2/2 + 1/4) erf u + u e^{-u^2} / (2 sqrt(pi))
           = u E0(u) / 2 + erf(u) / 4                        (E2' = E0).
 
-The complex erf and the Gaussian are evaluated once per breakpoint. At
-p = 0 V_eff is the limit A'(q), the smoothed potential V(q), and is taken
-from lowmomentum.Profile itself.
+The complex erf and the Gaussian are evaluated once per breakpoint that
+jumps or bends; that erf is scipy.special's, imported on the first call at
+p != 0, so nothing else in the package loads scipy. At p = 0 V_eff is the
+limit A'(q), the smoothed potential V(q), and is taken from
+lowmomentum.Profile itself, built once per (parameters, shape).
 
 The terms grow like e^{(c a)^2} = e^{beta p^2 / 2m} while their sum does
 not, so the result loses that factor in relative precision, as the Fourier
@@ -36,10 +38,10 @@ for the built-in checks and the tests. The dynamics never use either route.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainError
 from .lowmomentum import Profile
@@ -94,23 +96,34 @@ def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p):
     q, a = q.ravel(), a.ravel()
     still = a == 0.0
     out = np.empty(q.size)
-    with np.errstate(all="ignore"):  # a non-finite result is refused just below
-        out[~still] = pot.shape.level + _deviation(pot.shape.corners, c, q[~still], a[~still])
+    if not still.all():
+        with np.errstate(all="ignore"):  # a non-finite result is refused just below
+            out[~still] = pot.shape.level + _deviation(pot.shape.corners, c, q[~still], a[~still])
     if still.any():
-        profile = Profile(params, pot.shape)
+        profile = _profile(params, pot.shape)
         out[still] = [profile.at(x)[0] for x in q[still].tolist()]
     if not np.isfinite(out).all():
         raise DomainError(f"V_eff at hbar = {hbar:g} leaves floating range for these (q, p)")
     return float(out[0]) if dims == () else out.reshape(dims)
 
 
+@functools.lru_cache(maxsize=8)
+def _profile(params: PhysicalParams, shape: Shape) -> Profile:
+    """The p = 0 profile, built once per (parameters, shape)."""
+    return Profile(params, shape)
+
+
 def _deviation(corners: np.ndarray, c: float, q: np.ndarray, a: np.ndarray) -> np.ndarray:
     """V_eff - V_inf = Im A(q + i a) / a at the positions q and half-widths
     a > 0 (1-D arrays), in chunks of at most CHUNK (position, breakpoint)
-    pairs."""
-    x, jump, kink = corners
+    pairs. Breakpoints that neither jump nor bend add nothing and are
+    skipped. scipy's complex erf is imported here, on first use, so that
+    only V_eff at p != 0 loads scipy.special."""
+    from scipy.special import erf
+
+    x, jump, kink = corners[:, (corners[1] != 0.0) | (corners[2] != 0.0)]
     w0, w2 = jump * (0.5 / c), kink * (0.5 / (c * c))
-    step = max(1, CHUNK // x.size)
+    step = max(1, CHUNK // max(1, x.size))
     out = np.empty(q.size)
     for i in range(0, q.size, step):
         ai = a[i:i + step]

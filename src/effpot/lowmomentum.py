@@ -14,6 +14,8 @@ changes by K. Smoothing turns each corner into one error function and one
 Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
 (``Profile``), for one position or a whole array of them; the kinks' share
 of V and V' is summed by parts, which keeps its digits far from the shape.
+One position is summed on ``math.erf``, an array on this module's own
+``erf``, so numpy is all the module imports.
 The model is only meaningful while M(q) stays positive, which is checked on
 a dense grid at construction; the same scan gives the tunneling threshold.
 """
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainError, NonPositiveMass
 from .physical import PhysicalParams
@@ -40,6 +41,65 @@ from .potential import (
 
 SCAN_POINTS = 2001
 EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute and relative
+CHUNK = 1 << 13  # (position, corner) pairs that Profile.on sums at once
+
+# The array erf's two polynomials, after Cody's split (W. J. Cody, Math.
+# Comp. 23 (1969) 631), highest power first. Both were fitted by least
+# squares on Chebyshev nodes against 50-digit erf and erfc: ERF_SMALL is
+# S(z) = erf(sqrt z)/sqrt z on 0 <= z <= 1/4, to 4e-18 relative, and
+# ERF_LARGE is P(t) = e^{x^2} erfc(x) in t = (x - ERF_K)/(x + ERF_K) on
+# 1/2 <= x <= 6, weighted by e^{-x^2}, so that erfc = e^{-x^2} P is within
+# 4e-18 absolute.
+ERF_SMALL = (
+    1.4722699274400109e-06, -1.4845531998644718e-05, 0.00012053322205509779, -0.0008548297479645846,
+    0.005223977369799816, -0.026866170632682117, 0.11283791670924707, -0.37612638903183465,
+    1.1283791670955126,
+)
+ERF_LARGE = (
+    6.206198118574459e-07, 2.1529552865960975e-06, -1.9891235110607323e-07, -1.4788112132941914e-05,
+    -2.777227050028112e-05, 2.7544690168918966e-05, 0.00017438535130006807, 4.3560767160505115e-05,
+    -0.0009819771047162888, -0.0008471434402614943, 0.006997461716778482, 0.0037328924051397597,
+    -0.07897858101544974, 0.24165819424247595, -0.4271858474139589, 0.25539567631050575,
+)
+ERF_K = 2.0
+
+
+def erf(x) -> np.ndarray:
+    """erf on a float array, within 2 ulp of math.erf.
+
+    x S(x^2) for |x| < 1/2, else sign(x) (1 - e^{-x^2} P(t)) with
+    t = (|x| - ERF_K)/(|x| + ERF_K); |x| is capped at 6, where that form
+    rounds to exactly 1 (erfc(6) is 2e-17). Odd bit for bit, and nan stays
+    nan.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = x.ravel()
+    a = np.abs(x)
+    small = a < 0.5
+    np.minimum(a, 6.0, out=a)
+    t = a - ERF_K
+    t /= a + ERF_K
+    p = t * ERF_LARGE[0]
+    p += ERF_LARGE[1]
+    for coef in ERF_LARGE[2:]:
+        p *= t
+        p += coef
+    np.multiply(a, a, out=a)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a *= p
+    out = np.subtract(1.0, a, out=a)
+    np.copysign(out, x, out=out)
+    xs = x[small]
+    if xs.size:
+        z = xs * xs
+        s = ERF_SMALL[0] * z + ERF_SMALL[1]
+        for coef in ERF_SMALL[2:]:
+            s *= z
+            s += coef
+        out[small] = xs * s
+    return out.reshape(shape)
 
 
 class Profile:
@@ -102,10 +162,37 @@ class Profile:
         # beyond the last kink the continuous part is -sum J, which weighs
         # that kink's erf
         self.tail = -0.5 * jumped if self.kinks else 0.0
+        # the same entries as columns for ``on``: positions, kinks first
+        self.x = np.array([x for x, *_ in (*self.kinks, *self.jumps)])
+        self.kink_weights = np.array([w for _, *w in self.kinks]).reshape(-1, 5).T
+        self.jump_weights = np.array([w for _, *w in self.jumps]).reshape(-1, 4).T
 
     def at(self, q: float):
         """(V, V', 1/M, (1/M)') at one position, on math scalars."""
-        return self._sum(q, math.exp, math.erf, 0.0)
+        c = self.c
+        exp, erf = math.exp, math.erf
+        v = vp = mi = mip = 0.0
+        e_prev = 1.0
+        for x, value, slope, bend, km, km_p in self.kinks:
+            d = q - x
+            u = c * d
+            e = erf(u)
+            g = exp(-u * u)
+            de = e_prev - e
+            v = v + (value + slope * d) * de + bend * g
+            vp = vp + slope * de
+            mi = mi + km * g
+            mip = mip + km_p * u * g
+            e_prev = e
+        for x, half, grad, jm, jm_p in self.jumps:
+            u = c * (q - x)
+            uu = u * u
+            g = exp(-uu)
+            v = v + half * erf(u)
+            vp = vp + grad * g
+            mi = mi + jm * u * g
+            mip = mip + jm_p * (0.5 - uu) * g
+        return self.level + (v + self.tail * e_prev), vp, self.inv_m + mi, mip
 
     def canonical_rhs(self):
         """The canonical equations of motion (q, p) -> (p/M, -V' - (1/2) (1/M)' p^2)
@@ -174,34 +261,40 @@ class Profile:
         return rhs
 
     def on(self, q: np.ndarray):
-        """(V, V', 1/M, (1/M)') at every position of an array."""
+        """(V, V', 1/M, (1/M)') at every position of an array: the terms of
+        ``at``, for rows of at most CHUNK (position, corner) pairs at once,
+        with one call of the array erf and one exp per chunk."""
         q = np.asarray(q, dtype=float)
-        return self._sum(q, np.exp, erf, np.zeros_like(q))
-
-    def _sum(self, q, exp, erf, zero):
-        c = self.c
-        v = vp = mi = mip = zero
-        e_prev = 1.0
-        for x, value, slope, bend, km, km_p in self.kinks:
-            d = q - x
+        flat = q.ravel()
+        out = np.empty((4, flat.size))
+        n, c = len(self.kinks), self.c
+        value, slope, bend, km, km_p = self.kink_weights
+        half, grad, jm, jm_p = self.jump_weights
+        rows = max(1, CHUNK // max(1, self.x.size))
+        for i in range(0, flat.size, rows):
+            d = flat[i:i + rows, None] - self.x
             u = c * d
             e = erf(u)
-            g = exp(-u * u)
-            de = e_prev - e
-            v = v + (value + slope * d) * de + bend * g
-            vp = vp + slope * de
-            mi = mi + km * g
-            mip = mip + km_p * u * g
-            e_prev = e
-        for x, half, grad, jm, jm_p in self.jumps:
-            u = c * (q - x)
             uu = u * u
-            g = exp(-uu)
-            v = v + half * erf(u)
-            vp = vp + grad * g
-            mi = mi + jm * u * g
-            mip = mip + jm_p * (0.5 - uu) * g
-        return self.level + (v + self.tail * e_prev), vp, self.inv_m + mi, mip
+            g = np.exp(-uu)
+            v = vp = mi = mip = np.zeros(len(d))
+            if n:
+                ek, gk = e[:, :n], g[:, :n]
+                de = np.empty_like(ek)  # e_prev - e, from e_prev = 1 at the first kink
+                np.subtract(1.0, ek[:, 0], out=de[:, 0])
+                np.subtract(ek[:, :-1], ek[:, 1:], out=de[:, 1:])
+                v = de @ value + (d[:, :n] * de) @ slope + gk @ bend + self.tail * ek[:, -1]
+                vp = de @ slope
+                mi = gk @ km
+                mip = (u[:, :n] * gk) @ km_p
+            if self.jumps:
+                ej, gj, uj = e[:, n:], g[:, n:], u[:, n:]
+                v = v + ej @ half
+                vp = vp + gj @ grad
+                mi = mi + (uj * gj) @ jm
+                mip = mip + ((0.5 - uu[:, n:]) * gj) @ jm_p
+            out[:, i:i + rows] = self.level + v, vp, self.inv_m + mi, mip
+        return tuple(out.reshape((4, *q.shape)))
 
 
 @dataclass(frozen=True)
@@ -262,10 +355,19 @@ def smoothed_potential(model: LowMomentumModel, q: float) -> float:
 
 def inverse_mass(model: LowMomentumModel, q: float) -> float:
     """1/M(q). Raises NonPositiveMass when the reduced model breaks down."""
-    val = 1.0 / model.params.m if model.profile is None else model.profile.at(q)[2]
+    return _smoothed(model, q)[1]
+
+
+def _smoothed(model: LowMomentumModel, q: float):
+    """(V(q), 1/M(q)) from one profile evaluation; NonPositiveMass when
+    1/M <= 0."""
+    if model.profile is None:
+        v, val = eval_classical(model.pot, q), 1.0 / model.params.m
+    else:
+        v, _, val, _ = model.profile.at(q)
     if val <= 0:
         raise NonPositiveMass(f"inverse mass {val:.4g} at q = {q:.4g}")
-    return val
+    return v, val
 
 
 def mass(model: LowMomentumModel, q: float) -> float:
@@ -276,8 +378,7 @@ def mass(model: LowMomentumModel, q: float) -> float:
 def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     """Reduced potential for Newtonian motion at conserved energy eps:
     (m/M(q)) (V(q) - eps) + eps. Equals the bare potential when hbar = 0."""
-    m_inv = inverse_mass(model, q)
-    v = smoothed_potential(model, q)
+    v, m_inv = _smoothed(model, q)
     return model.params.m * m_inv * (v - eps) + eps
 
 

@@ -20,6 +20,8 @@ from typing import Union
 
 import numpy as np
 
+KINK_ULPS = 64.0  # slope changes of at most this many ulp are rounding (Shape)
+
 
 @dataclass(frozen=True)
 class Shape:
@@ -32,7 +34,10 @@ class Shape:
     one right value per segment; anything else raises ValueError. slopes
     holds the slope on each interval between breakpoints, 0 on the outer
     ones, and corners three rows, one column per breakpoint: its position,
-    the jump of the value and the jump of the slope across it.
+    the jump of the value and the jump of the slope across it. A slope jump
+    of at most KINK_ULPS ulp of the larger of the two slopes is set to 0:
+    samples of one line are collinear only up to rounding, and every kink
+    costs the smoothed profiles one erf and one Gaussian.
     """
 
     level: float
@@ -59,10 +64,12 @@ class Shape:
         slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb
                          in zip(self.x[:-1], self.x[1:], self.left, self.right)), 0.0)
         object.__setattr__(self, "slopes", slopes)
+        kink = np.diff(slopes)
+        kink[np.abs(kink) <= KINK_ULPS * np.spacing(np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))] = 0.0
         corners = np.array((
             self.x,
             np.subtract((*self.left, self.level), (self.level, *self.right)),
-            np.diff(slopes),
+            kink,
         ))
         corners.flags.writeable = False
         object.__setattr__(self, "corners", corners)

@@ -354,6 +354,31 @@ def test_help_exits_zero():
         assert sub in res.stdout
 
 
+def test_start_up_loads_no_scipy(tmp_path):
+    # the real erf is the package's own, so only V_eff at p != 0 (veff and
+    # validate) loads scipy.special, for its complex erf; no command loads
+    # scipy.integrate
+    code = (
+        "import sys\n"
+        "def loaded(name):\n"
+        "    return any(m == name or m.startswith(name + '.') for m in sys.modules)\n"
+        "import effpot\n"
+        "from effpot import cli\n"
+        "print('@', loaded('scipy'))\n"
+        f"runs = (['model'], ['trajectory', '--eps', '0.9'], ['coeff', '--hbar', '3'], ['figures', '--out', {str(tmp_path)!r}])\n"
+        "for argv in runs:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('@', loaded('scipy'))\n"
+        "for argv in (['veff', '--nq', '9', '--np', '3'], ['validate']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('@', loaded('scipy.special'), loaded('scipy.integrate'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert [line for line in res.stdout.splitlines() if line.startswith("@")] == [
+        "@ False", "@ False", "@ True False"]
+
+
 def test_unknown_subcommand():
     res = launch("frobnicate")
     assert res.returncode == 2

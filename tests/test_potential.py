@@ -75,6 +75,42 @@ def test_shapes_of_the_three_types():
     assert not tab.shape.steps
 
 
+def _kinks(pot):
+    return np.count_nonzero(pot.shape.corners[2])
+
+
+def test_rounding_kinks_are_dropped():
+    # samples of one line are collinear only up to rounding: 0.8 (1 - |x|)
+    # on 41 points changes slope by a few ulp at most of its samples, and
+    # bends only at its ends and apex
+    grid = np.linspace(-1.0, 1.0, 41)
+    tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
+    assert np.count_nonzero(np.diff(tent.shape.slopes)) > 3
+    x, _, kink = tent.shape.corners
+    assert x[kink != 0.0].tolist() == [-1.0, 0.0, 1.0]
+    # tents on an offset grid, as the benchmark seeds them
+    rng = np.random.default_rng(22)
+    for offset, height in rng.uniform((-0.3, 0.5), (0.3, 1.0), (100, 2)):
+        grid = np.linspace(-1.0, 1.0, 41) + offset
+        values = height * (1.0 - np.abs(grid - offset))
+        values[0] = values[-1] = 0.0
+        assert _kinks(TabulatedPotential(tuple(grid), tuple(values))) == 3
+
+
+def test_real_kinks_are_kept():
+    # a slope change of 1e-9 relative is a corner
+    shape = Shape(0.0, (-1.0, 0.0, 0.5, 1.0), (0.0, 1.0, 0.5), (1.0, 0.5, 0.5 - 0.5 * (1.0 + 1e-9)))
+    assert shape.corners[2][2] == pytest.approx(-1e-9, rel=1e-6)
+    # and a raised-cosine bump bends at every sample where it is not flat
+    grid = np.linspace(-1.0, 1.0, 41)
+    rng = np.random.default_rng(22)
+    for centre, width, height in rng.uniform((-0.3, 0.5, 0.5), (0.3, 0.7, 1.0), (100, 3)):
+        values = height * 0.5 * (1.0 + np.cos(np.pi * np.clip((grid - centre) / width, -1.0, 1.0)))
+        values[0] = values[-1] = 0.0
+        bump = TabulatedPotential(tuple(grid), tuple(values))
+        assert _kinks(bump) == np.count_nonzero(np.diff(bump.shape.slopes)) > 20
+
+
 def test_square_eval_points():
     assert eval_classical(BARRIER, 0.0) == 1.0
     assert eval_classical(BARRIER, 2.0) == 0.0
