@@ -73,6 +73,12 @@ class Shape:
         ))
         corners.flags.writeable = False
         object.__setattr__(self, "corners", corners)
+        # shapes key kernel's per-(parameters, shape) caches, looked up on
+        # every V_eff call, so the hash of the four defining fields is taken once
+        object.__setattr__(self, "_hash", hash((self.level, self.x, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def steps(self) -> bool:

@@ -355,9 +355,8 @@ def test_help_exits_zero():
 
 
 def test_start_up_loads_no_scipy(tmp_path):
-    # the real erf is the package's own, so only V_eff at p != 0 (veff and
-    # validate) loads scipy.special, for its complex erf; no command loads
-    # scipy.integrate
+    # the real and the complex erf are the package's own and the quadrature
+    # is in-house, so no command loads any scipy module
     code = (
         "import sys\n"
         "def loaded(name):\n"
@@ -371,12 +370,38 @@ def test_start_up_loads_no_scipy(tmp_path):
         "print('@', loaded('scipy'))\n"
         "for argv in (['veff', '--nq', '9', '--np', '3'], ['validate']):\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "print('@', loaded('scipy.special'), loaded('scipy.integrate'))\n"
+        "print('@', loaded('scipy'))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert [line for line in res.stdout.splitlines() if line.startswith("@")] == [
-        "@ False", "@ False", "@ True False"]
+    assert [line for line in res.stdout.splitlines() if line.startswith("@")] == ["@ False"] * 3
+
+
+# stands in for an installation without scipy: any scipy import fails
+NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy' or name.startswith('scipy.'):\n"
+    "            raise ImportError(name + ' is not installed')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    probe = subprocess.run([sys.executable, "-c", NO_SCIPY + "import scipy.special"],
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode != 0 and "ImportError: scipy is not installed" in probe.stderr
+    main = NO_SCIPY + "from effpot import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    runs = (["model"], ["trajectory", "--eps", "0.9"], ["coeff", "--hbar", "3"],
+            ["veff", "--nq", "81", "--np", "9"], ["validate"], ["figures", "--out", str(tmp_path)])
+    out = {}
+    for argv in runs:
+        res = subprocess.run([sys.executable, "-c", main, *argv], capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, (argv, res.stderr)
+        out[argv[0]] = res.stdout
+    assert "all 9 checks passed" in out["validate"]
+    assert out["veff"] == launch("veff", "--nq", "81", "--np", "9").stdout
 
 
 def test_unknown_subcommand():

@@ -3,7 +3,9 @@
 The golden fixtures were produced by an independent dense nested-quadrature
 evaluation of the defining double integral, refinement-stable to about 1e-14,
 and are frozen here as plain constants. The closed form is also checked
-against the damped Fourier integral over the form factor (_fourier_veff).
+against the damped Fourier integral over the form factor (_fourier_veff),
+and its complex erf against mpmath values (erf_reference.py), scipy's erf
+and math.erf.
 """
 
 import math
@@ -18,6 +20,7 @@ from effpot.kernel import _fourier_veff, effective_potential, sinhc
 from effpot.lowmomentum import LowMomentumModel, evaluation_domain, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from erf_reference import ERF_REFERENCE
 from test_lowmomentum import LONG_TABLE
 
 PARAMS = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
@@ -281,3 +284,89 @@ def test_chunked_evaluation_matches_whole(monkeypatch):
     whole = effective_potential(PARAMS, pot, qs, ps)
     monkeypatch.setattr(kernel, "CHUNK", 100)
     assert np.array_equal(effective_potential(PARAMS, pot, qs, ps), whole)
+
+
+# ------------------------------------------------------------ the complex erf
+
+EPS = np.finfo(float).eps
+
+
+def test_erf_matches_frozen_references():
+    # relative in modulus, within 4 eps (1 + 2|u|^2): the input's own
+    # conditioning, since e^{-u^2} moves by 2|u|^2 times a relative change of u
+    u = np.array([complex(re, im) for re, im, _, _ in ERF_REFERENCE])
+    want = np.array([complex(float(re), float(im)) for _, _, re, im in ERF_REFERENCE])
+    assert np.abs(u.real).max() > 55.0 and u.imag.max() > 26.0 and np.abs(u).min() < 1e-13
+    got, _ = kernel.erf_gauss(u)
+    err = np.abs(got - want) / np.abs(want)
+    bound = 4.0 * EPS * (1.0 + 2.0 * np.abs(u) ** 2)
+    assert np.all(err <= bound), u[np.argmax(err / bound)]
+
+
+def test_erf_matches_scipy():
+    from scipy.special import erf  # test-only: the package never imports scipy
+
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-6.0, 6.0, 100_000) + 1j * rng.uniform(-6.0, 6.0, 100_000)
+    got, gauss = kernel.erf_gauss(u)
+    want = erf(u)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert np.array_equal(gauss, np.exp(-(u * u)))
+
+
+def test_erf_is_odd_and_conjugate_symmetric():
+    # odd bit for bit; conjugate-symmetric exactly, where a zero imaginary
+    # part may keep its sign (erf(x - 0j) is x + 0j)
+    rng = np.random.default_rng(12)
+    u = np.concatenate([rng.uniform(-8.0, 8.0, 5000) + 1j * rng.uniform(-8.0, 8.0, 5000),
+                        rng.uniform(-2.0, 2.0, 50) + 0j, 1j * rng.uniform(-2.0, 2.0, 50)])
+    erf, gauss = kernel.erf_gauss(u)
+    odd, gauss_odd = kernel.erf_gauss(-u)
+    assert np.array_equal(odd.view(np.uint64), (-erf).view(np.uint64))
+    assert np.array_equal(gauss_odd.view(np.uint64), gauss.view(np.uint64))
+    assert np.array_equal(kernel.erf_gauss(u.conj())[0], erf.conj())
+
+
+def test_erf_at_zero():
+    erf, gauss = kernel.erf_gauss(0.0)
+    assert erf.shape == () and erf == 0.0 and gauss == 1.0
+
+
+def test_erf_on_the_real_axis_is_math_erf():
+    rng = np.random.default_rng(13)
+    # the Taylor branch ends at |x| = 1, where its terms cancel most
+    x = np.concatenate([rng.uniform(-8.0, 8.0, 20_000), rng.uniform(0.9, 1.0, 5000), [1.0, -1.0, 6.0, 27.0]])
+    got = kernel.erf_gauss(x)[0]
+    want = np.array([math.erf(t) for t in x.tolist()])
+    assert np.all(got.imag == 0.0)
+    assert np.all(np.abs(got.real - want) <= 4.0 * np.spacing(np.abs(want)))
+
+
+def test_weideman_coefficients_are_the_fourier_coefficients():
+    # Weideman (1994): a_n are the discrete Fourier coefficients of
+    # e^{-t^2} (L^2 + t^2) at t = L tan(theta / 2), theta = k pi / M
+    n = len(kernel.WEIDEMAN)
+    m = 2 * n
+    length = math.sqrt(n / math.sqrt(2.0))
+    t = length * np.tan(np.arange(-m + 1, m) * np.pi / m / 2.0)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (length * length + t * t)))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    assert kernel.WEIDEMAN_L == length
+    assert np.all(np.abs(np.array(kernel.WEIDEMAN) - a[1:n + 1]) <= 4.0 * EPS * np.abs(a).max())
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_closed_form_agrees_with_the_scipy_erf_route(name, monkeypatch):
+    # the same closed form with scipy's erf in place of the package's own;
+    # the terms grow like e^{beta p^2 / 2m} and cancel, so the gate does too
+    from scipy.special import erf  # test-only
+
+    pot = SHAPES[name]
+    momenta = [1e-12, 0.5, 2.0] + [math.sqrt(2.0 * PARAMS.m * k / PARAMS.beta) for k in (9.0, 16.0)]
+    points = [(q, p) for q in (-1.2, -0.5, 0.0, 0.37, 2.0) for p in momenta]
+    ours = [effective_potential(PARAMS, pot, q, p) for q, p in points]
+    monkeypatch.setattr(kernel, "_erf_gauss_right", lambda v: (erf(v), np.exp(-(v * v))))
+    for (q, p), value in zip(points, ours):
+        reference = effective_potential(PARAMS, pot, q, p)
+        grow = max(1.0, math.exp(PARAMS.beta * p * p / (2.0 * PARAMS.m)))
+        assert abs(value - reference) <= 1e-12 * grow * max(1.0, abs(reference)), (q, p, value, reference)
