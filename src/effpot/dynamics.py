@@ -26,10 +26,10 @@ segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
 the speed at entry, keeps it from stepping over a wall. The canonical
 right-hand side (``Profile.canonical_rhs``) never forms V, so a jump costs it
 no error function; the Newtonian one (``Profile.newtonian_rhs``) needs V and
-sums it in its own one-frame closure. The segment ends when the state leaves
-downward through the zone's low surface or upward through its high one,
-each the zone edge clipped to the evaluation domain;
-leaving through a domain edge decides the outcome. The stepper follows
+reads all four profiles from ``Profile.at``. The segment ends when the state
+leaves downward through the zone's low surface or upward through its high
+one, each the zone edge clipped to the evaluation domain; leaving through a
+domain edge decides the outcome. The stepper follows
 scipy's DOP853 rule for rule (tableau, first step, step control, dense output
 and event location), so its steps are scipy's to roundoff, at a fraction of
 the per-step cost. At the tolerance REL_TOL an eighth-order step is about
@@ -54,6 +54,7 @@ from .errors import (
     InconsistentEnergy,
     StepFailure,
 )
+from .figures import write_atomic
 from .lowmomentum import (
     LowMomentumModel,
     Profile,
@@ -826,20 +827,17 @@ def classify_traversal(model: LowMomentumModel, eps: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file, metadata=None) -> None:
-    """Write samples as CSV with '#'-prefixed metadata lines."""
-
-    def emit(fh):
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        if traj.outcome is not None:
-            fh.write(f"# outcome={traj.outcome}\n")
-        fh.write(f"# energy0={traj.energy0:.12g}\n")
-        fh.write("t,q,p,energy_drift\n")
-        for row in zip(traj.t, traj.q, traj.p, traj.energy_drift):
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-
+    """Write samples as CSV with '#'-prefixed metadata lines. The text is
+    built first, so a path is written whole or not at all."""
+    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    if traj.outcome is not None:
+        lines.append(f"# outcome={traj.outcome}")
+    lines.append(f"# energy0={traj.energy0:.12g}")
+    lines.append("t,q,p,energy_drift")
+    lines.extend(",".join(f"{x:.12g}" for x in row)
+                 for row in zip(traj.t, traj.q, traj.p, traj.energy_drift))
+    text = "".join(line + "\n" for line in lines)
     if hasattr(path_or_file, "write"):
-        emit(path_or_file)
+        path_or_file.write(text)
     else:
-        with open(path_or_file, "w", newline="\n") as fh:
-            emit(fh)
+        write_atomic(path_or_file, text)

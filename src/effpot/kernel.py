@@ -48,7 +48,7 @@ from .errors import DomainError
 from .lowmomentum import Profile
 from .physical import PhysicalParams
 from .potential import ClassicalPotential, Shape
-from .quadrature import integrate_adaptive
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # (position, breakpoint) pairs evaluated at once. Each pair holds two rows of
@@ -305,7 +305,10 @@ def _fourier_veff(params: PhysicalParams, pot: ClassicalPotential, q: float, p: 
     The integrand behaves like exp(-k^2 / (2 s^2) + a k) times slowly
     varying factors, with the damping scale s = sqrt(2) c. Its exponent
     peaks at k* = a s^2, so it is cut at k* + TAIL_SIGMAS s, which leaves
-    only Gaussian tail mass (< 1e-15 of the total)."""
+    only Gaussian tail mass (< 1e-15 of the total). There the integrand
+    reaches about e^{beta p^2 / 2m} while the integral need not, so its
+    roundoff floor grows by that factor, and so does the absolute
+    tolerance (unchanged at p = 0)."""
     if params.hbar <= 0:
         raise DomainError("effective_potential needs hbar > 0; use eval_classical at hbar = 0")
     m, beta, hbar = params.m, params.beta, params.hbar
@@ -321,4 +324,8 @@ def _fourier_veff(params: PhysicalParams, pot: ClassicalPotential, q: float, p: 
         return sinhc(momentum_coeff * k) * math.exp(-damp_coeff * k * k) * real_part
 
     k_max = momentum_coeff * scale**2 + TAIL_SIGMAS * scale
-    return shape.level + integrate_adaptive(integrand, 0.0, k_max) / math.pi
+    # capped below overflow: past beta p^2 / 2m of about 355 the integrand
+    # itself overflows, which the quadrature reports as NonConvergence
+    growth = math.exp(min(beta * p * p / (2.0 * m), 700.0))
+    cfg = QuadratureConfig(abs_tol=DEFAULT_CONFIG.abs_tol * growth)
+    return shape.level + integrate_adaptive(integrand, 0.0, k_max, cfg) / math.pi

@@ -14,6 +14,8 @@ changes by K. Smoothing turns each corner into one error function and one
 Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
 (``Profile``), for one position or a whole array of them; the kinks' share
 of V and V' is summed by parts, which keeps its digits far from the shape.
+One scalar sum (``Profile.at``) forms V; the canonical right-hand side
+repeats its V', 1/M and (1/M)' terms without V, the Newtonian one reads it.
 One position is summed on ``math.erf``, an array on this module's own
 ``erf``, so numpy is all the module imports.
 The model is only meaningful while M(q) stays positive, which is checked on
@@ -129,9 +131,8 @@ class Profile:
     argument at a lone wall is exact there. The integrator's canonical
     right-hand side (``canonical_rhs``) never forms V, so a jump costs it
     one Gaussian and no erf; a kink keeps its erf, which V' reads. The
-    Newtonian one (``newtonian_rhs``) needs V, so it keeps every erf, but
-    sums all four profiles in the one frame of its closure rather than
-    through ``at``.
+    Newtonian one (``newtonian_rhs``) needs V, so it reads all four profiles
+    from ``at``.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
@@ -227,36 +228,12 @@ class Profile:
     def newtonian_rhs(self, eps: float):
         """The Newtonian equations of motion at energy eps,
         (q, dq/dt) -> (dq/dt, -VQ'/m) with VQ' = m (V' M^-1 + (V - eps) (M^-1)'),
-        as one closure on Python floats. It sums V, V', 1/M and (1/M)' term
-        for term as ``at`` does, so its values are bitwise those of ``at``."""
-        c, level, tail, inv_m, jumps, kinks = (
-            self.c, self.level, self.tail, self.inv_m, self.jumps, self.kinks)
-        exp, erf = math.exp, math.erf
+        as one closure over ``at``."""
+        at = self.at
 
         def rhs(q, dq):
-            v = vp = mi = mip = 0.0
-            e_prev = 1.0
-            for x, value, slope, bend, km, km_p in kinks:
-                d = q - x
-                u = c * d
-                e = erf(u)
-                g = exp(-u * u)
-                de = e_prev - e
-                v = v + (value + slope * d) * de + bend * g
-                vp = vp + slope * de
-                mi = mi + km * g
-                mip = mip + km_p * u * g
-                e_prev = e
-            for x, half, grad, jm, jm_p in jumps:
-                u = c * (q - x)
-                uu = u * u
-                g = exp(-uu)
-                v = v + half * erf(u)
-                vp = vp + grad * g
-                mi = mi + jm * u * g
-                mip = mip + jm_p * (0.5 - uu) * g
-            v = level + (v + tail * e_prev)
-            return dq, -(vp * (inv_m + mi) + (v - eps) * mip)
+            v, vp, minv, minvp = at(q)
+            return dq, -(vp * minv + (v - eps) * minvp)
 
         return rhs
 

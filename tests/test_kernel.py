@@ -208,6 +208,18 @@ def test_closed_form_at_high_momentum(name, kinetic):
             PARAMS, SHAPES[name], q, p)
 
 
+@pytest.mark.parametrize("kinetic", [5.12, 8.0])
+@pytest.mark.parametrize("name", ["square", "steps"])
+def test_fourier_oracle_converges_where_veff_is_flat(name, kinetic):
+    # at hbar 0.5 and beta p^2 / 2m = kinetic (p 9.05 and 11.3) V_eff - V_inf
+    # is about 1e-15 over most of the line, below the integrand's roundoff,
+    # which grows like e^kinetic; the oracle's tolerance grows with it
+    params = PhysicalParams(m=1.0, beta=0.125, hbar=0.5)
+    p = math.sqrt(2.0 * params.m * kinetic / params.beta)
+    for q in np.linspace(-2.5, 2.5, 41).tolist():
+        _assert_matches_oracle(SHAPES[name], q, p, params, rel=1e-10)
+
+
 @pytest.mark.parametrize("hbar", [0.5, 3.0, 6.0])
 @pytest.mark.parametrize("name", SHAPES)
 def test_zero_momentum_is_the_profile_to_roundoff(name, hbar):
