@@ -14,49 +14,31 @@ defaults, then a JSON config file given with --config (any key of PARAMS,
 with a number value), then explicit flags. A --potential-csv run records the
 file in its header in place of L and V0, and refuses --L and --V0. Exit
 codes: 0 success, 1 computational failure, 2 usage error.
+
+At module level this file imports only the standard library, ``errors`` and
+``atomic``; each command imports the layers it runs when it runs, so a
+launch loads only its subcommand's modules (``model`` never loads the
+dynamics, the kernel or the quadrature, and only ``validate`` loads
+``checks``).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dynamics import (
-    REFLECTED,
-    SURPASSED,
-    classify_traversal,
-    hamiltonian,
-    integrate_hamiltonian,
-    integrate_newtonian,
-    launch_state,
-    write_trajectory_csv,
-)
+from .atomic import write_atomic
 from .errors import EffpotError
-from .figures import emit_all, write_atomic
-from .kernel import _fourier_veff, effective_potential
-from .lowmomentum import (
-    LowMomentumModel,
-    inverse_mass,
-    mass,
-    smoothed_potential,
-    vq_potential,
-)
-from .physical import PhysicalParams, dimensionless
-from .potential import PiecewiseConstantPotential, SquareBarrier, load_tabulated_csv
-from .quadrature import QuadratureConfig
-from .transmission import (
-    effective_coefficients,
-    mixture_average,
-    quantum_t_mixture,
-    quantum_t_single,
-    transfer_matrix_transmission,
-)
+
+if TYPE_CHECKING:
+    from .lowmomentum import LowMomentumModel
+    from .physical import PhysicalParams
+    from .potential import SquareBarrier
+    from .quadrature import QuadratureConfig
 
 PARAMS = {
     "m": (1.0, "particle mass"),
@@ -86,21 +68,31 @@ class RunConfig:
     abs_tol: float
 
     def params(self) -> PhysicalParams:
+        from .physical import PhysicalParams
+
         return PhysicalParams(m=self.m, beta=self.beta, hbar=self.hbar)
 
     def barrier(self) -> SquareBarrier:
+        from .potential import SquareBarrier
+
         return SquareBarrier(v0=self.V0, l=self.L)
 
     def quadrature(self) -> QuadratureConfig:
+        from .quadrature import QuadratureConfig
+
         return QuadratureConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
     def model(self, pot=None) -> LowMomentumModel:
+        from .lowmomentum import LowMomentumModel
+
         return LowMomentumModel(self.params(), pot if pot is not None else self.barrier())
 
 
 def _build_config(args) -> RunConfig:
     merged = {key: default for key, (default, _) in PARAMS.items()}
     if args.config:
+        import json
+
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -172,6 +164,10 @@ def _header(cfg: RunConfig, potential_csv=None, **extra) -> str:
 
 
 def _cmd_veff(args) -> int:
+    import numpy as np
+
+    from .kernel import effective_potential
+
     _require_grid_size("--nq", args.nq)
     _require_grid_size("--np", args.np_)
     cfg = _build_config(args)
@@ -195,28 +191,46 @@ def _load_pot(args, cfg: RunConfig):
         return cfg.barrier()
     if args.L is not None or args.V0 is not None:
         raise UsageError("--L and --V0 do not apply to a --potential-csv run")
+    from .potential import load_tabulated_csv
+
     return load_tabulated_csv(args.potential_csv)
 
 
 def _cmd_model(args) -> int:
+    import numpy as np
+
+    from .lowmomentum import _smoothed
+
     _require_grid_size("--n", args.n)
     cfg = _build_config(args)
     model = cfg.model(_load_pot(args, cfg))
     qs = np.linspace(args.qmin, args.qmax, args.n)
+    m, eps = model.params.m, cfg.eps
     fh = io.StringIO()
-    fh.write(_header(cfg, args.potential_csv, eps=f"{cfg.eps:.12g}"))
+    fh.write(_header(cfg, args.potential_csv, eps=f"{eps:.12g}"))
     fh.write("q,V,M,VQ\n")
     for q in qs:
         q = float(q)
-        fh.write(
-            f"{q:.12g},{smoothed_potential(model, q):.12g},"
-            f"{mass(model, q):.12g},{vq_potential(model, q, cfg.eps):.12g}\n"
-        )
+        # one profile evaluation per row; M and VQ are formed as
+        # lowmomentum.mass and vq_potential form them
+        v, m_inv = _smoothed(model, q)
+        fh.write(f"{q:.12g},{v:.12g},{1.0 / m_inv:.12g},{m * m_inv * (v - eps) + eps:.12g}\n")
     _emit(args, fh.getvalue())
     return 0
 
 
 def _cmd_trajectory(args) -> int:
+    import numpy as np
+
+    from .dynamics import (
+        hamiltonian,
+        integrate_hamiltonian,
+        integrate_newtonian,
+        launch_state,
+        write_trajectory_csv,
+    )
+    from .lowmomentum import inverse_mass
+
     cfg = _build_config(args)
     if (args.q0 is None) != (args.p0 is None):
         raise UsageError("give both --q0 and --p0, or neither")
@@ -246,6 +260,9 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
+    from .physical import dimensionless
+    from .transmission import effective_coefficients, quantum_t_mixture
+
     cfg = _build_config(args)
     model = cfg.model()
     dims = dimensionless(cfg.params(), cfg.barrier())
@@ -263,6 +280,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from .figures import emit_all
+
     paths = emit_all(args.out)
     for p in paths:
         print(p)
@@ -270,114 +289,9 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    checks = []
+    from .checks import run
 
-    def check(name, fn):
-        checks.append((name, fn))
-
-    params = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
-    barrier = SquareBarrier(v0=1.0, l=0.5)
-    model = LowMomentumModel(params, barrier)
-
-    def smoothing_agreement():
-        # the closed form against the Fourier-kernel route on the
-        # piecewise-constant twin of the barrier
-        pw = PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0))
-        worst = max(
-            abs(effective_potential(params, pw, q, p) - _fourier_veff(params, pw, q, p))
-            for q in (-1.5, -0.4, 0.0, 0.7, 2.0)
-            for p in (0.0, 0.5, 1.5)
-        )
-        return worst < 1e-8, f"max diff {worst:.3e}"
-
-    def mass_curvature():
-        # closed inverse mass against a finite-difference curvature of the
-        # smoothed potential
-        coeff = params.beta**2 * params.hbar**2 / (12.0 * params.m**2)
-        h = 1e-3
-        worst = 0.0
-        for q in (-1.0, 0.0, 0.6, 1.4):
-            vpp = (
-                smoothed_potential(model, q + h)
-                - 2.0 * smoothed_potential(model, q)
-                + smoothed_potential(model, q - h)
-            ) / (h * h)
-            worst = max(worst, abs(inverse_mass(model, q) - (1.0 / params.m - coeff * vpp)))
-        return worst < 1e-6, f"max diff {worst:.3e}"
-
-    def zero_momentum_reduction():
-        worst = max(
-            abs(_fourier_veff(params, barrier, q, 0.0) - smoothed_potential(model, q))
-            for q in (-1.0, 0.0, 0.8)
-        )
-        return worst < 1e-8, f"max diff {worst:.3e}"
-
-    def oracle_pairing():
-        qp = PhysicalParams(m=1.0, beta=0.125, hbar=0.875)
-        k0 = math.sqrt(2.0 * qp.m * barrier.v0) / qp.hbar
-        worst = 0.0
-        for k in np.linspace(0.05 * k0, 0.999 * k0, 10):
-            closed = quantum_t_single(barrier, qp, float(k))
-            oracle = transfer_matrix_transmission(barrier, qp, (qp.hbar * k) ** 2 / (2 * qp.m)).t
-            worst = max(worst, abs(closed - oracle))
-        return worst < 1e-10, f"max diff {worst:.3e}"
-
-    def mixture_routes():
-        qp = PhysicalParams(m=1.0, beta=0.125, hbar=0.875)
-        direct = quantum_t_mixture(dimensionless(qp, barrier).Q)
-        averaged = mixture_average(barrier, qp)
-        return abs(direct - averaged) < 1e-8, f"diff {abs(direct - averaged):.3e}"
-
-    def effective_point():
-        from .transmission import effective_t_of_H
-
-        t = effective_t_of_H(2.97)
-        return abs(t - 0.5) < 0.005, f"t(H=2.97)={t:.6f}"
-
-    def mixture_point():
-        t = quantum_t_mixture(1.75)
-        return abs(t - 0.5) < 0.01, f"t(Q=1.75)={t:.6f}"
-
-    def conservation():
-        q0, p0 = launch_state(model, 0.9)
-        traj = integrate_hamiltonian(model, q0, p0)
-        ok = traj.max_energy_drift < 1e-9 and traj.outcome in (SURPASSED, REFLECTED)
-        return ok, f"drift {traj.max_energy_drift:.3e}, outcome {traj.outcome}"
-
-    def classical_limit():
-        cl = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=0.0), barrier)
-        below = classify_traversal(cl, 0.5)
-        above = classify_traversal(cl, 1.5)
-        eff = effective_coefficients(cl)
-        ok = below == REFLECTED and above == SURPASSED and eff.t == 0.0
-        return ok, f"below={below}, above={above}, t={eff.t:g}"
-
-    check("piecewise twin: closed-form vs Fourier-kernel effective potential", smoothing_agreement)
-    check("inverse mass vs smoothed-potential curvature", mass_curvature)
-    check("Fourier-kernel effective potential at p=0 equals smoothed potential",
-          zero_momentum_reduction)
-    check("single-state transmission vs transfer matrix", oracle_pairing)
-    check("mixture integral vs k-space average", mixture_routes)
-    check("effective coefficient at H=2.97", effective_point)
-    check("mixture coefficient at Q=1.75", mixture_point)
-    check("trajectory energy conservation", conservation)
-    check("classical limit at hbar=0", classical_limit)
-
-    failures = 0
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except EffpotError as exc:
-            ok, detail = False, f"error: {exc}"
-        line = "PASS" if ok else "FAIL"
-        print(f"{line}  {name}  ({detail})")
-        if not ok:
-            failures += 1
-    if failures:
-        print(f"{failures} of {len(checks)} checks failed")
-        return 1
-    print(f"all {len(checks)} checks passed")
-    return 0
+    return run()
 
 
 # --------------------------------------------------------------------- parser

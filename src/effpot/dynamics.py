@@ -48,13 +48,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (
     DidNotResolve,
     DomainError,
     InconsistentEnergy,
     StepFailure,
 )
-from .figures import write_atomic
 from .lowmomentum import (
     LowMomentumModel,
     Profile,

@@ -16,13 +16,13 @@ of its columns.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Tuple
 
 import numpy as np
 
+from .atomic import write_atomic
 from .lowmomentum import LowMomentumModel, mass, vq_potential
 from .physical import PhysicalParams
 from .potential import SquareBarrier
@@ -80,19 +80,6 @@ def _plot_script(spec: FigureSpec) -> str:
             "",
         ]
     )
-
-
-def write_atomic(path, text: str) -> None:
-    """Write text to path under a temporary name beside it and rename it into
-    place, so a failure never leaves a partial file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def emit_figure(spec: FigureSpec, out_dir) -> list:

@@ -48,7 +48,6 @@ from .errors import DomainError
 from .lowmomentum import Profile
 from .physical import PhysicalParams
 from .potential import ClassicalPotential, Shape
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # (position, breakpoint) pairs evaluated at once. Each pair holds two rows of
@@ -309,6 +308,8 @@ def _fourier_veff(params: PhysicalParams, pot: ClassicalPotential, q: float, p: 
     reaches about e^{beta p^2 / 2m} while the integral need not, so its
     roundoff floor grows by that factor, and so does the absolute
     tolerance (unchanged at p = 0)."""
+    from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
+
     if params.hbar <= 0:
         raise DomainError("effective_potential needs hbar > 0; use eval_classical at hbar = 0")
     m, beta, hbar = params.m, params.beta, params.hbar

@@ -12,7 +12,6 @@ asymptotes are rejected.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -212,6 +211,8 @@ def classical_max(pot: ClassicalPotential) -> float:
 def load_tabulated_csv(path) -> TabulatedPotential:
     """Read a two-column CSV of (position, value); the first non-blank row
     may be a header."""
+    import csv
+
     positions, values = [], []
     with open(path, newline="") as fh:
         rows = [(num, cells) for num, row in enumerate(csv.reader(fh), start=1)

@@ -377,6 +377,46 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert [line for line in res.stdout.splitlines() if line.startswith("@")] == ["@ False"] * 3
 
 
+# the effpot modules each command loads: the profiles and the CLI itself,
+# plus what the command runs and nothing more
+PROFILE_MODULES = {"errors", "physical", "potential", "lowmomentum", "cli", "atomic"}
+LOADS = {
+    "model": PROFILE_MODULES,
+    "coeff": PROFILE_MODULES | {"quadrature", "transmission"},
+    "veff": PROFILE_MODULES | {"kernel"},
+    "trajectory": PROFILE_MODULES | {"dynamics"},
+    "figures": PROFILE_MODULES | {"quadrature", "transmission", "figures"},
+    # every module but the figures and the entry point
+    "validate": PROFILE_MODULES | {"quadrature", "transmission", "kernel", "dynamics", "checks"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    # one fresh interpreter per command, so no other command's imports count
+    argv = {"figures": ["figures", "--out", str(tmp_path)]}.get(command, [command])
+    code = (
+        "import sys\n"
+        "from effpot import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m[len('effpot.'):] for m in sys.modules if m.startswith('effpot.'))\n"
+        "print(code, 'json' in sys.modules, 'csv' in sys.modules, *loaded, file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300)
+    code, json_loaded, csv_loaded, *loaded = res.stderr.splitlines()[-1].split()
+    assert code == "0", res.stderr
+    assert set(loaded) == LOADS[command]
+    # neither is loaded without --config or --potential-csv
+    assert (json_loaded, csv_loaded) == ("False", "False")
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, effpot\nprint([m for m in sys.modules if m.startswith('effpot.')])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 # stands in for an installation without scipy: any scipy import fails
 NO_SCIPY = (
     "import sys\n"
