@@ -56,9 +56,11 @@ from .errors import (
     StepFailure,
 )
 from .lowmomentum import (
+    ZONE_SIGMAS,
     LowMomentumModel,
     Profile,
     _brent,
+    corner_groups,
     evaluation_domain,
     inverse_mass,
     smoothed_potential,
@@ -73,7 +75,6 @@ DRIFT_LIMIT = 1e-9
 DRIFT_FLOOR = 1e-12
 REL_TOL = 1e-11          # adaptive step control
 ABS_TOL = 1e-12
-ZONE_SIGMAS = 20.0       # force-zone reach beyond a breakpoint, in units of sigma
 MAX_ZONE_SIGMAS = 5000.0  # widest breakpoint span of one zone, in units of sigma
 T_END_TRANSITS = 50.0    # default time budget in units of domain transit time
 MAX_EVENTS = 100_000
@@ -541,8 +542,9 @@ class _Zone(NamedTuple):
 
 def _zones(model) -> list:
     """The force zones in increasing order: the +-ZONE_SIGMAS sigma
-    neighbourhoods of the breakpoints where the bare potential jumps or
-    bends, merged where they overlap or a ramp joins them; at hbar = 0, one
+    neighbourhoods of the corner groups (``corner_groups``: breakpoints where
+    the bare potential jumps or bends, merged where their neighbourhoods
+    overlap), merged further where a ramp joins two groups; at hbar = 0, one
     zero-width zone per step.
 
     A zone steps on a profile in coordinates centred on its breakpoints:
@@ -558,17 +560,15 @@ def _zones(model) -> list:
     if model.profile is None and not shape.steps:
         raise DomainError("exact classical propagation needs a piecewise-constant potential")
     half = ZONE_SIGMAS * sigma
-    _, jump, kink = shape.corners
-    groups = []  # [first breakpoint, last breakpoint, index of the last]
-    for i, b in enumerate(shape.x):
-        if jump[i] == kink[i] == 0.0:
-            continue  # the bare potential neither jumps nor bends here
-        if groups and (b - half <= groups[-1][1] + half or shape.left[i - 1] != shape.right[i - 1]):
-            groups[-1][1:] = b, i
+    groups = []  # [first, last] breakpoint index
+    for first, last in corner_groups(shape, half):
+        if groups and shape.left[first - 1] != shape.right[first - 1]:
+            groups[-1][1] = last  # a ramp joins the two groups
         else:
-            groups.append([b, b, i])
+            groups.append([first, last])
     zones = []
-    for first, last, i in groups:
+    for i, j in groups:
+        first, last = shape.x[i], shape.x[j]
         if last - first > MAX_ZONE_SIGMAS * sigma:
             raise DomainError(
                 f"smoothing width {sigma:g} is too small a feature for adaptive stepping "
@@ -576,7 +576,7 @@ def _zones(model) -> list:
             )
         origin = 0.5 * (first + last)
         profile = None if model.profile is None else Profile(model.params, shape, origin=origin)
-        zones.append(_Zone(profile, origin, first - half, last + half, shape.levels[i + 1]))
+        zones.append(_Zone(profile, origin, first - half, last + half, shape.levels[j + 1]))
     return zones
 
 
@@ -629,8 +629,9 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             ts, cursor = t_eval[cursor:stop].tolist(), stop
         put(ts, [q_a + v * (tt - t_a) for tt in ts], [p] * len(ts), [energy] * len(ts))
 
-    def zone_state(v, minv, s):
-        """p and energy of zone states from V and 1/M there, on arrays or floats."""
+    def zone_state(profile, xi, s):
+        """p and energy of a zone state, from V and 1/M at xi."""
+        v, _, minv, _ = profile.at(xi)
         if newton:
             return s / minv, 0.5 * s * s / minv + v
         return s, 0.5 * s * s * minv + v
@@ -694,9 +695,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             n_rhs += seg.nfev
             if seg.status == -1:
                 raise StepFailure("adaptive step size fell below 10 ulp of the time")
-            xs, ss = np.array(seg.q), np.array(seg.s)
-            smoothed, _, minv, _ = z.profile.on(xs)
-            put(seg.t, (z.origin + xs).tolist(), *(col.tolist() for col in zone_state(smoothed, minv, ss)))
+            states = [zone_state(z.profile, xi, si) for xi, si in zip(seg.q, seg.s)]
+            put(seg.t, [z.origin + xi for xi in seg.q], [p for p, _ in states], [e for _, e in states])
             if t_eval is not None:
                 cursor += len(seg.t)
             if seg.status == 0:
@@ -704,8 +704,7 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             side, t, xi, s = seg.exit
             q = z.origin + xi
             gap = zone + 1 if side > 0 else zone
-            smoothed, _, minv, _ = z.profile.at(xi)
-            exit_state = tuple([col] for col in zone_state(smoothed, minv, s))
+            exit_state = tuple([col] for col in zone_state(z.profile, xi, s))
         if (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
             outcome = SURPASSED if side > 0 else REFLECTED
             put([t], [q], *exit_state)

@@ -12,14 +12,14 @@ potential is constant or linear between breakpoints, so it is fixed by its
 corners (potential.Shape.corners): where it jumps by J and where its slope
 changes by K. Smoothing turns each corner into one error function and one
 Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
-(``Profile``), for one position or a whole array of them; the kinks' share
-of V and V' is summed by parts, which keeps its digits far from the shape.
-One scalar sum (``Profile.at``) forms V; the canonical right-hand side
-repeats its V', 1/M and (1/M)' terms without V, the Newtonian one reads it.
-One position is summed on ``math.erf``, an array on this module's own
-``erf``, so numpy is all the module imports.
-The model is only meaningful while M(q) stays positive, which is checked on
-a dense grid at construction; the same scan gives the tunneling threshold.
+(``Profile``); the kinks' share of V and V' is summed by parts, which keeps
+its digits far from the shape. One scalar sum on ``math.erf``
+(``Profile.at``) forms V; the canonical right-hand side repeats its V', 1/M
+and (1/M)' terms without V, the Newtonian one reads it.
+The model is only meaningful while M(q) stays positive. Both that and the
+tunneling threshold, the maximum of V, are found at construction zone by
+zone: every extremum lies within ZONE_SIGMAS smoothing widths of a corner,
+where a scan at a fraction of sigma brackets it and ``_brent`` refines it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, NonPositiveMass
 from .physical import PhysicalParams
@@ -41,67 +39,9 @@ from .potential import (
     support_interval,
 )
 
-SCAN_POINTS = 2001
 EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute and relative
-CHUNK = 1 << 13  # (position, corner) pairs that Profile.on sums at once
-
-# The array erf's two polynomials, after Cody's split (W. J. Cody, Math.
-# Comp. 23 (1969) 631), highest power first. Both were fitted by least
-# squares on Chebyshev nodes against 50-digit erf and erfc: ERF_SMALL is
-# S(z) = erf(sqrt z)/sqrt z on 0 <= z <= 1/4, to 4e-18 relative, and
-# ERF_LARGE is P(t) = e^{x^2} erfc(x) in t = (x - ERF_K)/(x + ERF_K) on
-# 1/2 <= x <= 6, weighted by e^{-x^2}, so that erfc = e^{-x^2} P is within
-# 4e-18 absolute.
-ERF_SMALL = (
-    1.4722699274400109e-06, -1.4845531998644718e-05, 0.00012053322205509779, -0.0008548297479645846,
-    0.005223977369799816, -0.026866170632682117, 0.11283791670924707, -0.37612638903183465,
-    1.1283791670955126,
-)
-ERF_LARGE = (
-    6.206198118574459e-07, 2.1529552865960975e-06, -1.9891235110607323e-07, -1.4788112132941914e-05,
-    -2.777227050028112e-05, 2.7544690168918966e-05, 0.00017438535130006807, 4.3560767160505115e-05,
-    -0.0009819771047162888, -0.0008471434402614943, 0.006997461716778482, 0.0037328924051397597,
-    -0.07897858101544974, 0.24165819424247595, -0.4271858474139589, 0.25539567631050575,
-)
-ERF_K = 2.0
-
-
-def erf(x) -> np.ndarray:
-    """erf on a float array, within 2 ulp of math.erf.
-
-    x S(x^2) for |x| < 1/2, else sign(x) (1 - e^{-x^2} P(t)) with
-    t = (|x| - ERF_K)/(|x| + ERF_K); |x| is capped at 6, where that form
-    rounds to exactly 1 (erfc(6) is 2e-17). Odd bit for bit, and nan stays
-    nan.
-    """
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = x.ravel()
-    a = np.abs(x)
-    small = a < 0.5
-    np.minimum(a, 6.0, out=a)
-    t = a - ERF_K
-    t /= a + ERF_K
-    p = t * ERF_LARGE[0]
-    p += ERF_LARGE[1]
-    for coef in ERF_LARGE[2:]:
-        p *= t
-        p += coef
-    np.multiply(a, a, out=a)
-    np.negative(a, out=a)
-    np.exp(a, out=a)
-    a *= p
-    out = np.subtract(1.0, a, out=a)
-    np.copysign(out, x, out=out)
-    xs = x[small]
-    if xs.size:
-        z = xs * xs
-        s = ERF_SMALL[0] * z + ERF_SMALL[1]
-        for coef in ERF_SMALL[2:]:
-            s *= z
-            s += coef
-        out[small] = xs * s
-    return out.reshape(shape)
+ZONE_SIGMAS = 20.0  # reach of a corner's terms beyond its breakpoint, in units of sigma
+SCAN_STEP = 0.5     # largest step of the extremum scan, in units of sigma
 
 
 class Profile:
@@ -132,7 +72,8 @@ class Profile:
     right-hand side (``canonical_rhs``) never forms V, so a jump costs it
     one Gaussian and no erf; a kink keeps its erf, which V' reads. The
     Newtonian one (``newtonian_rhs``) needs V, so it reads all four profiles
-    from ``at``.
+    from ``at``. So does everything else: the trajectory samples and exits,
+    the threshold and the mass check.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
@@ -163,10 +104,6 @@ class Profile:
         # beyond the last kink the continuous part is -sum J, which weighs
         # that kink's erf
         self.tail = -0.5 * jumped if self.kinks else 0.0
-        # the same entries as columns for ``on``: positions, kinks first
-        self.x = np.array([x for x, *_ in (*self.kinks, *self.jumps)])
-        self.kink_weights = np.array([w for _, *w in self.kinks]).reshape(-1, 5).T
-        self.jump_weights = np.array([w for _, *w in self.jumps]).reshape(-1, 4).T
 
     def at(self, q: float):
         """(V, V', 1/M, (1/M)') at one position, on math scalars."""
@@ -237,51 +174,15 @@ class Profile:
 
         return rhs
 
-    def on(self, q: np.ndarray):
-        """(V, V', 1/M, (1/M)') at every position of an array: the terms of
-        ``at``, for rows of at most CHUNK (position, corner) pairs at once,
-        with one call of the array erf and one exp per chunk."""
-        q = np.asarray(q, dtype=float)
-        flat = q.ravel()
-        out = np.empty((4, flat.size))
-        n, c = len(self.kinks), self.c
-        value, slope, bend, km, km_p = self.kink_weights
-        half, grad, jm, jm_p = self.jump_weights
-        rows = max(1, CHUNK // max(1, self.x.size))
-        for i in range(0, flat.size, rows):
-            d = flat[i:i + rows, None] - self.x
-            u = c * d
-            e = erf(u)
-            uu = u * u
-            g = np.exp(-uu)
-            v = vp = mi = mip = np.zeros(len(d))
-            if n:
-                ek, gk = e[:, :n], g[:, :n]
-                de = np.empty_like(ek)  # e_prev - e, from e_prev = 1 at the first kink
-                np.subtract(1.0, ek[:, 0], out=de[:, 0])
-                np.subtract(ek[:, :-1], ek[:, 1:], out=de[:, 1:])
-                v = de @ value + (d[:, :n] * de) @ slope + gk @ bend + self.tail * ek[:, -1]
-                vp = de @ slope
-                mi = gk @ km
-                mip = (u[:, :n] * gk) @ km_p
-            if self.jumps:
-                ej, gj, uj = e[:, n:], g[:, n:], u[:, n:]
-                v = v + ej @ half
-                vp = vp + gj @ grad
-                mi = mi + (uj * gj) @ jm
-                mip = mip + ((0.5 - uu[:, n:]) * gj) @ jm_p
-            out[:, i:i + rows] = self.level + v, vp, self.inv_m + mi, mip
-        return tuple(out.reshape((4, *q.shape)))
-
 
 @dataclass(frozen=True)
 class LowMomentumModel:
     """Evaluator bundle for one (parameters, potential) pair.
 
-    Construction verifies mass positivity on the evaluation domain and fails
-    with NonPositiveMass otherwise, so downstream code can assume M(q) > 0;
-    profiles that are not finite there fail with DomainError.
-    The same scan locates the tunneling threshold. At hbar = 0 there is no
+    Construction finds the lowest 1/M and fails with NonPositiveMass when it
+    is not positive, so downstream code can assume M(q) > 0; profiles that
+    are not finite fail with DomainError. The same zone-by-zone scan
+    (``_extrema``) finds the tunneling threshold. At hbar = 0 there is no
     smoothing and profile is None.
     """
 
@@ -297,30 +198,90 @@ class LowMomentumModel:
         if self.params.hbar == 0:
             object.__setattr__(self, "_top", classical_max(self.pot))
             return
-        profile = Profile(self.params, self.pot.shape)
-        object.__setattr__(self, "profile", profile)
-        qs = np.linspace(*evaluation_domain(self), SCAN_POINTS)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            v, vp, inv_mass, inv_mass_p = profile.on(qs)
-        if not np.isfinite((v, vp, inv_mass, inv_mass_p)).all():
-            raise DomainError(f"the profiles at hbar = {self.params.hbar:g} leave floating range")
-        bad = np.flatnonzero(~(inv_mass > 0))
-        if bad.size:
+        object.__setattr__(self, "profile", Profile(self.params, self.pot.shape))
+        top, low, where = _extrema(self)
+        if not low > 0:
             raise NonPositiveMass(
-                f"inverse mass {inv_mass[bad[0]]:.4g} at q = {qs[bad[0]]:.4g}; "
-                "the reduced model is invalid at these parameters"
+                f"inverse mass {low!r} at q = {where!r}; the reduced model is invalid at these parameters"
             )
-        _, top = _peak(lambda q: profile.at(q)[0], lambda q: profile.at(q)[1], qs, v)
         object.__setattr__(self, "_top", top)
 
 
 def evaluation_domain(model: LowMomentumModel):
-    """Interval on which profiles are scanned; beyond it everything is
-    within Gaussian-tail distance of its asymptotic value."""
+    """Interval whose edges are the asymptotic exits of a trajectory; beyond
+    it everything is within Gaussian-tail distance of its asymptotic value."""
     a, b = support_interval(model.pot)
     width = b - a
     pad = width + 6.0 * model.smoothing_sigma
     return a - pad, b + pad
+
+
+def corner_groups(shape: Shape, reach: float) -> list:
+    """[first, last] breakpoint indices of each run of corners (breakpoints
+    where the bare potential jumps or bends) whose +-reach neighbourhoods
+    overlap, in increasing order. At ZONE_SIGMAS sigma from its breakpoint
+    a corner's erf is +-1 and its Gaussian below e^-200, so between the
+    groups V' is the bare slope and 1/M = 1/m: a ramp's interior holds no
+    extremum."""
+    _, jump, kink = shape.corners
+    groups = []
+    for i, b in enumerate(shape.x):
+        if jump[i] == kink[i] == 0.0:
+            continue  # the bare potential neither jumps nor bends here
+        if groups and b - reach <= shape.x[groups[-1][1]] + reach:
+            groups[-1][1] = i
+        else:
+            groups.append([i, i])
+    return groups
+
+
+def _extrema(model: LowMomentumModel):
+    """(highest V, lowest 1/M, where 1/M is lowest) over the whole line, all
+    read from ``Profile.at``.
+
+    Between the corner groups (``corner_groups`` at ZONE_SIGMAS sigma) no
+    extremum lies, so one sample per gap and the two edges of the evaluation
+    domain (the asymptote) cover them. Each group's neighbourhood is sampled
+    at a step of at most SCAN_STEP sigma, and every + -> - sign change of V'
+    and - -> + sign change of (1/M)' between neighbouring samples is refined
+    by ``_brent`` to a local maximum of V or minimum of 1/M.
+
+    DomainError when V, V' or 1/M is not finite at a sample, or when u^2
+    overflows for a jump at a domain edge (where |u| is largest), which
+    makes that jump's (1/M)' term (1/2 - u^2) g nan. (1/M)' is not checked
+    itself: it only brackets dips, and below hbar of about 1e-100 its jump
+    term is nan wherever the Gaussian is 0, because the weight times
+    (1/2 - u^2) overflows first.
+    """
+    profile, x, sigma = model.profile, model.pot.shape.x, model.smoothing_sigma
+    at, reach, edges = profile.at, ZONE_SIGMAS * sigma, evaluation_domain(model)
+    groups = corner_groups(model.pot.shape, reach)
+    qs = [*edges, *(0.5 * (x[a] + x[b]) for (_, a), (b, _) in zip(groups, groups[1:]))]
+    samples = [at(q) for q in qs]
+    peaks, dips = [], []  # cells holding a local maximum of V and a local minimum of 1/M
+    for first, last in groups:
+        lo, hi = x[first] - reach, x[last] + reach
+        n = max(1, math.ceil((hi - lo) / (SCAN_STEP * sigma)))
+        grid = [lo + (hi - lo) * i / n for i in range(n + 1)]
+        row = [at(q) for q in grid]
+        for qa, qb, a, b in zip(grid, grid[1:], row, row[1:]):
+            if a[1] > 0.0 >= b[1]:
+                peaks.append((qa, qb))
+            if a[3] < 0.0 <= b[3]:
+                dips.append((qa, qb))
+        qs += grid
+        samples += row
+    far = [profile.c * (q - jump[0]) for q in edges for jump in profile.jumps]
+    if not (all(math.isfinite(v) for sample in samples for v in sample[:3])
+            and all(math.isfinite(u * u) for u in far)):
+        raise DomainError(f"the profiles at hbar = {model.params.hbar:g} leave floating range")
+    for cells, column in ((peaks, 1), (dips, 3)):
+        for qa, qb in cells:
+            q = _brent(lambda q: at(q)[column], qa, qb)
+            qs.append(q)
+            samples.append(at(q))
+    low, where = min((sample[2], q) for q, sample in zip(qs, samples))
+    return max(sample[0] for sample in samples), low, where
 
 
 def smoothed_potential(model: LowMomentumModel, q: float) -> float:
@@ -343,7 +304,7 @@ def _smoothed(model: LowMomentumModel, q: float):
     else:
         v, _, val, _ = model.profile.at(q)
     if val <= 0:
-        raise NonPositiveMass(f"inverse mass {val:.4g} at q = {q:.4g}")
+        raise NonPositiveMass(f"inverse mass {val!r} at q = {q!r}")
     return v, val
 
 
@@ -363,7 +324,7 @@ def _brent(f, xa: float, xb: float) -> float:
     """Root of f on [xa, xb] to EVENT_TOL by Brent's method, step for step as
     scipy's brentq. When f has one sign at both ends, xb is returned: for a
     zone exit, the crossing detected at the step end lies within roundoff of
-    it, and a peak search keeps its grid point unless xb is higher."""
+    it."""
     xpre, xcur = xa, xb
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:
@@ -401,19 +362,6 @@ def _brent(f, xa: float, xb: float) -> float:
     return xcur
 
 
-def _peak(value, slope, qs: np.ndarray, vals: np.ndarray):
-    """Grid argmax of vals on qs, refined at the root of the closed slope in
-    the cell around it; the grid point is kept when it is higher. Returns
-    (argmax, max)."""
-    i = int(vals.argmax())
-    if 0 < i < qs.size - 1:
-        q = _brent(slope, float(qs[i - 1]), float(qs[i + 1]))
-        top = value(q)
-        if top >= vals[i]:
-            return q, top
-    return float(qs[i]), float(vals[i])
-
-
 def tunneling_threshold(model: LowMomentumModel) -> float:
     """Smallest energy at which the reduced barrier no longer reflects.
 
@@ -422,6 +370,7 @@ def tunneling_threshold(model: LowMomentumModel) -> float:
     difference V - eps without changing its sign), so the threshold is the
     maximum of the smoothed potential. For the square barrier that is
     v0 erf(sqrt(2m) l / (sqrt(beta) hbar)); hbar = 0 gives back the bare
-    barrier height. Found at construction from the model's profile scan.
+    barrier height. Found at construction by the model's zone scan
+    (``_extrema``).
     """
     return model._top

@@ -256,6 +256,29 @@ def test_tiny_hbar_fails_cleanly(run, within_60s, flags):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("hbar", ["1e-20", "1e-145"])
+def test_model_where_zones_round_onto_their_breakpoints(run, hbar):
+    # +-20 sigma rounds onto each wall's own breakpoint: each zone is one
+    # point, and the plateau between them is sampled as a gap
+    res = run("model", "--n", "3", "--hbar", hbar)
+    assert res.returncode == 0, res.stderr
+    assert _data_lines(res.stdout)[1:] == ["-4,0,1,0", "0,1,1,1", "4,0,1,0"]
+
+
+def test_model_at_unrepresentable_smoothing_is_one_error_line(run):
+    res = run("model", "--hbar", "1e-154")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error:")
+
+
+def test_model_refuses_a_mass_dip_between_scan_points(run):
+    # a dip about sigma wide on a support 9000 sigma wide
+    res = run("model", "--beta", "20", "--hbar", "0.01", "--L", "100")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: inverse mass -0.61313816346")
+
+
 def test_non_finite_config_value_is_usage_error(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"abs_tol": "nan"}')

@@ -227,7 +227,7 @@ def test_zero_momentum_is_the_profile_to_roundoff(name, hbar):
     model = LowMomentumModel(params, SHAPES[name])
     qs = np.linspace(-4.0, 4.0, 201)
     closed = effective_potential(params, SHAPES[name], qs, 0.0)
-    reduced = model.profile.on(qs)[0]
+    reduced = np.array([model.profile.at(q)[0] for q in qs.tolist()])
     assert np.all(np.abs(closed - reduced) <= 1e-14 * np.maximum(1.0, np.abs(reduced)))
 
 

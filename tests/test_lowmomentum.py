@@ -1,20 +1,20 @@
 """Reduced model: closed corner sums against the quadrature convolution route."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import erf
 
-from effpot.errors import NonPositiveMass
+from effpot.errors import DomainError, NonPositiveMass
 from effpot.lowmomentum import (
-    SCAN_POINTS,
+    ZONE_SIGMAS,
     LowMomentumModel,
     Profile,
-    _peak,
-    erf as array_erf,
+    corner_groups,
     evaluation_domain,
     inverse_mass,
     mass,
@@ -54,24 +54,6 @@ LONG_TABLE = TabulatedPotential(tuple(_LONG_GRID), tuple(_LONG_VALUES))  # 200 r
 
 def _params(hbar):
     return PhysicalParams(m=1.0, beta=0.125, hbar=hbar)
-
-
-def test_array_erf_is_within_two_ulp_of_math_erf():
-    xs = np.linspace(-8.0, 8.0, 1_600_001)
-    want = np.array([math.erf(x) for x in xs.tolist()])
-    got = array_erf(xs)
-    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
-    assert np.array_equal(array_erf(-xs), -got)  # odd, bit for bit
-
-
-def test_array_erf_edge_values():
-    zeros = array_erf(np.array([0.0, -0.0]))
-    assert zeros.tolist() == [0.0, 0.0] and np.signbit(zeros).tolist() == [False, True]
-    assert array_erf(np.array([math.inf, -math.inf])).tolist() == [1.0, -1.0]
-    assert np.isnan(array_erf(np.array([math.nan]))).all()
-    # erfc(6) = 2e-17 is below half an ulp of 1
-    far = np.linspace(6.0, 1e3, 10001)
-    assert (array_erf(far) == 1.0).all() and (array_erf(-far) == -1.0).all()
 
 
 def test_smoothing_width():
@@ -141,7 +123,8 @@ def _assert_matches_segment_form(shape, hbar, origin):
     # less than 1e4 ulp
     scale = np.maximum(1e-12 * np.abs(want - asymptote[:, None]).max(axis=1),
                        2.0 * np.spacing(np.abs(asymptote)))
-    assert np.all(np.abs(np.array(corners.on(qs)) - want) <= scale[:, None])
+    got = np.array([corners.at(q) for q in qs.tolist()]).T
+    assert np.all(np.abs(got - want) <= scale[:, None])
     for q in qs[::50].tolist():
         assert np.all(np.abs(np.subtract(corners.at(q), segments.at(q))) <= scale), q
 
@@ -168,6 +151,20 @@ def _mixed_shapes(draw):
 @example(Shape(0.0, (0.0, 0.05), (0.01,), (0.01,)), 2.3649168545007897, 3.0)  # 1/M off by 1 ulp of 1/m
 def test_corner_sum_matches_segment_form(shape, hbar, origin):
     _assert_matches_segment_form(shape, hbar, origin)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="known defect: V' sums to three subnormal steps off the segment form, "
+                          "against a floor of two")
+def test_corner_sum_matches_segment_form_on_a_subnormal_ramp():
+    _assert_matches_segment_form(Shape(level=0.0, x=(0.0, 0.5), left=(0.0,), right=(5e-324,)), 1.0, 1.0)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="known defect: V in the far tail is 14 ulp of the level off the segment "
+                          "form, where the ramp's area nearly cancels the level")
+def test_corner_sum_matches_segment_form_where_the_deviation_cancels():
+    _assert_matches_segment_form(Shape(level=-1.0, x=(0.0, 0.125), left=(0.0,), right=(-2.0,)), 4.0, 1.0)
 
 
 @pytest.mark.parametrize("hbar", [0.3, 3.0, 6.0])
@@ -302,6 +299,89 @@ def test_non_positive_mass_raises_at_construction():
         LowMomentumModel(PhysicalParams(m=1.0, beta=100.0, hbar=1.0), BARRIER)
 
 
+def _reference_extremum(params, pot, lo, hi, column, sign, points=200_000):
+    """Highest of sign * column (0 for V, 2 for 1/M) on [lo, hi] and its
+    position: the argmax of a uniform grid of the segment form, with every
+    extremum of its cells within 1e-3 of the grid's best refined by scipy's
+    bounded minimiser on Profile.at. The minimiser's tolerance grows with
+    |q|, so it works in offsets from the cell."""
+    at = Profile(params, pot.shape).at
+    qs = np.linspace(lo, hi, points)
+    values, slopes = sign * np.array(SegmentProfile(params, pot.shape).on(qs)[column:column + 2])
+    i = int(values.argmax())
+    best = values[i], qs[i]
+    cells = (slopes[:-1] > 0) & (slopes[1:] <= 0) & (values[:-1] >= best[0] - 1e-3 * abs(best[0]))
+    for i in np.flatnonzero(cells).tolist():
+        q0 = qs[i]
+        res = minimize_scalar(lambda t: -sign * at(q0 + t)[column],
+                              bounds=(qs[max(i - 1, 0)] - q0, qs[min(i + 2, points - 1)] - q0),
+                              method="bounded", options={"xatol": 1e-12})
+        best = max(best, (-res.fun, q0 + res.x))
+    return sign * best[0], best[1]
+
+
+@st.composite
+def _two_humps(draw):
+    # two plateaus of widths w1, w2 a gap apart (all in smoothing widths),
+    # the second one's height chosen so that the smoothed peaks, about
+    # h erf(w / sqrt(8)) each, are within 1e-3 of each other: the grid of a
+    # uniform scan then easily picks the lower one
+    hbar = draw(st.floats(min_value=0.05, max_value=1.0))
+    w1, w2 = (draw(st.floats(min_value=0.5, max_value=4.0)) for _ in range(2))
+    gap = draw(st.floats(min_value=30.0, max_value=300.0))
+    h1 = draw(st.floats(min_value=0.5, max_value=2.0))
+    h2 = h1 * math.erf(w1 / math.sqrt(8.0)) / math.erf(w2 / math.sqrt(8.0))
+    h2 *= 1.0 + draw(st.floats(min_value=-1e-3, max_value=1e-3))
+    x = np.cumsum((0.0, w1, gap, w2)) * math.sqrt(0.125 / 4.0) * hbar
+    return hbar, PiecewiseConstantPotential(tuple(x.tolist()), (0.0, h1, 0.0, h2, 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_humps())
+def test_threshold_is_the_higher_of_two_close_peaks(case):
+    hbar, pot = case
+    model = LowMomentumModel(_params(hbar), pot)
+    top, _ = _reference_extremum(model.params, pot, *evaluation_domain(model), 0, 1.0)
+    assert abs(tunneling_threshold(model) - top) <= 1e-13 * abs(top)
+
+
+def test_wide_square_refusal_quotes_the_dip():
+    # the dip of 1/M at a wall is about sigma wide and as deep at any hbar;
+    # the square's support is 9000 sigma wide here
+    params, square = PhysicalParams(m=1.0, beta=20.0, hbar=0.01), SquareBarrier(1.0, 100.0)
+    with pytest.raises(NonPositiveMass) as err:
+        LowMomentumModel(params, square)
+    match = re.match(r"inverse mass (\S+) at q = (\S+);", str(err.value))
+    low, where = float(match[1]), float(match[2])
+    sigma = math.sqrt(params.beta / (4.0 * params.m)) * params.hbar
+    want, at = _reference_extremum(params, square, -101.0, 101.0, 2, -1.0)
+    assert low < -0.6
+    assert abs(low - want) <= 1e-12
+    # the two walls' dips are mirror images
+    assert abs(abs(where) - abs(at)) <= 0.1 * sigma
+
+
+def test_separate_zones_keep_the_plateau_as_threshold():
+    # at hbar = 0.05 the walls' neighbourhoods do not overlap, and V' has no
+    # sign change in either: the top is the level of the gap between them
+    model = LowMomentumModel(_params(0.05), BARRIER)
+    sigma = model.smoothing_sigma
+    assert len(corner_groups(BARRIER.shape, ZONE_SIGMAS * sigma)) == 2
+    assert tunneling_threshold(model) == 1.0
+
+
+@pytest.mark.parametrize("hbar, refused", [(1e-145, False), (5e-154, True)])
+def test_profiles_leave_floating_range_only_with_u_squared(hbar, refused):
+    # at 1e-145 each wall's neighbourhood rounds onto its breakpoint and
+    # (1/M)' is nan away from the walls, but V, V' and 1/M are finite; at
+    # 5e-154 u^2 of a wall overflows at the domain edges
+    if refused:
+        with pytest.raises(DomainError, match="leave floating range"):
+            LowMomentumModel(_params(hbar), BARRIER)
+    else:
+        assert tunneling_threshold(LowMomentumModel(_params(hbar), BARRIER)) == 1.0
+
+
 def test_vq_asymptotics_and_height():
     model = LowMomentumModel(_params(3.0), BARRIER)
     assert abs(vq_potential(model, 80.0, 0.6)) < 1e-12
@@ -348,8 +428,6 @@ def test_threshold_fixed_point(hbar):
     # eps* solves eps = max_q V^Q(q; eps)
     model = LowMomentumModel(_params(hbar), BARRIER)
     eps_star = tunneling_threshold(model)
-    qs = np.linspace(*evaluation_domain(model), SCAN_POINTS)
-    v, _, inv_mass, _ = model.profile.on(qs)
     m = model.params.m
 
     def slope(q):
@@ -357,8 +435,12 @@ def test_threshold_fixed_point(hbar):
         v, vp, minv, minvp = model.profile.at(q)
         return m * (vp * minv + (v - eps_star) * minvp)
 
-    _, top = _peak(lambda q: vq_potential(model, q, eps_star), slope, qs,
-                   m * inv_mass * (v - eps_star) + eps_star)
+    # a scan of this test's own: the grid's argmax cell, refined at the root
+    # of the slope
+    qs = np.linspace(*evaluation_domain(model), 2001)
+    vq = [vq_potential(model, q, eps_star) for q in qs.tolist()]
+    i = int(np.argmax(vq))
+    top = max(vq[i], vq_potential(model, brentq(slope, qs[i - 1], qs[i + 1], xtol=1e-15), eps_star))
     assert abs(top - eps_star) < 1e-9
 
 
@@ -371,10 +453,11 @@ def test_threshold_fixed_point(hbar):
 )
 def test_threshold_matches_bounded_maximiser(hbar, pot):
     # oracle: scipy's bounded minimiser on -V over the argmax cell of a fine
-    # grid, independent of the model's own scan and root refinement
+    # grid of the segment form, independent of the model's own scan and
+    # root refinement
     model = LowMomentumModel(_params(hbar), pot)
     qs = np.linspace(*evaluation_domain(model), 20001)
-    i = int(np.argmax(model.profile.on(qs)[0]))
+    i = int(np.argmax(SegmentProfile(model.params, pot.shape).on(qs)[0]))
     res = minimize_scalar(
         lambda q: -smoothed_potential(model, q),
         bounds=(qs[i - 1], qs[i + 1]),
@@ -404,17 +487,6 @@ def test_general_shapes_build(pot):
     qs = np.linspace(-2.0, 2.0, 81)
     assert max(smoothed_potential(model, float(q)) for q in qs) <= thr + 1e-12
     assert thr < classical_max(pot)
-
-
-def test_threshold_array_scan_matches_scalar_profile():
-    # the threshold comes from an array scan plus a scalar root refinement;
-    # the two evaluation paths must agree
-    model = LowMomentumModel(_params(3.0), TENT)
-    qs = np.linspace(-3.0, 3.0, 61)
-    arrays = model.profile.on(qs)
-    for i, q in enumerate(map(float, qs)):
-        for a, b in zip(model.profile.at(q), arrays):
-            assert abs(a - b[i]) < 1e-14
 
 
 def test_tabulated_model_profiles():

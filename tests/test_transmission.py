@@ -364,11 +364,11 @@ def test_surpass_fraction_stratified_matches_closed_form():
 
 
 def test_surpass_fraction_scans_threshold_once(monkeypatch):
-    # the threshold is a grid scan plus a root refinement, made once at
+    # the threshold is a zone scan plus root refinements, made once at
     # construction instead of once per energy
     scans = []
-    peak = lowmomentum._peak
-    monkeypatch.setattr(lowmomentum, "_peak", lambda *a: scans.append(a) or peak(*a))
+    extrema = lowmomentum._extrema
+    monkeypatch.setattr(lowmomentum, "_extrema", lambda *a: scans.append(a) or extrema(*a))
     grid = np.linspace(-1.0, 1.0, 41)
     tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
     model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), tent)
