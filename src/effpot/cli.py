@@ -19,7 +19,8 @@ At module level this file imports only the standard library, ``errors`` and
 ``atomic``; each command imports the layers it runs when it runs, so a
 launch loads only its subcommand's modules (``model`` never loads the
 dynamics, the kernel or the quadrature, and only ``validate`` loads
-``checks``).
+``checks``). With ``atomic.linspace`` grids, only the kernel, dynamics and
+checks import numpy, so ``coeff``, ``model`` and ``figures`` never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .atomic import write_atomic
+from .atomic import linspace, write_atomic
 from .errors import EffpotError
 
 if TYPE_CHECKING:
@@ -164,8 +165,6 @@ def _header(cfg: RunConfig, potential_csv=None, **extra) -> str:
 
 
 def _cmd_veff(args) -> int:
-    import numpy as np
-
     from .kernel import effective_potential
 
     _require_grid_size("--nq", args.nq)
@@ -173,9 +172,9 @@ def _cmd_veff(args) -> int:
     cfg = _build_config(args)
     if cfg.hbar <= 0:
         raise UsageError("veff needs hbar > 0")
-    qs = np.linspace(args.qmin, args.qmax, args.nq)
-    ps = np.linspace(args.pmin, args.pmax, args.np_)
-    table = effective_potential(cfg.params(), cfg.barrier(), qs[:, None], ps[None, :])
+    qs = linspace(args.qmin, args.qmax, args.nq)
+    ps = linspace(args.pmin, args.pmax, args.np_)
+    table = effective_potential(cfg.params(), cfg.barrier(), [[q] for q in qs], [ps])  # q down, p across
     fh = io.StringIO()
     fh.write(_header(cfg))
     fh.write("q,p,veff\n")
@@ -197,20 +196,16 @@ def _load_pot(args, cfg: RunConfig):
 
 
 def _cmd_model(args) -> int:
-    import numpy as np
-
     from .lowmomentum import _smoothed
 
     _require_grid_size("--n", args.n)
     cfg = _build_config(args)
     model = cfg.model(_load_pot(args, cfg))
-    qs = np.linspace(args.qmin, args.qmax, args.n)
     m, eps = model.params.m, cfg.eps
     fh = io.StringIO()
     fh.write(_header(cfg, args.potential_csv, eps=f"{eps:.12g}"))
     fh.write("q,V,M,VQ\n")
-    for q in qs:
-        q = float(q)
+    for q in linspace(args.qmin, args.qmax, args.n):
         # one profile evaluation per row; M and VQ are formed as
         # lowmomentum.mass and vq_potential form them
         v, m_inv = _smoothed(model, q)
@@ -220,8 +215,6 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    import numpy as np
-
     from .dynamics import (
         hamiltonian,
         integrate_hamiltonian,
@@ -245,7 +238,7 @@ def _cmd_trajectory(args) -> int:
             raise UsageError("--samples must be at least 2")
         if t_end is None or not t_end > 0:
             raise UsageError("--samples needs an explicit --t-end > 0")
-        t_eval = np.linspace(0.0, t_end, args.samples)
+        t_eval = linspace(0.0, t_end, args.samples)
     if args.form == "hamiltonian":
         traj = integrate_hamiltonian(model, q0, p0, t_end=t_end, t_eval=t_eval)
     else:

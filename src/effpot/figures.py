@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Tuple
 
-import numpy as np
-
-from .atomic import write_atomic
+from .atomic import linspace, write_atomic
 from .lowmomentum import LowMomentumModel, mass, vq_potential
 from .physical import PhysicalParams
 from .potential import SquareBarrier
@@ -31,8 +29,8 @@ from .transmission import effective_t_of_H, quantum_t_mixture
 FIG_M, FIG_BETA = 1.0, 0.125
 FIG_BARRIER = SquareBarrier(v0=1.0, l=0.5)
 FIG2_EPS = 0.25
-PROFILE_GRID = np.linspace(-4.0, 4.0, 801)
-CURVE_GRID = np.linspace(0.02, 10.0, 500)  # uniform grid on (0, 10]
+PROFILE_GRID = tuple(linspace(-4.0, 4.0, 801))
+CURVE_GRID = tuple(linspace(0.02, 10.0, 500))  # uniform grid on (0, 10]
 
 
 @dataclass(frozen=True)
@@ -46,12 +44,12 @@ class FigureSpec:
 
 def _profiles(evaluate, hbars) -> list:
     models = [LowMomentumModel(PhysicalParams(FIG_M, FIG_BETA, h), FIG_BARRIER) for h in hbars]
-    return [PROFILE_GRID] + [np.array([evaluate(mod, float(q)) for q in PROFILE_GRID]) for mod in models]
+    return [PROFILE_GRID] + [[evaluate(mod, q) for q in PROFILE_GRID] for mod in models]
 
 
 def _curve(coefficient) -> list:
-    t = np.array([coefficient(float(x)) for x in CURVE_GRID])
-    return [CURVE_GRID, t, 1.0 - t]
+    t = [coefficient(x) for x in CURVE_GRID]
+    return [CURVE_GRID, t, [1.0 - x for x in t]]
 
 
 def default_figure_specs():
@@ -95,7 +93,7 @@ def emit_figure(spec: FigureSpec, out_dir) -> list:
     )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        rows = (",".join(f"{x:.12g}" for x in row) for row in np.column_stack(spec.columns()))
+        rows = (",".join(f"{x:.12g}" for x in row) for row in zip(*spec.columns()))
         lines = (*metadata, ",".join(spec.header), *rows)
         csv_path, gp_path = out / f"fig{spec.id}.csv", out / f"fig{spec.id}.gp"
         write_atomic(csv_path, "".join(line + "\n" for line in lines))

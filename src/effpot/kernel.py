@@ -222,7 +222,8 @@ def _corners(params: PhysicalParams, shape: Shape) -> tuple:
     w2/2 = K/(4c^2), None when no breakpoint jumps but some bend, and when
     none bends."""
     c = math.sqrt(2.0 * params.m) / (math.sqrt(params.beta) * params.hbar)
-    x, jump, kink = shape.corners[:, (shape.corners[1] != 0.0) | (shape.corners[2] != 0.0)]
+    corners = np.array(shape.corners)
+    x, jump, kink = corners[:, (corners[1] != 0.0) | (corners[2] != 0.0)]
     rows = max(1, CHUNK // max(1, x.size))
     bends = kink.any()
     w0 = np.tile(jump * (0.5 / c), (rows, 1)) if jump.any() or not bends else None

@@ -91,7 +91,7 @@ class Profile:
         # of the line's value and slope, and of g, g, u g in V, 1/M, (1/M)'
         self.jumps, self.kinks = [], []
         jumped = 0.0  # sum of the jumps to the left
-        corners = zip(*shape.corners.tolist(), (shape.level, *shape.right), shape.slopes)
+        corners = zip(*shape.corners, (shape.level, *shape.right), shape.slopes)
         for x, jump, kink, before, slope in corners:
             if jump != 0.0:
                 self.jumps.append((x - origin, 0.5 * jump, k * jump, 2.0 * c * curv * k * jump,

@@ -17,8 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Union
 
-import numpy as np
-
 KINK_ULPS = 64.0  # slope changes of at most this many ulp are rounding (Shape)
 
 
@@ -32,10 +30,10 @@ class Shape:
     Every number must be finite and x strictly increasing, with one left and
     one right value per segment; anything else raises ValueError. slopes
     holds the slope on each interval between breakpoints, 0 on the outer
-    ones, and corners three rows, one column per breakpoint: its position,
-    the jump of the value and the jump of the slope across it. A slope jump
-    of at most KINK_ULPS ulp of the larger of the two slopes is set to 0:
-    samples of one line are collinear only up to rounding, and every kink
+    ones, and corners three tuples of floats, one entry per breakpoint: its
+    position, the jump of the value and the jump of the slope across it. A
+    finite slope jump of at most KINK_ULPS ulp of the larger slope is set to
+    0: samples of one line are collinear only up to rounding, and every kink
     costs the smoothed profiles one erf and one Gaussian.
     """
 
@@ -44,7 +42,7 @@ class Shape:
     left: tuple
     right: tuple
     slopes: tuple = field(init=False, repr=False, compare=False)
-    corners: np.ndarray = field(init=False, repr=False, compare=False)
+    corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite("levels, breakpoints and values", (self.level, *self.x, *self.left, *self.right))
@@ -63,15 +61,13 @@ class Shape:
         slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb
                          in zip(self.x[:-1], self.x[1:], self.left, self.right)), 0.0)
         object.__setattr__(self, "slopes", slopes)
-        kink = np.diff(slopes)
-        kink[np.abs(kink) <= KINK_ULPS * np.spacing(np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))] = 0.0
-        corners = np.array((
-            self.x,
-            np.subtract((*self.left, self.level), (self.level, *self.right)),
-            kink,
-        ))
-        corners.flags.writeable = False
-        object.__setattr__(self, "corners", corners)
+        kinks = []
+        for a, b in zip(slopes[:-1], slopes[1:]):
+            kink = float(b - a)  # an infinite kink stays, though math.ulp(inf) is inf
+            rounding = math.isfinite(kink) and abs(kink) <= KINK_ULPS * math.ulp(max(abs(a), abs(b)))
+            kinks.append(0.0 if rounding else kink)
+        jumps = (float(a - b) for a, b in zip((*self.left, self.level), (self.level, *self.right)))
+        object.__setattr__(self, "corners", (tuple(map(float, self.x)), tuple(jumps), tuple(kinks)))
         # shapes key kernel's per-(parameters, shape) caches, looked up on
         # every V_eff call, so the hash of the four defining fields is taken once
         object.__setattr__(self, "_hash", hash((self.level, self.x, self.left, self.right)))
@@ -155,8 +151,8 @@ class TabulatedPotential:
     shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = tuple(np.asarray(self.grid, dtype=float).tolist())
-        vals = tuple(np.asarray(self.values, dtype=float).tolist())
+        grid = tuple(map(float, self.grid))
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
         if len(grid) != len(vals):

@@ -8,11 +8,15 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from effpot import cli
+from effpot.atomic import linspace
+from effpot.kernel import effective_potential
+from effpot.lowmomentum import LowMomentumModel, mass, smoothed_potential, vq_potential
 from effpot.physical import PhysicalParams
-from effpot.potential import SquareBarrier
+from effpot.potential import SquareBarrier, load_tabulated_csv
 from effpot.transmission import mixture_average
 
 CMD = [sys.executable, "-m", "effpot"]
@@ -100,6 +104,52 @@ def test_veff_grid_size(run):
     lines = _data_lines(res.stdout)
     assert lines[0] == "q,p,veff"
     assert len(lines) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("start,stop,n", [
+    (-4.0, 4.0, 1), (-4.0, 4.0, 2), (-4.0, 4.0, 3), (-4.0, 4.0, 801), (-4.0, 4.0, 201),
+    (-2.0, 2.0, 41), (0.0, 2.0, 9), (0.0, 20.0, 50), (0.1, 0.7, 7),
+    (1.5, 1.5, 5),          # a == b
+    (3.0, -2.0, 9),         # a reversed range
+    (0.0, 5e-324, 3),       # the step underflows to 0
+    (-1e-322, 1e-322, 101),
+    (0.02, 10.0, 500),      # the figure grids
+])
+def test_linspace_is_np_linspace_bitwise(start, stop, n):
+    got = linspace(start, stop, n)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in np.linspace(start, stop, n).tolist()]
+
+
+@pytest.mark.parametrize("n,hbar,tent", [(201, 3.0, False), (801, 3.0, False), (1, 3.0, False),
+                                         (3, 1e-145, False), (801, 3.0, True)])
+def test_model_rows_sit_on_the_np_linspace_grid(run, tmp_path, n, hbar, tent):
+    # the rows the command printed when its grid was an np.linspace array
+    argv = ["model", "--n", str(n), "--hbar", repr(hbar)]
+    pot = SquareBarrier(1.0, 0.5)
+    if tent:
+        csv = _tent_csv(tmp_path)
+        argv += ["--potential-csv", str(csv)]
+        pot = load_tabulated_csv(csv)
+    res = run(*argv)
+    assert res.returncode == 0, res.stderr
+    model = LowMomentumModel(PhysicalParams(1.0, 0.125, hbar), pot)
+    rows = [f"{q:.12g},{smoothed_potential(model, q):.12g},{mass(model, q):.12g},"
+            f"{vq_potential(model, q, 0.25):.12g}" for q in np.linspace(-4.0, 4.0, n).tolist()]
+    assert _data_lines(res.stdout)[1:] == rows
+
+
+@pytest.mark.parametrize("argv,q_grid,p_grid", [
+    (("--nq", "81", "--np", "9"), (-2.0, 2.0, 81), (0.0, 2.0, 9)),
+    (("--qmin", "-4", "--qmax", "4", "--nq", "201", "--np", "1", "--pmax", "0"), (-4.0, 4.0, 201), (0.0, 0.0, 1)),
+])
+def test_veff_rows_sit_on_the_np_linspace_grid(run, argv, q_grid, p_grid):
+    res = run("veff", *argv)
+    assert res.returncode == 0, res.stderr
+    qs, ps = np.linspace(*q_grid), np.linspace(*p_grid)
+    table = effective_potential(PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 0.5), qs[:, None], ps[None, :])
+    rows = [f"{q:.12g},{p:.12g},{v:.12g}" for q, row in zip(qs, table) for p, v in zip(ps, row)]
+    assert _data_lines(res.stdout)[1:] == rows
 
 
 def test_veff_rejects_classical(run):
@@ -412,6 +462,8 @@ LOADS = {
     # every module but the figures and the entry point
     "validate": PROFILE_MODULES | {"quadrature", "transmission", "kernel", "dynamics", "checks"},
 }
+# only the kernel and the dynamics need arrays
+LOADS_NUMPY = {"veff", "trajectory", "validate"}
 
 
 @pytest.mark.parametrize("command", sorted(LOADS))
@@ -423,21 +475,23 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
         "from effpot import cli\n"
         "code = cli.main(sys.argv[1:])\n"
         "loaded = sorted(m[len('effpot.'):] for m in sys.modules if m.startswith('effpot.'))\n"
-        "print(code, 'json' in sys.modules, 'csv' in sys.modules, *loaded, file=sys.stderr)\n"
+        "print(code, 'json' in sys.modules, 'csv' in sys.modules, 'numpy' in sys.modules, *loaded,"
+        " file=sys.stderr)\n"
     )
     res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300)
-    code, json_loaded, csv_loaded, *loaded = res.stderr.splitlines()[-1].split()
+    code, json_loaded, csv_loaded, numpy_loaded, *loaded = res.stderr.splitlines()[-1].split()
     assert code == "0", res.stderr
     assert set(loaded) == LOADS[command]
+    assert numpy_loaded == str(command in LOADS_NUMPY)
     # neither is loaded without --config or --potential-csv
     assert (json_loaded, csv_loaded) == ("False", "False")
 
 
 def test_bare_import_loads_no_submodule():
-    code = "import sys, effpot\nprint([m for m in sys.modules if m.startswith('effpot.')])"
+    code = "import sys, effpot\nprint([m for m in sys.modules if m.startswith('effpot.')], 'numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.strip() == "[] False"
 
 
 # stands in for an installation without scipy: any scipy import fails

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from effpot.kernel import _form_factor
 from effpot.potential import (
+    KINK_ULPS,
     PiecewiseConstantPotential,
     Shape,
     SquareBarrier,
@@ -86,7 +87,7 @@ def test_rounding_kinks_are_dropped():
     grid = np.linspace(-1.0, 1.0, 41)
     tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
     assert np.count_nonzero(np.diff(tent.shape.slopes)) > 3
-    x, _, kink = tent.shape.corners
+    x, _, kink = np.asarray(tent.shape.corners)
     assert x[kink != 0.0].tolist() == [-1.0, 0.0, 1.0]
     # tents on an offset grid, as the benchmark seeds them
     rng = np.random.default_rng(22)
@@ -109,6 +110,75 @@ def test_real_kinks_are_kept():
         values[0] = values[-1] = 0.0
         bump = TabulatedPotential(tuple(grid), tuple(values))
         assert _kinks(bump) == np.count_nonzero(np.diff(bump.shape.slopes)) > 20
+
+
+def _numpy_corners(shape):
+    """Shape.corners as rows of an array, by np.diff and np.spacing."""
+    slopes = np.array(shape.slopes)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kink = np.diff(slopes)
+        kink[np.abs(kink) <= KINK_ULPS * np.spacing(np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))] = 0.0
+        return np.array((shape.x, np.subtract((*shape.left, shape.level), (shape.level, *shape.right)), kink))
+
+
+def _bits(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+def _unit_ramps(*slopes):
+    # unit-width segments from 0 up to each slope: the slopes are exact and
+    # every inner breakpoint jumps by minus the slope before it
+    return Shape(0.0, tuple(float(k) for k in range(len(slopes) + 1)), (0.0,) * len(slopes), slopes)
+
+
+def test_corners_equal_the_numpy_construction():
+    rng = np.random.default_rng(29)
+    shapes = []
+    for kind in rng.integers(3, size=300):
+        n = int(rng.integers(1, 7))
+        x = np.cumsum(rng.uniform(0.05, 1.0, n + 1)) - 2.0
+        if kind == 0:  # steps
+            left = right = rng.uniform(-1.0, 1.0, n)
+        elif kind == 1:  # samples of one line: the kinks between them are rounding
+            line = rng.uniform(-1.0, 1.0) + rng.uniform(-2.0, 2.0) * x
+            left, right = line[:-1], line[1:]
+        else:
+            left, right = rng.uniform(-1.0, 1.0, (2, n))
+        shapes.append(Shape(float(rng.uniform(-0.5, 0.5)), tuple(x.tolist()), tuple(left.tolist()),
+                            tuple(right.tolist())))
+    u1, u2 = math.ulp(1.0), math.ulp(2.0)
+    shapes += [
+        # slopes at and around powers of two, each side of the KINK_ULPS bound
+        _unit_ramps(2.0, 2.0 + 64 * u2, 2.0 + 65 * u2 + 64 * u2, -4.0, -4.0 - 128 * u2),
+        _unit_ramps(2.0, 2.0 - 128 * u1, 2.0, 2.0 - 129 * u1, 0.5, 0.5 + 64 * math.ulp(0.5)),
+        # slopes at 0 next to subnormal ones, whose jumps are subnormal too
+        _unit_ramps(1.0, 0.0, 1e-322, 0.0, 5e-324, -1e-310, 0.0, 1.0),
+        Shape(0.0, (-1.0, 1.0), (5e-324,), (5e-324,)),
+        PiecewiseConstantPotential((-1.0, 0.0, 1.0), (1e-320, -5e-324, 2e-323, 1e-320)).shape,
+        # a slope that overflows to inf, and one that is inf/inf
+        Shape(0.0, (0.0, 5e-324), (0.0,), (1e308,)),
+        Shape(0.0, (-1e308, 1e308), (-1e308,), (1e308,)),
+    ]
+    for shape in shapes:
+        assert type(shape.corners) is tuple and all(type(row) is tuple for row in shape.corners)
+        assert all(type(v) is float for row in shape.corners for v in row)
+        assert _bits(shape.corners) == _bits(_numpy_corners(shape).tolist())
+    for shape in shapes[-7:-5]:  # the power-of-two ramps sit on both sides of the bound
+        assert np.count_nonzero(np.diff(shape.slopes)) > np.count_nonzero(shape.corners[2]) > 0
+
+
+def test_tabulated_samples_become_tuples_of_floats():
+    grid = np.linspace(-1.0, 1.0, 9)
+    values = 0.3 * (1.0 - grid * grid) + 0.1 * grid
+    values[0] = values[-1] = 0.0
+    for g, v in ((grid.tolist(), values.tolist()), (grid, values),
+                 (grid.astype(np.float32), values.astype(np.float32))):
+        pot = TabulatedPotential(g, v)
+        assert all(type(x) is float for x in (*pot.grid, *pot.values))
+        assert _bits((pot.grid, pot.values)) == _bits((np.asarray(g, dtype=float).tolist(),
+                                                       np.asarray(v, dtype=float).tolist()))
+        assert pot.shape == TabulatedPotential(tuple(np.asarray(g, dtype=float).tolist()),
+                                               tuple(np.asarray(v, dtype=float).tolist())).shape
 
 
 def test_square_eval_points():

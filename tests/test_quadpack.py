@@ -99,7 +99,7 @@ def agreeing(monkeypatch):
 
 
 def test_fig4_mixture_curve(compared):
-    for Q in CURVE_GRID.tolist():
+    for Q in list(CURVE_GRID):
         quantum_t_mixture(Q)
     assert len(compared) == len(CURVE_GRID) == 500
 
