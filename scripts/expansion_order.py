@@ -45,7 +45,8 @@ def main(argv=None) -> int:
     for q in qs:
         v0 = smoothed_potential(model, q)
         dm = inverse_mass(model, q) - 1.0 / args.m
-        deltas = np.abs(effective_potential(params, barrier, q, ps) - (v0 + 0.5 * ps * ps * dm))
+        veff = np.array([effective_potential(params, barrier, q, p) for p in ps])
+        deltas = np.abs(veff - (v0 + 0.5 * ps * ps * dm))
         if np.any(deltas <= 0.0):
             print(f"{q:.6g},nan,{deltas[-1]:.6g}")
             continue

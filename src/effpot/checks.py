@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from .atomic import linspace
 from .dynamics import REFLECTED, SURPASSED, classify_traversal, integrate_hamiltonian, launch_state
 from .errors import EffpotError
 from .kernel import _fourier_veff, effective_potential
@@ -79,8 +78,8 @@ def run() -> int:
         qp = PhysicalParams(m=1.0, beta=0.125, hbar=0.875)
         k0 = math.sqrt(2.0 * qp.m * barrier.v0) / qp.hbar
         worst = 0.0
-        for k in np.linspace(0.05 * k0, 0.999 * k0, 10):
-            closed = quantum_t_single(barrier, qp, float(k))
+        for k in linspace(0.05 * k0, 0.999 * k0, 10):
+            closed = quantum_t_single(barrier, qp, k)
             oracle = transfer_matrix_transmission(barrier, qp, (qp.hbar * k) ** 2 / (2 * qp.m)).t
             worst = max(worst, abs(closed - oracle))
         return worst < 1e-10, f"max diff {worst:.3e}"

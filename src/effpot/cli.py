@@ -19,8 +19,8 @@ At module level this file imports only the standard library, ``errors`` and
 ``atomic``; each command imports the layers it runs when it runs, so a
 launch loads only its subcommand's modules (``model`` never loads the
 dynamics, the kernel or the quadrature, and only ``validate`` loads
-``checks``). With ``atomic.linspace`` grids, only the kernel, dynamics and
-checks import numpy, so ``coeff``, ``model`` and ``figures`` never load it.
+``checks``). With ``atomic.linspace`` grids and a scalar kernel, only the
+dynamics imports numpy, so only ``trajectory`` and ``validate`` load it.
 """
 
 from __future__ import annotations
@@ -174,13 +174,13 @@ def _cmd_veff(args) -> int:
         raise UsageError("veff needs hbar > 0")
     qs = linspace(args.qmin, args.qmax, args.nq)
     ps = linspace(args.pmin, args.pmax, args.np_)
-    table = effective_potential(cfg.params(), cfg.barrier(), [[q] for q in qs], [ps])  # q down, p across
+    params, barrier = cfg.params(), cfg.barrier()
     fh = io.StringIO()
     fh.write(_header(cfg))
     fh.write("q,p,veff\n")
-    for q, row in zip(qs, table):
-        for p, v in zip(ps, row):
-            fh.write(f"{q:.12g},{p:.12g},{v:.12g}\n")
+    for q in qs:
+        for p in ps:
+            fh.write(f"{q:.12g},{p:.12g},{effective_potential(params, barrier, q, p):.12g}\n")
     _emit(args, fh.getvalue())
     return 0
 

@@ -23,9 +23,9 @@ by K adds J E0(u) / (2c) + K E2(u) / (2c^2) to A, at u = c (q - x + i a), where
           = u E0(u) / 2 + erf(u) / 4                        (E2' = E0).
 
 The complex erf and the Gaussian are evaluated once per breakpoint that
-jumps or bends, by this module's own ``erf_gauss`` on numpy: Weideman's
-rational approximation of the Faddeeva function w, with a Taylor series
-near 0, so the package needs numpy alone. At p = 0 V_eff is the
+jumps or bends, by this module's own ``_erf_gauss`` on one complex number
+(Python floats and cmath, no numpy): Weideman's rational approximation of
+the Faddeeva function w, with a Taylor series near 0. At p = 0 V_eff is the
 limit A'(q), the smoothed potential V(q), and is taken from
 lowmomentum.Profile itself, built once per (parameters, shape).
 
@@ -39,10 +39,9 @@ for the built-in checks and the tests. The dynamics never use either route.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-
-import numpy as np
 
 from .errors import DomainError
 from .lowmomentum import Profile
@@ -50,10 +49,6 @@ from .physical import PhysicalParams
 from .potential import ClassicalPotential, Shape
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-# (position, breakpoint) pairs evaluated at once. Each pair holds two rows of
-# 38 complex numbers in erf_gauss, 0.3 MB a chunk; 4× larger chunks ran
-# 2001 × 50 grids about twice as slowly, 4× smaller ones about 1.4×
-CHUNK = 1 << 9
 TAIL_SIGMAS = 8.0  # Fourier-oracle truncation, in damping scales past the peak
 # below this |k| times the segment half-width, the odd part of a linear
 # segment's transform is summed as a series (the closed form cancels)
@@ -66,8 +61,8 @@ FILON_SERIES_BELOW = 0.25
 #     Z = (L + iz) / (L - iz),  L = sqrt(N / sqrt(2)),
 # and P the polynomial below, lowest power first. Its coefficients are the
 # discrete Fourier coefficients of e^{-t^2} (L^2 + t^2) at t = L tan(theta/2),
-# computed with numpy.fft and frozen here, so that importing the package does
-# not load numpy.fft; tests/test_kernel.py recomputes them.
+# computed with numpy.fft and frozen here, so that the kernel needs no numpy;
+# tests/test_kernel.py recomputes them.
 WEIDEMAN_L = 5.045378491522287
 WEIDEMAN = (
     2.74074502740986, 2.445378492851921, 2.0193976436113505, 1.5401625788153652, 1.0813580371765887,
@@ -86,71 +81,37 @@ ERF_TAYLOR = tuple(2.0 / math.sqrt(math.pi) * ((-1) ** n / (math.factorial(n) * 
                    for n in range(18))
 
 
-def _ratios(coefficients) -> np.ndarray:
-    """(c_0, c_1/c_0, c_2/c_1, ...), last to first: with every ratio but c_0
-    times s, the cumulative product from the end is the series' terms
-    c_k s^k, and they lie smallest first, so that their sum adds the small
-    ones first (2 ulp of erf on the real axis near |u| = 1, 4 the other way)."""
-    c = np.asarray(coefficients, dtype=float)
-    return np.concatenate((c[:1], c[1:] / c[:-1]))[::-1]
-
-
 # With 1/(L - iz) = (1 + Z)/(2L), w is one polynomial in Z of degree N + 1,
 # R(Z) = (1 + Z) (P(Z) (1 + Z)/(2L^2) + 1/(2L sqrt(pi))), and at z = iu,
-# Z = (L - u)/(L + u). Row 0 of _RATIOS is R, row 1 is S (its ratios are 0
-# beyond degree 17).
-_R = np.convolve(WEIDEMAN, (1.0, 2.0, 1.0)) / (2.0 * WEIDEMAN_L ** 2)
-_R[:2] += 0.5 / (WEIDEMAN_L * math.sqrt(math.pi))
-_RATIOS = np.zeros((2, len(_R)), dtype=complex)
-_RATIOS[0] = _ratios(_R)
-_RATIOS[1, -len(ERF_TAYLOR):] = _ratios(ERF_TAYLOR)
-# complex constants as 0-d arrays: numpy converts a Python float anew on
-# every call, which costs as much as the arithmetic on a few elements
-_HALF, _ONE, _L, _INV_SQRT_PI = (np.array(x + 0j) for x in (0.5, 1.0, WEIDEMAN_L, INV_SQRT_PI))
+# Z = (L - u)/(L + u). R and S are kept highest power first, for Horner.
+_PADDED = (0.0, 0.0, *WEIDEMAN, 0.0, 0.0)
+_R = [(a + 2.0 * b + c) / (2.0 * WEIDEMAN_L ** 2) for a, b, c in zip(_PADDED, _PADDED[1:], _PADDED[2:])]
+_R[:2] = (r + 0.5 / (WEIDEMAN_L * math.sqrt(math.pi)) for r in _R[:2])
+_R_HORNER, _S_HORNER = tuple(reversed(_R)), ERF_TAYLOR[::-1]
 
 
-def erf_gauss(u):
-    """erf u and e^{-u^2} on a complex array, returned as a pair.
+def _erf_gauss(v: complex):
+    """erf v and e^{-v^2} for one complex v, returned as a pair.
 
-    erf(-u) = -erf(u) folds Re u < 0 onto Re u >= 0, where
-    erf u = 1 - e^{-u^2} w(iu) with Weideman's w (iu is in the upper half
-    plane). For |u| < 1 that form cancels, and the Taylor series u S(u^2) is
+    erf(-v) = -erf(v) folds Re v < 0 (by its sign bit) onto Re v >= 0, where
+    erf v = 1 - e^{-v^2} w(iv) with Weideman's w (iv is in the upper half
+    plane). For |v| < 1 that form cancels, and the Taylor series v S(v^2) is
     summed instead. Odd bit for bit, and conjugate-symmetric up to the sign
-    of a zero imaginary part. Where e^{-u^2} overflows, so does erf.
-    Evaluated CHUNK entries at a time.
+    of a zero imaginary part. Where e^{-v^2} overflows, cmath raises
+    OverflowError.
     """
-    shape = np.shape(u)
-    v = np.array(u, dtype=complex).reshape(-1)
-    flip = np.signbit(v.real)
-    np.negative(v, where=flip, out=v)
-    erf, gauss = np.empty_like(v), np.empty_like(v)
-    for i in range(0, v.size, CHUNK):
-        erf[i:i + CHUNK], gauss[i:i + CHUNK] = _erf_gauss_right(v[i:i + CHUNK])
-    np.negative(erf, where=flip, out=erf)
-    return erf.reshape(shape), gauss.reshape(shape)
-
-
-def _erf_gauss_right(v: np.ndarray):
-    """erf_gauss for Re v >= 0 on an array of at least one dimension. Each
-    series is a cumulative product along a row of _RATIOS times its variable
-    (v^2, or Z, of modulus at most 1), so a call makes the same few numpy
-    calls whatever its size."""
+    flip = math.copysign(1.0, v.real) < 0.0
+    if flip:
+        v = -v
     vv = v * v
-    gauss = np.exp(-vv)
+    gauss = cmath.exp(-vv)
     small = abs(vv) < 1.0
-    z = (_L - v) / (_L + v)
-    np.copyto(z, vv, where=small)
-    terms = _RATIOS.take(small.view(np.int8), axis=0)
-    # z in every column but the constant's: one flat product costs less than
-    # a broadcast one, which loops over the rows
-    step = np.repeat(z, terms.shape[-1]).reshape(terms.shape)
-    step[..., -1] = 1.0
-    terms *= step
-    np.multiply.accumulate(terms[..., ::-1], axis=-1, out=terms[..., ::-1])
-    series = np.add.reduce(terms, axis=-1)
-    erf = np.subtract(_ONE, gauss * series)
-    np.multiply(v, series, out=erf, where=small)
-    return erf, gauss
+    z = vv if small else (WEIDEMAN_L - v) / (WEIDEMAN_L + v)
+    series = 0j
+    for coeff in _S_HORNER if small else _R_HORNER:
+        series = series * z + coeff
+    erf = v * series if small else 1.0 - gauss * series
+    return (-erf if flip else erf), gauss
 
 
 def sinhc(x: float) -> float:
@@ -172,96 +133,61 @@ def sinhc(x: float) -> float:
     return math.sinh(ax) / ax
 
 
-def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p):
-    """Momentum-dependent smoothed potential V_eff(q, p).
+def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p) -> float:
+    """Momentum-dependent smoothed potential V_eff(q, p) at one point.
 
-    Broadcasts over arrays of q and p; a call on two scalars returns a float.
-    Even in p. At p = 0 it is the smoothed potential V(q) of
-    lowmomentum.Profile, evaluated there one position at a time, so array
-    and scalar calls agree bitwise. Requires hbar > 0; the classical limit
-    is the bare potential and callers take it directly. A result that leaves
-    floating range raises DomainError.
+    q and p are real scalars (numpy scalars too, through float). Even in p.
+    At p = 0 it is the smoothed potential V(q) of lowmomentum.Profile,
+    bitwise. Requires hbar > 0; the classical limit is the bare potential
+    and callers take it directly. A result that leaves floating range raises
+    DomainError.
     """
     if params.hbar <= 0:
         raise DomainError("effective_potential needs hbar > 0; use eval_classical at hbar = 0")
-    q = np.asarray(q, dtype=float)
-    a = np.abs(np.asarray(p, dtype=float))
-    a *= params.beta * params.hbar / (2.0 * params.m)
-    if q.shape != a.shape:
-        q, a = np.broadcast_arrays(q, a)
-    dims = q.shape
-    q, a = q.ravel(), a.ravel()
-    level = pot.shape.level
-    with np.errstate(all="ignore"):  # a non-finite result is refused just below
-        if a.all():
-            out = level + _deviation(_corners(params, pot.shape), q, a)
-        else:
-            out = np.empty(q.size)
-            still = a == 0.0
-            if not still.all():
-                moving = ~still
-                out[moving] = level + _deviation(_corners(params, pot.shape), q[moving], a[moving])
-            profile = _profile(params, pot.shape)
-            out[still] = [profile.at(x)[0] for x in q[still].tolist()]
-    if not np.isfinite(out).all():
+    q = float(q)
+    a = abs(float(p)) * (params.beta * params.hbar / (2.0 * params.m))
+    c, corners, profile = _prepared(params, pot.shape)
+    if a == 0.0:
+        value = profile.at(q)[0]
+    else:
+        try:
+            value = pot.shape.level + _deviation(c, corners, q, a)
+        except (OverflowError, ValueError):  # cmath refuses results past floating range
+            value = math.nan
+    if not math.isfinite(value):
         raise DomainError(f"V_eff at hbar = {params.hbar:g} leaves floating range for these (q, p)")
-    return float(out[0]) if dims == () else out.reshape(dims)
+    return value
 
 
 @functools.lru_cache(maxsize=8)
-def _profile(params: PhysicalParams, shape: Shape) -> Profile:
-    """The p = 0 profile, built once per (parameters, shape)."""
-    return Profile(params, shape)
-
-
-@functools.lru_cache(maxsize=8)
-def _corners(params: PhysicalParams, shape: Shape) -> tuple:
-    """c, the breakpoints that jump or bend, and the weights of their terms,
-    once per (parameters, shape); the others add nothing. The weights are
-    repeated for the CHUNK // n positions of a chunk: w0 = J/(2c) and
-    w2/2 = K/(4c^2), None when no breakpoint jumps but some bend, and when
-    none bends."""
+def _prepared(params: PhysicalParams, shape: Shape) -> tuple:
+    """c, each breakpoint that jumps or bends as (x, w0 = J/(2c),
+    w2/2 = K/(4c^2)) (the others add nothing) and the p = 0 profile."""
     c = math.sqrt(2.0 * params.m) / (math.sqrt(params.beta) * params.hbar)
-    corners = np.array(shape.corners)
-    x, jump, kink = corners[:, (corners[1] != 0.0) | (corners[2] != 0.0)]
-    rows = max(1, CHUNK // max(1, x.size))
-    bends = kink.any()
-    w0 = np.tile(jump * (0.5 / c), (rows, 1)) if jump.any() or not bends else None
-    half_w2 = np.tile(kink * (0.25 / (c * c)), (rows, 1)) if bends else None
-    return c, x, rows, w0, half_w2
+    corners = tuple((x, jump * (0.5 / c), kink * (0.25 / (c * c)))
+                    for x, jump, kink in zip(*shape.corners) if jump != 0.0 or kink != 0.0)
+    return c, corners, Profile(params, shape)
 
 
-def _deviation(corners: tuple, q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """V_eff - V_inf = Im A(q + i a) / a at the positions q and half-widths
-    a > 0 (1-D arrays), in chunks of at most CHUNK (position, breakpoint)
-    pairs, for the corners of _corners.
+def _deviation(c: float, corners: tuple, q: float, a: float) -> float:
+    """V_eff - V_inf = Im A(q + i a) / a at a > 0, for _prepared's corners.
 
     A corner adds w0 E0(u) + w2 E2(u) at u = c (q - x + i a), and
     2 E2 = u E0 + erf(u)/2. For q < x, u = -conj(v) with v = c (x - q + i a),
     so Im E0(u) = -Im E0(v) while Im(u E0(u) + erf(u)/2) keeps its value at
     v: every term is taken at v, in the right half plane, with w0 times the
     sign of q - x."""
-    c, x, rows, w0, half_w2 = corners
-    out = np.empty(q.size)
-    for i in range(0, q.size, rows):
-        d = q[i:i + rows, None] - x
-        r = d.shape[0]
-        v = np.empty(d.shape, dtype=complex)
-        np.multiply(np.abs(d), c, out=v.real)
-        np.multiply(a[i:i + rows, None], c, out=v.imag)
-        e, gauss = _erf_gauss_right(v)
-        e0 = v * e
-        e0 += gauss * _INV_SQRT_PI
-        if w0 is not None:
-            terms = w0[:r] * np.sign(d)
-            terms *= e0.imag
-        if half_w2 is not None:
-            e2 = v * e0
-            e2 += e * _HALF
-            kinks = half_w2[:r] * e2.imag
-            terms = kinks if w0 is None else terms + kinks
-        np.divide(np.add.reduce(terms, axis=1), a[i:i + rows], out=out[i:i + rows])
-    return out
+    total = 0.0
+    for x, w0, half_w2 in corners:
+        d = q - x
+        v = complex(abs(d) * c, a * c)
+        e, gauss = _erf_gauss(v)
+        e0 = v * e + gauss * INV_SQRT_PI
+        term = w0 * ((d > 0.0) - (d < 0.0)) * e0.imag
+        if half_w2:
+            term += half_w2 * (v * e0 + e * 0.5).imag
+        total += term
+    return total / a
 
 
 def _form_factor(shape: Shape, k: float) -> complex:

@@ -129,7 +129,7 @@ class Profile:
             v = v + half * erf(u)
             vp = vp + grad * g
             mi = mi + jm * u * g
-            mip = mip + jm_p * (0.5 - uu) * g
+            mip = mip + jm_p * ((0.5 - uu) * g)
         return self.level + (v + self.tail * e_prev), vp, self.inv_m + mi, mip
 
     def canonical_rhs(self):
@@ -157,7 +157,7 @@ class Profile:
                 g = exp(-uu)
                 vp = vp + grad * g
                 mi = mi + jm * u * g
-                mip = mip + jm_p * (0.5 - uu) * g
+                mip = mip + jm_p * ((0.5 - uu) * g)
             return p * (inv_m + mi), -vp - 0.5 * mip * p * p
 
         return rhs

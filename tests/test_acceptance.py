@@ -87,7 +87,8 @@ def test_criterion_4_expansion_order():
     for q in (0.0, BARRIER.l, 2.0 * BARRIER.l):
         v0 = smoothed_potential(model, q)
         dm = inverse_mass(model, q) - 1.0 / params.m
-        deltas = np.abs(effective_potential(params, BARRIER, q, ps) - (v0 + 0.5 * ps * ps * dm))
+        veff = np.array([effective_potential(params, BARRIER, q, p) for p in ps])
+        deltas = np.abs(veff - (v0 + 0.5 * ps * ps * dm))
         slopes.append(float(np.polyfit(np.log(ps), np.log(deltas), 1)[0]))
     print(
         "criterion 4: remainder slopes "

@@ -147,8 +147,8 @@ def test_veff_rows_sit_on_the_np_linspace_grid(run, argv, q_grid, p_grid):
     res = run("veff", *argv)
     assert res.returncode == 0, res.stderr
     qs, ps = np.linspace(*q_grid), np.linspace(*p_grid)
-    table = effective_potential(PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 0.5), qs[:, None], ps[None, :])
-    rows = [f"{q:.12g},{p:.12g},{v:.12g}" for q, row in zip(qs, table) for p, v in zip(ps, row)]
+    params, barrier = PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 0.5)
+    rows = [f"{q:.12g},{p:.12g},{effective_potential(params, barrier, q, p):.12g}" for q in qs for p in ps]
     assert _data_lines(res.stdout)[1:] == rows
 
 
@@ -462,8 +462,8 @@ LOADS = {
     # every module but the figures and the entry point
     "validate": PROFILE_MODULES | {"quadrature", "transmission", "kernel", "dynamics", "checks"},
 }
-# only the kernel and the dynamics need arrays
-LOADS_NUMPY = {"veff", "trajectory", "validate"}
+# only the dynamics needs arrays
+LOADS_NUMPY = {"trajectory", "validate"}
 
 
 @pytest.mark.parametrize("command", sorted(LOADS))

@@ -3,11 +3,12 @@
 The golden fixtures were produced by an independent dense nested-quadrature
 evaluation of the defining double integral, refinement-stable to about 1e-14,
 and are frozen here as plain constants. The closed form is also checked
-against the damped Fourier integral over the form factor (_fourier_veff),
-and its complex erf against mpmath values (erf_reference.py), scipy's erf
-and math.erf.
+against 50-digit mpmath values (veff_reference.py) and the damped Fourier
+integral over the form factor (_fourier_veff), and its complex erf against
+mpmath values (erf_reference.py), scipy's erf and math.erf.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -22,9 +23,11 @@ from effpot.physical import PhysicalParams
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
 from erf_reference import ERF_REFERENCE
 from test_lowmomentum import LONG_TABLE
+from veff_reference import VEFF_REFERENCE
 
 PARAMS = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
+EPS = np.finfo(float).eps
 
 # frozen nested-quadrature oracle values at m=1, beta=1/8, hbar=3, V0=1, L=1/2
 GOLDEN = [
@@ -34,6 +37,18 @@ GOLDEN = [
     (1.0, 1.0, 0.165876316172298),
     (0.0, 2.0, 0.696621798152930),
 ]
+
+
+def test_veff_matches_frozen_references():
+    # within 4 eps e^{beta p^2 / 2m} max(1, |V_eff|): the terms grow like
+    # e^{beta p^2 / 2m} and cancel; the worst row reaches 1.8 of that unit
+    shapes = {"square": BARRIER, "tent": TabulatedPotential((-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, 0.4, 0.8, 0.4, 0.0))}
+    assert len(VEFF_REFERENCE) == 327
+    for name, hbar, q, p, text in VEFF_REFERENCE:
+        params = PhysicalParams(m=1.0, beta=0.125, hbar=hbar)
+        want = float(text)
+        bound = 4.0 * EPS * math.exp(params.beta * p * p / (2.0 * params.m)) * max(1.0, abs(want))
+        assert abs(effective_potential(params, shapes[name], q, p) - want) <= bound, (name, hbar, q, p)
 
 
 def test_sinhc_values():
@@ -110,7 +125,7 @@ def test_even_in_momentum():
 def test_smoothing_reduces_total_variation():
     qs = np.linspace(-4.0, 4.0, 601)
     for p in (0.0, 1.5):
-        vals = effective_potential(PARAMS, BARRIER, qs, p)
+        vals = [effective_potential(PARAMS, BARRIER, q, p) for q in qs.tolist()]
         tv = float(np.sum(np.abs(np.diff(vals))))
         assert tv <= 2.0 * BARRIER.v0 + 1e-9
 
@@ -226,7 +241,7 @@ def test_zero_momentum_is_the_profile_to_roundoff(name, hbar):
     params = PhysicalParams(m=1.0, beta=0.125, hbar=hbar)
     model = LowMomentumModel(params, SHAPES[name])
     qs = np.linspace(-4.0, 4.0, 201)
-    closed = effective_potential(params, SHAPES[name], qs, 0.0)
+    closed = np.array([effective_potential(params, SHAPES[name], q, 0.0) for q in qs.tolist()])
     reduced = np.array([model.profile.at(q)[0] for q in qs.tolist()])
     assert np.all(np.abs(closed - reduced) <= 1e-14 * np.maximum(1.0, np.abs(reduced)))
 
@@ -239,7 +254,7 @@ def test_zero_momentum_is_the_profile_on_a_long_table(hbar):
     model = LowMomentumModel(params, LONG_TABLE)
     qs = np.linspace(*evaluation_domain(model), 301)
     want = [model.profile.at(q)[0] for q in qs.tolist()]
-    assert effective_potential(params, LONG_TABLE, qs, 0.0).tolist() == want
+    assert [effective_potential(params, LONG_TABLE, q, 0.0) for q in qs.tolist()] == want
     assert [smoothed_potential(model, q) for q in qs[::30].tolist()] == want[::30]
 
 
@@ -266,19 +281,13 @@ def test_closed_form_at_tiny_momentum(name):
 
 
 @pytest.mark.parametrize("name", SHAPES)
-def test_array_calls_equal_scalar_calls(name):
+def test_numpy_scalars_give_the_float_of_python_floats(name):
     pot = SHAPES[name]
-    qs = np.linspace(-2.0, 2.0, 9)
-    ps = np.array([-1.5, 0.0, 0.3, 4.0])
-    table = effective_potential(PARAMS, pot, qs[:, None], ps)
-    assert table.shape == (9, 4)
-    for i, q in enumerate(qs.tolist()):
-        for j, p in enumerate(ps.tolist()):
-            scalar = effective_potential(PARAMS, pot, q, p)
-            assert type(scalar) is float
-            assert table[i, j] == scalar
-    # even in p over whole arrays
-    assert np.array_equal(effective_potential(PARAMS, pot, qs, -ps[2]), table[:, 2])
+    for q in np.linspace(-2.0, 2.0, 9):
+        for p in (np.float64(-1.5), np.float32(0.0), np.float64(0.3), np.int64(4)):
+            value = effective_potential(PARAMS, pot, q, p)
+            assert type(value) is float
+            assert value == effective_potential(PARAMS, pot, float(q), float(p))
 
 
 def test_overflow_raises_domain_error():
@@ -286,21 +295,15 @@ def test_overflow_raises_domain_error():
     with pytest.raises(DomainError):
         effective_potential(PARAMS, BARRIER, 0.0, 200.0)
     with pytest.raises(DomainError):
-        effective_potential(PARAMS, SHAPES["tent"], np.linspace(-1.0, 1.0, 5), np.array([[1.0], [200.0]]))
-
-
-def test_chunked_evaluation_matches_whole(monkeypatch):
-    # large grids are evaluated a few (position, breakpoint) pairs at a time
-    pot = SHAPES["tent"]
-    qs, ps = np.linspace(-2.0, 2.0, 7)[:, None], np.array([0.0, 0.5, 2.0])
-    whole = effective_potential(PARAMS, pot, qs, ps)
-    monkeypatch.setattr(kernel, "CHUNK", 100)
-    assert np.array_equal(effective_potential(PARAMS, pot, qs, ps), whole)
+        [effective_potential(PARAMS, SHAPES["tent"], q, p) for q in np.linspace(-1.0, 1.0, 5) for p in (1.0, 200.0)]
 
 
 # ------------------------------------------------------------ the complex erf
 
-EPS = np.finfo(float).eps
+def _erf_gauss(u):
+    """kernel._erf_gauss on each entry of an array: (erf, gauss) as arrays."""
+    pairs = [kernel._erf_gauss(v) for v in np.asarray(u, dtype=complex).ravel().tolist()]
+    return np.array([e for e, _ in pairs]), np.array([g for _, g in pairs])
 
 
 def test_erf_matches_frozen_references():
@@ -309,7 +312,7 @@ def test_erf_matches_frozen_references():
     u = np.array([complex(re, im) for re, im, _, _ in ERF_REFERENCE])
     want = np.array([complex(float(re), float(im)) for _, _, re, im in ERF_REFERENCE])
     assert np.abs(u.real).max() > 55.0 and u.imag.max() > 26.0 and np.abs(u).min() < 1e-13
-    got, _ = kernel.erf_gauss(u)
+    got, _ = _erf_gauss(u)
     err = np.abs(got - want) / np.abs(want)
     bound = 4.0 * EPS * (1.0 + 2.0 * np.abs(u) ** 2)
     assert np.all(err <= bound), u[np.argmax(err / bound)]
@@ -320,10 +323,10 @@ def test_erf_matches_scipy():
 
     rng = np.random.default_rng(11)
     u = rng.uniform(-6.0, 6.0, 100_000) + 1j * rng.uniform(-6.0, 6.0, 100_000)
-    got, gauss = kernel.erf_gauss(u)
+    got, gauss = _erf_gauss(u)
     want = erf(u)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    assert np.array_equal(gauss, np.exp(-(u * u)))
+    assert gauss.tolist() == [cmath.exp(-(v * v)) for v in u.tolist()]
 
 
 def test_erf_is_odd_and_conjugate_symmetric():
@@ -332,23 +335,23 @@ def test_erf_is_odd_and_conjugate_symmetric():
     rng = np.random.default_rng(12)
     u = np.concatenate([rng.uniform(-8.0, 8.0, 5000) + 1j * rng.uniform(-8.0, 8.0, 5000),
                         rng.uniform(-2.0, 2.0, 50) + 0j, 1j * rng.uniform(-2.0, 2.0, 50)])
-    erf, gauss = kernel.erf_gauss(u)
-    odd, gauss_odd = kernel.erf_gauss(-u)
+    erf, gauss = _erf_gauss(u)
+    odd, gauss_odd = _erf_gauss(-u)
     assert np.array_equal(odd.view(np.uint64), (-erf).view(np.uint64))
     assert np.array_equal(gauss_odd.view(np.uint64), gauss.view(np.uint64))
-    assert np.array_equal(kernel.erf_gauss(u.conj())[0], erf.conj())
+    assert np.array_equal(_erf_gauss(u.conj())[0], erf.conj())
 
 
 def test_erf_at_zero():
-    erf, gauss = kernel.erf_gauss(0.0)
-    assert erf.shape == () and erf == 0.0 and gauss == 1.0
+    erf, gauss = kernel._erf_gauss(0j)
+    assert erf == 0.0 and gauss == 1.0
 
 
 def test_erf_on_the_real_axis_is_math_erf():
     rng = np.random.default_rng(13)
     # the Taylor branch ends at |x| = 1, where its terms cancel most
     x = np.concatenate([rng.uniform(-8.0, 8.0, 20_000), rng.uniform(0.9, 1.0, 5000), [1.0, -1.0, 6.0, 27.0]])
-    got = kernel.erf_gauss(x)[0]
+    got = _erf_gauss(x)[0]
     want = np.array([math.erf(t) for t in x.tolist()])
     assert np.all(got.imag == 0.0)
     assert np.all(np.abs(got.real - want) <= 4.0 * np.spacing(np.abs(want)))
@@ -377,7 +380,7 @@ def test_closed_form_agrees_with_the_scipy_erf_route(name, monkeypatch):
     momenta = [1e-12, 0.5, 2.0] + [math.sqrt(2.0 * PARAMS.m * k / PARAMS.beta) for k in (9.0, 16.0)]
     points = [(q, p) for q in (-1.2, -0.5, 0.0, 0.37, 2.0) for p in momenta]
     ours = [effective_potential(PARAMS, pot, q, p) for q, p in points]
-    monkeypatch.setattr(kernel, "_erf_gauss_right", lambda v: (erf(v), np.exp(-(v * v))))
+    monkeypatch.setattr(kernel, "_erf_gauss", lambda v: (complex(erf(v)), cmath.exp(-(v * v))))
     for (q, p), value in zip(points, ours):
         reference = effective_potential(PARAMS, pot, q, p)
         grow = max(1.0, math.exp(PARAMS.beta * p * p / (2.0 * PARAMS.m)))

@@ -372,14 +372,26 @@ def test_separate_zones_keep_the_plateau_as_threshold():
 
 @pytest.mark.parametrize("hbar, refused", [(1e-145, False), (5e-154, True)])
 def test_profiles_leave_floating_range_only_with_u_squared(hbar, refused):
-    # at 1e-145 each wall's neighbourhood rounds onto its breakpoint and
-    # (1/M)' is nan away from the walls, but V, V' and 1/M are finite; at
-    # 5e-154 u^2 of a wall overflows at the domain edges
+    # at 1e-145 each wall's neighbourhood rounds onto its breakpoint, and V,
+    # V', 1/M and (1/M)' are finite; at 5e-154 u^2 of a wall overflows at the
+    # domain edges
     if refused:
         with pytest.raises(DomainError, match="leave floating range"):
             LowMomentumModel(_params(hbar), BARRIER)
     else:
         assert tunneling_threshold(LowMomentumModel(_params(hbar), BARRIER)) == 1.0
+
+
+@pytest.mark.parametrize("hbar", [1e-105, 1e-150])
+def test_inverse_mass_slope_vanishes_away_from_tiny_hbar_walls(hbar):
+    # a jump's (1/M)' term is jm_p (1/2 - u^2) e^{-u^2}: its Gaussian, 0 here,
+    # must meet 1/2 - u^2 before the huge jm_p does, or inf * 0 reads nan
+    profile = Profile(_params(hbar), BARRIER.shape)
+    rhs = profile.canonical_rhs()
+    for q in (-1.5, -0.6, 0.0, 0.7, 2.0):
+        assert profile.at(q)[3] == 0.0
+        assert all(math.isfinite(x) for x in rhs(q, 1.3))
+    assert all(math.isfinite(x) for x in (*profile.at(-0.5), *rhs(-0.5, 1.3)))
 
 
 def test_vq_asymptotics_and_height():
