@@ -19,8 +19,8 @@ At module level this file imports only the standard library, ``errors`` and
 ``atomic``; each command imports the layers it runs when it runs, so a
 launch loads only its subcommand's modules (``model`` never loads the
 dynamics, the kernel or the quadrature, and only ``validate`` loads
-``checks``). With ``atomic.linspace`` grids and a scalar kernel, only the
-dynamics imports numpy, so only ``trajectory`` and ``validate`` load it.
+``checks``). No command loads numpy: grids come from ``atomic.linspace``,
+and the kernel and the dynamics run on Python floats.
 """
 
 from __future__ import annotations

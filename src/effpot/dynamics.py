@@ -42,11 +42,9 @@ is lost: each clamped step costs twelve calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .atomic import write_atomic
 from .errors import (
@@ -82,24 +80,25 @@ MAX_EVENTS = 100_000
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of one scattering run with its conservation record."""
+    """Time-ordered samples of one scattering run with its conservation
+    record; t, q, p and energy_drift are tuples of floats."""
 
-    t: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
+    t: tuple
+    q: tuple
+    p: tuple
     energy0: float
-    energy_drift: np.ndarray
+    energy_drift: tuple
     max_energy_drift: float
     outcome: Optional[str] = None
     n_rhs: int = 0  # right-hand-side calls, summed over the run's segments
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t.size < 1:
+        t = self.t
+        if len(t) < 1:
             raise ValueError("trajectory needs at least one sample")
-        if not (len(self.q) == len(self.p) == len(self.energy_drift) == t.size):
+        if not (len(self.q) == len(self.p) == len(self.energy_drift) == len(t)):
             raise ValueError("sample arrays must have equal length")
-        if np.any(np.diff(t) <= 0):
+        if not all(b > a for a, b in zip(t, t[1:])):  # a NaN time fails too
             raise ValueError("sample times must be strictly increasing")
 
 
@@ -209,8 +208,6 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
     fq, fs = fun(q, s)
     nfev = 1
     ts, qs, ss = ([t], [q], [s]) if t_eval is None else ([], [], [])
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float).tolist()
     cursor = 0
     if t >= t_end:
         return Segment(ts, qs, ss, nfev, 0, None)
@@ -599,11 +596,11 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     run ends at an exit.
     """
     if t_eval is not None:
-        t_eval = np.array(t_eval, dtype=float, ndmin=1)
-        if not (np.isfinite(t_eval).all() and (np.diff(t_eval) > 0).all()):
+        t_eval = [float(tau) for tau in t_eval]
+        if not (all(map(math.isfinite, t_eval)) and all(b > a for a, b in zip(t_eval, t_eval[1:]))):
             raise ValueError("t_eval must be finite and strictly increasing")
-        t_eval = t_eval[(t_eval >= 0.0) & (t_eval <= t_end)]
-        if not t_eval.size:
+        t_eval = [tau for tau in t_eval if 0.0 <= tau <= t_end]
+        if not t_eval:
             raise ValueError(f"t_eval has no time in [0, t_end] = [0, {t_end:g}]")
     zones = _zones(model)
     lo_edge, hi_edge = evaluation_domain(model)
@@ -625,8 +622,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
         if t_eval is None:
             ts = [t_a, t_b] if closed else [t_a]
         else:
-            stop = int(np.searchsorted(t_eval, t_b, side="right" if closed else "left"))
-            ts, cursor = t_eval[cursor:stop].tolist(), stop
+            stop = (bisect_right if closed else bisect_left)(t_eval, t_b)
+            ts, cursor = t_eval[cursor:stop], stop
         put(ts, [q_a + v * (tt - t_a) for tt in ts], [p] * len(ts), [energy] * len(ts))
 
     def zone_state(profile, xi, s):
@@ -713,16 +710,16 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     else:
         raise DidNotResolve("event budget exhausted")
 
-    t, q, p, energy = (np.asarray(c, dtype=float) for c in samples)
-    drift = np.abs(energy - energy0) / max(abs(energy0), DRIFT_FLOOR)
-    max_drift = float(drift.max(initial=0.0))
-    if not max_drift < DRIFT_LIMIT:
-        raise StepFailure(
-            f"energy drift {max_drift:.3e} breaches the {DRIFT_LIMIT:g} conservation gate"
-        )
+    t, q, p, energy = samples
+    scale = max(abs(energy0), DRIFT_FLOOR)
+    drift = tuple(abs(e - energy0) / scale for e in energy)
+    # each sample is tested, as the builtin max passes over a NaN that is not first
+    if not all(d < DRIFT_LIMIT for d in drift):
+        worst = math.nan if any(map(math.isnan, drift)) else max(drift)
+        raise StepFailure(f"energy drift {worst:.3e} breaches the {DRIFT_LIMIT:g} conservation gate")
     return Trajectory(
-        t=t, q=q, p=p, energy0=energy0, energy_drift=drift, max_energy_drift=max_drift, outcome=outcome,
-        n_rhs=n_rhs,
+        t=tuple(t), q=tuple(q), p=tuple(p), energy0=energy0, energy_drift=drift,
+        max_energy_drift=max(drift, default=0.0), outcome=outcome, n_rhs=n_rhs,
     )
 
 

@@ -215,9 +215,9 @@ def surpass_fraction(
 
     Runs n actual trajectories with energies on (base, max V); this is the
     simulated-transport route to the effective transmission coefficient.
+    Stratified energies are the n bin midpoints. Random draws use numpy's
+    generator seeded with rng, so they need numpy (the ``test`` extra).
     """
-    import numpy as np
-
     from .dynamics import SURPASSED, classify_traversal
 
     if n < 1:
@@ -225,8 +225,10 @@ def surpass_fraction(
     lo = asymptotic_level(model.pot)
     hi = classical_max(model.pot)
     if stratified:
-        energies = lo + (np.arange(n) + 0.5) / n * (hi - lo)
+        energies = [lo + (i + 0.5) / n * (hi - lo) for i in range(n)]
     else:
+        import numpy as np
+
         energies = np.random.default_rng(rng).uniform(lo, hi, size=n)
     hits = sum(1 for eps in energies if classify_traversal(model, float(eps)) == SURPASSED)
     return hits / n

@@ -118,8 +118,8 @@ def test_criterion_5_conservation_and_form_equivalence():
             model, q0, v0, hamiltonian(model, q0, p0), t_end=8.0, t_eval=t_eval
         )
         n = min(len(ham.t), len(newt.t))
-        assert np.max(np.abs(ham.t[:n] - newt.t[:n])) < 1e-9
-        worst_q = max(worst_q, float(np.max(np.abs(ham.q[:n] - newt.q[:n]))))
+        assert np.max(np.abs(np.asarray(ham.t[:n]) - np.asarray(newt.t[:n]))) < 1e-9
+        worst_q = max(worst_q, float(np.max(np.abs(np.asarray(ham.q[:n]) - np.asarray(newt.q[:n])))))
         worst_drift = max(worst_drift, ham.max_energy_drift, newt.max_energy_drift)
     print(
         f"criterion 5: max form disagreement {worst_q:.3e} (gate 1e-8), "

@@ -17,7 +17,7 @@ from effpot.kernel import effective_potential
 from effpot.lowmomentum import LowMomentumModel, mass, smoothed_potential, vq_potential
 from effpot.physical import PhysicalParams
 from effpot.potential import SquareBarrier, load_tabulated_csv
-from effpot.transmission import mixture_average
+from effpot.transmission import mixture_average, surpass_fraction
 
 CMD = [sys.executable, "-m", "effpot"]
 
@@ -462,8 +462,6 @@ LOADS = {
     # every module but the figures and the entry point
     "validate": PROFILE_MODULES | {"quadrature", "transmission", "kernel", "dynamics", "checks"},
 }
-# only the dynamics needs arrays
-LOADS_NUMPY = {"trajectory", "validate"}
 
 
 @pytest.mark.parametrize("command", sorted(LOADS))
@@ -482,7 +480,7 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
     code, json_loaded, csv_loaded, numpy_loaded, *loaded = res.stderr.splitlines()[-1].split()
     assert code == "0", res.stderr
     assert set(loaded) == LOADS[command]
-    assert numpy_loaded == str(command in LOADS_NUMPY)
+    assert numpy_loaded == "False"  # no command needs arrays
     # neither is loaded without --config or --potential-csv
     assert (json_loaded, csv_loaded) == ("False", "False")
 
@@ -519,6 +517,32 @@ def test_every_command_runs_without_scipy(tmp_path):
         out[argv[0]] = res.stdout
     assert "all 9 checks passed" in out["validate"]
     assert out["veff"] == launch("veff", "--nq", "81", "--np", "9").stdout
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only: with it unimportable every command
+    # runs, and so do the stratified transport energies, while the random
+    # draws of surpass_fraction fail with numpy's own ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from effpot import cli\n"
+        f"runs = (['model'], ['trajectory', '--eps', '0.9'], ['coeff', '--hbar', '3'], ['veff', '--nq', '81', '--np', '9'], ['validate'], ['figures', '--out', {str(tmp_path)!r}])\n"
+        "print('@', [cli.main(argv) for argv in runs])\n"
+        "from effpot import LowMomentumModel, PhysicalParams, SquareBarrier, surpass_fraction\n"
+        "model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 1.0))\n"
+        "print('@', repr(surpass_fraction(model, 5, stratified=True)))\n"
+        "try:\n"
+        "    surpass_fraction(model, 5, rng=1)\n"
+        "except ImportError:\n"
+        "    print('@ ImportError')\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 1.0))
+    assert [line for line in res.stdout.splitlines() if line.startswith("@")] == [
+        "@ [0, 0, 0, 0, 0, 0]", f"@ {surpass_fraction(model, 5, stratified=True)!r}", "@ ImportError",
+    ]
 
 
 def test_unknown_subcommand():

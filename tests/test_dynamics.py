@@ -28,6 +28,7 @@ from effpot.dynamics import (
 from effpot.errors import DomainError, InconsistentEnergy, StepFailure
 from effpot.lowmomentum import (
     LowMomentumModel,
+    Profile,
     evaluation_domain,
     inverse_mass,
     smoothed_potential,
@@ -82,6 +83,15 @@ def test_trajectory_invariants():
             p=np.array([1.0, 1.0]),
             energy0=0.5,
             energy_drift=np.array([0.0, 0.0]),
+            max_energy_drift=0.0,
+        )
+    with pytest.raises(ValueError):  # a NaN time is not ordered
+        Trajectory(
+            t=np.array([0.0, math.nan, 1.0]),
+            q=np.array([0.0, 1.0, 2.0]),
+            p=np.array([1.0, 1.0, 1.0]),
+            energy0=0.5,
+            energy_drift=np.array([0.0, 0.0, 0.0]),
             max_energy_drift=0.0,
         )
     with pytest.raises(ValueError):
@@ -163,6 +173,26 @@ def test_drift_bump_newtonian_run_surpasses():
     assert traj.outcome == SURPASSED
 
 
+def test_nan_energy_sample_breaches_the_drift_gate(monkeypatch):
+    # one NaN energy among finite ones fails the gate: the builtin max
+    # passes over a NaN that is not the first sample
+    model = _model(3.0)
+    q0, p0 = launch_state(model, 0.9)
+    at, calls = Profile.at, []
+
+    def nan_once(self, q):
+        # calls 1-3 read 1/M for the time budget, the launch energy and the
+        # zone entry; then one call per zone sample
+        calls.append(q)
+        v, dv, minv, dminv = at(self, q)
+        return (math.nan if len(calls) == 10 else v), dv, minv, dminv
+
+    monkeypatch.setattr(Profile, "at", nan_once)
+    with pytest.raises(StepFailure, match="energy drift nan breaches"):
+        integrate_hamiltonian(model, q0, p0)
+    assert len(calls) > 10
+
+
 @pytest.mark.parametrize("hbar", [0.0, 0.05, 2.0])
 def test_n_rhs_sums_the_segments_calls(monkeypatch, hbar):
     model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), STEP4)
@@ -225,7 +255,7 @@ def test_turning_point_on_reduced_potential():
     t_apex = float(first.t[int(np.argmax(first.q))])
     dense = np.linspace(max(0.0, t_apex - 0.5), t_apex + 0.5, 2001)
     traj = integrate_hamiltonian(model, q0, p0, t_end=float(first.t[-1]), t_eval=dense)
-    q_turn = float(traj.q.max())
+    q_turn = float(np.asarray(traj.q).max())
     assert abs(vq_potential(model, q_turn, eps) - eps) < 1e-8
 
 
@@ -241,7 +271,7 @@ def test_time_reversal():
         model, float(fwd.q[-1]), -float(fwd.p[-1]), t_end=6.0, t_eval=t_eval
     )
     assert len(back.t) == 400
-    assert np.max(np.abs(back.q[::-1] - fwd.q)) < 1e-7
+    assert np.max(np.abs(np.asarray(back.q[::-1]) - np.asarray(fwd.q))) < 1e-7
 
 
 def test_formulation_equivalence():
@@ -253,8 +283,8 @@ def test_formulation_equivalence():
     eps = hamiltonian(model, q0, p0)
     newt = integrate_newtonian(model, q0, v0, eps, t_end=6.0, t_eval=t_eval)
     assert len(ham.q) == len(newt.q) == 300
-    assert np.max(np.abs(ham.q - newt.q)) < 1e-8
-    assert np.max(np.abs(ham.p - newt.p)) < 1e-7
+    assert np.max(np.abs(np.asarray(ham.q) - np.asarray(newt.q))) < 1e-8
+    assert np.max(np.abs(np.asarray(ham.p) - np.asarray(newt.p))) < 1e-7
 
 
 def test_inconsistent_energy_rejected():
@@ -427,7 +457,7 @@ def test_bad_t_eval_refused_before_any_step(monkeypatch, form, t_eval):
 
 def test_t_eval_outside_the_budget_is_dropped():
     traj = integrate_hamiltonian(_model(3.0), -4.0, 1.0, t_end=2.0, t_eval=[-1.0, 0.0, 1.5, 3.0])
-    assert traj.t.tolist() == [0.0, 1.5]
+    assert np.asarray(traj.t).tolist() == [0.0, 1.5]
 
 
 # ------------------------------------------------ general potentials, adaptive
@@ -526,8 +556,8 @@ def test_thin_wall_resampling_matches_exact_limit():
     exact = integrate_hamiltonian(exact_model, q0, p0, t_end=t_hi, t_eval=grid)
     assert thin.outcome is None
     assert np.array_equal(thin.t, grid) and np.array_equal(exact.t, grid)
-    assert np.max(np.abs(thin.q - exact.q)) < 1e-4
-    assert np.max(np.abs(thin.p - exact.p)) < 1e-4
+    assert np.max(np.abs(np.asarray(thin.q) - np.asarray(exact.q))) < 1e-4
+    assert np.max(np.abs(np.asarray(thin.p) - np.asarray(exact.p))) < 1e-4
     assert thin.max_energy_drift < 1e-9
 
 
@@ -584,7 +614,7 @@ def test_plateau_samples_are_flown_not_stepped(pot, twin):
         ours, ref = integrate_hamiltonian(a, q0, p0), integrate_hamiltonian(b, q0, p0)
         assert ours.outcome == ref.outcome
         assert abs(ours.t[-1] - ref.t[-1]) <= 1e-9 * ref.t[-1]
-        assert ours.t.size == ref.t.size
+        assert np.asarray(ours.t).size == np.asarray(ref.t).size
 
 
 @pytest.mark.parametrize("pot, hbar, count", [
