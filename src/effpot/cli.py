@@ -300,9 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "veff", help="sample the momentum-dependent effective potential",
         description="Sample V_eff(q, p) on a (q, p) grid. Values are printed to 12 significant "
-        "digits, but the closed form cancels terms of size e^{beta p^2/2m}, which costs about "
-        "beta p^2/(2m ln 10) of double precision's 16 digits: at large beta p^2/2m fewer than "
-        "the 12 printed digits are correct.")
+        "digits, but near a corner the closed form cancels terms up to e^{beta p^2/2m}, which "
+        "costs about beta p^2/(2m ln 10) of double precision's 16 digits: at large beta p^2/2m "
+        "fewer than the 12 printed digits are correct.")
     _add_params(p, "m", "beta", "hbar", "L", "V0")
     p.add_argument("--qmin", type=float, default=-2.0)
     p.add_argument("--qmax", type=float, default=2.0)

@@ -10,29 +10,35 @@ with F(k) the form factor of the deviation from the asymptotic level V_inf
 and c = sqrt(2m) / (sqrt(beta) hbar) the constant of lowmomentum.Profile.
 Since sinhc(a k) = (1/2a) Int_{-a}^{a} e^{sk} ds, the integral is the
 Gaussian-smoothed deviation averaged over the complex positions q + is,
-|s| <= a, so
+|s| <= a, so V_eff(q, p) = V_inf + Im A(q + i a) / a, with A the
+antiderivative of the smoothed deviation that is real on the real axis. A
+breakpoint x where the bare potential jumps by J and its slope by K adds
+J E0(u) / (2c) + K E2(u) / (2c^2) to A, at u = c (q - x + i a), with
+E0' = erf and E2' = E0. Taken at v = c (|q - x| + i a), in the right half
+plane, these split into a bare piece and a correction:
 
-    V_eff(q, p) = V_inf + Im A(q + i a) / a
+    E0(v) = v + ie(v),                ie(v) = e^{-v^2} / sqrt(pi) - v erfc v,
+    2 E2(v) = v^2 + 1/2 + v ie(v) - erfc(v) / 2.
 
-with A the antiderivative of the smoothed deviation that is real on the
-real axis. A breakpoint x where the bare potential jumps by J and its slope
-by K adds J E0(u) / (2c) + K E2(u) / (2c^2) to A, at u = c (q - x + i a), where
+The bare pieces give J sgn(q - x) / 2 + K |q - x| / 2, which summed with
+V_inf are the bare potential (``eval_classical``, midpoint at a jump), so
 
-    E0(u) = u erf u + e^{-u^2} / sqrt(pi)               (E0' = erf),
-    E2(u) = (u^2/2 + 1/4) erf u + u e^{-u^2} / (2 sqrt(pi))
-          = u E0(u) / 2 + erf(u) / 4                        (E2' = E0).
+    V_eff(q, p) = eval_classical(q) + sum_x [J sgn(q - x) Im ie(v) / (2c)
+                  + K Im(v ie(v) - erfc(v) / 2) / (4 c^2)] / a.
 
-The complex erf and the Gaussian are evaluated once per breakpoint that
-jumps or bends, by this module's own ``_erf_gauss`` on one complex number
-(Python floats and cmath, no numpy): Weideman's rational approximation of
-the Faddeeva function w, with a Taylor series near 0. At p = 0 V_eff is the
-limit A'(q), the smoothed potential V(q), and is taken from
-lowmomentum.Profile itself, built once per (parameters, shape).
+Each correction falls off like e^{-v^2}, so far from the corners V_eff keeps
+relative digits, and a corner whose Gaussian underflows to 0 adds exactly 0
+and is skipped. erfc is this module's own ``_erfc`` on one complex number
+with Re v >= 0 (Python floats and cmath, no numpy): Weideman's rational
+approximation of the Faddeeva function w, with a Taylor series near 0. At
+p = 0 V_eff is the limit A'(q), the smoothed potential V(q), and is taken
+from lowmomentum.Profile itself, built once per (parameters, shape).
 
-The terms grow like e^{(c a)^2} = e^{beta p^2 / 2m} while their sum does
-not, so the result loses that factor in relative precision, as the Fourier
-integral does; beyond beta p^2 / 2m of about 700 they overflow and the call
-fails with DomainError. The Fourier integral itself is kept here, with the
+Within |q - x| < a of a corner its correction grows, up to
+e^{(c a)^2} = e^{beta p^2 / 2m}, while V_eff does not, so the result loses up
+to that factor in relative precision, as the Fourier integral does; beyond
+beta p^2 / 2m of about 700 the Gaussian overflows and the call fails with
+DomainError. The Fourier integral itself is kept here, with the
 exact form factor of a shape, as ``_fourier_veff``: an independent oracle
 for the built-in checks and the tests. The dynamics never use either route.
 """
@@ -46,7 +52,7 @@ import math
 from .errors import DomainError
 from .lowmomentum import Profile
 from .physical import PhysicalParams
-from .potential import ClassicalPotential, Shape
+from .potential import ClassicalPotential, Shape, eval_classical
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 TAIL_SIGMAS = 8.0  # Fourier-oracle truncation, in damping scales past the peak
@@ -76,7 +82,7 @@ WEIDEMAN = (
     -8.061168438014101e-14, 5.353549393917313e-14,
 )
 # erf u = u S(u^2) with S(z) = (2/sqrt(pi)) sum_n (-z)^n / (n! (2n + 1)); for
-# |u| < 1, where 1 - e^{-u^2} w(iu) cancels, 18 terms reach double precision
+# |u| < 1, 18 terms reach double precision in half the work of Weideman's
 ERF_TAYLOR = tuple(2.0 / math.sqrt(math.pi) * ((-1) ** n / (math.factorial(n) * (2 * n + 1)))
                    for n in range(18))
 
@@ -90,28 +96,19 @@ _R[:2] = (r + 0.5 / (WEIDEMAN_L * math.sqrt(math.pi)) for r in _R[:2])
 _R_HORNER, _S_HORNER = tuple(reversed(_R)), ERF_TAYLOR[::-1]
 
 
-def _erf_gauss(v: complex):
-    """erf v and e^{-v^2} for one complex v, returned as a pair.
+def _erfc(v: complex, gauss: complex) -> complex:
+    """erfc v for one complex v with Re v >= 0, given gauss = e^{-v^2}.
 
-    erf(-v) = -erf(v) folds Re v < 0 (by its sign bit) onto Re v >= 0, where
-    erf v = 1 - e^{-v^2} w(iv) with Weideman's w (iv is in the upper half
-    plane). For |v| < 1 that form cancels, and the Taylor series v S(v^2) is
-    summed instead. Odd bit for bit, and conjugate-symmetric up to the sign
-    of a zero imaginary part. Where e^{-v^2} overflows, cmath raises
-    OverflowError.
+    erfc v = e^{-v^2} w(iv) with Weideman's w (iv is in the upper half
+    plane); for |v| < 1 it is 1 - v S(v^2) with the Taylor series S.
+    Conjugate-symmetric up to the sign of a zero imaginary part.
     """
-    flip = math.copysign(1.0, v.real) < 0.0
-    if flip:
-        v = -v
-    vv = v * v
-    gauss = cmath.exp(-vv)
-    small = abs(vv) < 1.0
-    z = vv if small else (WEIDEMAN_L - v) / (WEIDEMAN_L + v)
+    small = abs(v) < 1.0
+    z = v * v if small else (WEIDEMAN_L - v) / (WEIDEMAN_L + v)
     series = 0j
     for coeff in _S_HORNER if small else _R_HORNER:
         series = series * z + coeff
-    erf = v * series if small else 1.0 - gauss * series
-    return (-erf if flip else erf), gauss
+    return 1.0 - v * series if small else gauss * series
 
 
 def sinhc(x: float) -> float:
@@ -151,7 +148,7 @@ def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p) -
         value = profile.at(q)[0]
     else:
         try:
-            value = pot.shape.level + _deviation(c, corners, q, a)
+            value = eval_classical(pot, q) + _corrections(c, corners, q, a)
         except (OverflowError, ValueError):  # cmath refuses results past floating range
             value = math.nan
     if not math.isfinite(value):
@@ -169,23 +166,23 @@ def _prepared(params: PhysicalParams, shape: Shape) -> tuple:
     return c, corners, Profile(params, shape)
 
 
-def _deviation(c: float, corners: tuple, q: float, a: float) -> float:
-    """V_eff - V_inf = Im A(q + i a) / a at a > 0, for _prepared's corners.
-
-    A corner adds w0 E0(u) + w2 E2(u) at u = c (q - x + i a), and
-    2 E2 = u E0 + erf(u)/2. For q < x, u = -conj(v) with v = c (x - q + i a),
-    so Im E0(u) = -Im E0(v) while Im(u E0(u) + erf(u)/2) keeps its value at
-    v: every term is taken at v, in the right half plane, with w0 times the
-    sign of q - x."""
+def _corrections(c: float, corners: tuple, q: float, a: float) -> float:
+    """V_eff - eval_classical(q) at a > 0, for _prepared's corners: the sum
+    of the module docstring. A corner whose Gaussian e^{-v^2} underflows to
+    0 adds exactly 0 (erfc v and ie(v) are 0 there) and is skipped before
+    its series."""
     total = 0.0
     for x, w0, half_w2 in corners:
         d = q - x
         v = complex(abs(d) * c, a * c)
-        e, gauss = _erf_gauss(v)
-        e0 = v * e + gauss * INV_SQRT_PI
-        term = w0 * ((d > 0.0) - (d < 0.0)) * e0.imag
+        gauss = cmath.exp(-(v * v))
+        if not gauss:
+            continue
+        erfc = _erfc(v, gauss)
+        ie = gauss * INV_SQRT_PI - v * erfc
+        term = w0 * ((d > 0.0) - (d < 0.0)) * ie.imag
         if half_w2:
-            term += half_w2 * (v * e0 + e * 0.5).imag
+            term += half_w2 * (v * ie - 0.5 * erfc).imag
         total += term
     return total / a
 

@@ -249,9 +249,9 @@ def _extrema(model: LowMomentumModel):
     DomainError when V, V' or 1/M is not finite at a sample, or when u^2
     overflows for a jump at a domain edge (where |u| is largest), which
     makes that jump's (1/M)' term (1/2 - u^2) g nan. (1/M)' is not checked
-    itself: it only brackets dips, and below hbar of about 1e-100 its jump
-    term is nan wherever the Gaussian is 0, because the weight times
-    (1/2 - u^2) overflows first.
+    itself: it only brackets dips, and with u^2 finite its jump term is 0
+    wherever the Gaussian is 0, at any hbar (the weight multiplies the
+    product, not 1/2 - u^2).
     """
     profile, x, sigma = model.profile, model.pot.shape.x, model.smoothing_sigma
     at, reach, edges = profile.at, ZONE_SIGMAS * sigma, evaluation_domain(model)

@@ -4,8 +4,9 @@ The golden fixtures were produced by an independent dense nested-quadrature
 evaluation of the defining double integral, refinement-stable to about 1e-14,
 and are frozen here as plain constants. The closed form is also checked
 against 50-digit mpmath values (veff_reference.py) and the damped Fourier
-integral over the form factor (_fourier_veff), and its complex erf against
-mpmath values (erf_reference.py), scipy's erf and math.erf.
+integral over the form factor (_fourier_veff), in the tails against
+400-digit mpmath values (veff_tail_reference.py), and its complex erfc
+against mpmath values (erf_reference.py), scipy's erfc and math.erfc.
 """
 
 import cmath
@@ -21,9 +22,10 @@ from effpot.kernel import _fourier_veff, effective_potential, sinhc
 from effpot.lowmomentum import LowMomentumModel, evaluation_domain, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
-from erf_reference import ERF_REFERENCE
+from erf_reference import ERFC_REFERENCE
 from test_lowmomentum import LONG_TABLE
 from veff_reference import VEFF_REFERENCE
+from veff_tail_reference import VEFF_TAIL_REFERENCE
 
 PARAMS = PhysicalParams(m=1.0, beta=0.125, hbar=3.0)
 BARRIER = SquareBarrier(v0=1.0, l=0.5)
@@ -49,6 +51,37 @@ def test_veff_matches_frozen_references():
         want = float(text)
         bound = 4.0 * EPS * math.exp(params.beta * p * p / (2.0 * params.m)) * max(1.0, abs(want))
         assert abs(effective_potential(params, shapes[name], q, p) - want) <= bound, (name, hbar, q, p)
+
+
+def test_veff_keeps_relative_digits_in_the_tails():
+    # far from the corners V_eff is the bare level plus corrections that
+    # decay on their own, so values down to 1e-66 keep their digits
+    shapes = {"square": BARRIER, "tent": TabulatedPotential((-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, 0.4, 0.8, 0.4, 0.0))}
+    assert len(VEFF_TAIL_REFERENCE) == 48
+    for name, hbar, q, p, text in VEFF_TAIL_REFERENCE:
+        want = float(text)
+        got = effective_potential(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), shapes[name], q, p)
+        assert abs(got - want) <= 1e-9 * abs(want), (name, hbar, q, p, got, want)
+
+
+def test_saturated_pairs_never_reach_the_series(monkeypatch):
+    # a corner whose Gaussian underflows adds exactly 0 and is skipped
+    # before erfc's series; at hbar 0.05 most pairs of the grid are such
+    params = PhysicalParams(m=1.0, beta=0.125, hbar=0.05)
+    pot = SHAPES["bump"]
+    erfc, calls = kernel._erfc, []
+
+    def checked(v, gauss):
+        assert gauss != 0.0, v
+        calls.append(v)
+        return erfc(v, gauss)
+
+    monkeypatch.setattr(kernel, "_erfc", checked)
+    points = [(q, p) for q in np.linspace(-2.0, 2.0, 81).tolist() for p in np.linspace(0.5, 4.0, 8).tolist()]
+    for q, p in points:
+        effective_potential(params, pot, q, p)
+    pairs = len(points) * len(kernel._prepared(params, pot.shape)[1])
+    assert 0 < len(calls) < pairs
 
 
 def test_sinhc_values():
@@ -298,63 +331,56 @@ def test_overflow_raises_domain_error():
         [effective_potential(PARAMS, SHAPES["tent"], q, p) for q in np.linspace(-1.0, 1.0, 5) for p in (1.0, 200.0)]
 
 
-# ------------------------------------------------------------ the complex erf
+# ------------------------------------------------------------ the complex erfc
 
-def _erf_gauss(u):
-    """kernel._erf_gauss on each entry of an array: (erf, gauss) as arrays."""
-    pairs = [kernel._erf_gauss(v) for v in np.asarray(u, dtype=complex).ravel().tolist()]
-    return np.array([e for e, _ in pairs]), np.array([g for _, g in pairs])
+def _erfc(u):
+    """kernel._erfc on each entry of an array in the right half plane."""
+    return np.array([kernel._erfc(v, cmath.exp(-(v * v))) for v in np.asarray(u, dtype=complex).ravel().tolist()])
 
 
 def test_erf_matches_frozen_references():
-    # relative in modulus, within 4 eps (1 + 2|u|^2): the input's own
+    # erfc, relative in modulus, within 4 eps (1 + 2|u|^2): the input's own
     # conditioning, since e^{-u^2} moves by 2|u|^2 times a relative change of u
-    u = np.array([complex(re, im) for re, im, _, _ in ERF_REFERENCE])
-    want = np.array([complex(float(re), float(im)) for _, _, re, im in ERF_REFERENCE])
-    assert np.abs(u.real).max() > 55.0 and u.imag.max() > 26.0 and np.abs(u).min() < 1e-13
-    got, _ = _erf_gauss(u)
-    err = np.abs(got - want) / np.abs(want)
+    u = np.array([complex(re, im) for re, im, _, _ in ERFC_REFERENCE])
+    want = np.array([complex(float(re), float(im)) for _, _, re, im in ERFC_REFERENCE])
+    assert u.real.min() == 0.0 and u.real.max() > 26.0 and np.abs(u.imag).max() > 26.0
+    assert np.abs(u).min() < 1e-13
+    err = np.abs(_erfc(u) - want) / np.abs(want)
     bound = 4.0 * EPS * (1.0 + 2.0 * np.abs(u) ** 2)
     assert np.all(err <= bound), u[np.argmax(err / bound)]
 
 
 def test_erf_matches_scipy():
-    from scipy.special import erf  # test-only: the package never imports scipy
+    from scipy.special import erfc  # test-only: the package never imports scipy
 
     rng = np.random.default_rng(11)
-    u = rng.uniform(-6.0, 6.0, 100_000) + 1j * rng.uniform(-6.0, 6.0, 100_000)
-    got, gauss = _erf_gauss(u)
-    want = erf(u)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    assert gauss.tolist() == [cmath.exp(-(v * v)) for v in u.tolist()]
+    u = rng.uniform(0.0, 6.0, 100_000) + 1j * rng.uniform(-6.0, 6.0, 100_000)
+    want = erfc(u)
+    assert np.all(np.abs(_erfc(u) - want) <= 1e-12 * np.abs(want))
 
 
-def test_erf_is_odd_and_conjugate_symmetric():
-    # odd bit for bit; conjugate-symmetric exactly, where a zero imaginary
-    # part may keep its sign (erf(x - 0j) is x + 0j)
+def test_erfc_is_conjugate_symmetric():
+    # exactly, where a zero imaginary part may keep its sign (== ignores it)
     rng = np.random.default_rng(12)
-    u = np.concatenate([rng.uniform(-8.0, 8.0, 5000) + 1j * rng.uniform(-8.0, 8.0, 5000),
-                        rng.uniform(-2.0, 2.0, 50) + 0j, 1j * rng.uniform(-2.0, 2.0, 50)])
-    erf, gauss = _erf_gauss(u)
-    odd, gauss_odd = _erf_gauss(-u)
-    assert np.array_equal(odd.view(np.uint64), (-erf).view(np.uint64))
-    assert np.array_equal(gauss_odd.view(np.uint64), gauss.view(np.uint64))
-    assert np.array_equal(_erf_gauss(u.conj())[0], erf.conj())
+    u = np.concatenate([rng.uniform(0.0, 8.0, 5000) + 1j * rng.uniform(-8.0, 8.0, 5000),
+                        rng.uniform(0.0, 2.0, 50) + 0j, 1j * rng.uniform(-2.0, 2.0, 50)])
+    assert np.array_equal(_erfc(u.conj()), _erfc(u).conj())
 
 
 def test_erf_at_zero():
-    erf, gauss = kernel._erf_gauss(0j)
-    assert erf == 0.0 and gauss == 1.0
+    assert kernel._erfc(0j, 1 + 0j) == 1.0
 
 
-def test_erf_on_the_real_axis_is_math_erf():
+def test_erfc_on_the_real_axis_is_math_erfc():
     rng = np.random.default_rng(13)
-    # the Taylor branch ends at |x| = 1, where its terms cancel most
-    x = np.concatenate([rng.uniform(-8.0, 8.0, 20_000), rng.uniform(0.9, 1.0, 5000), [1.0, -1.0, 6.0, 27.0]])
-    got = _erf_gauss(x)[0]
-    want = np.array([math.erf(t) for t in x.tolist()])
+    # the Taylor branch ends at x = 1, where 1 - erf x cancels most; up to
+    # x = 26.5 erfc x stays a normal double. The (1 + 2 x^2) factor is the
+    # conditioning of e^{-x^2} on the rounding of x^2
+    x = np.concatenate([rng.uniform(0.0, 26.5, 20_000), rng.uniform(0.9, 1.0, 5000), [0.0, 1.0, 6.0, 26.4]])
+    got = _erfc(x)
+    want = np.array([math.erfc(t) for t in x.tolist()])
     assert np.all(got.imag == 0.0)
-    assert np.all(np.abs(got.real - want) <= 4.0 * np.spacing(np.abs(want)))
+    assert np.all(np.abs(got.real - want) <= 4.0 * (1.0 + 2.0 * x * x) * np.spacing(want))
 
 
 def test_weideman_coefficients_are_the_fourier_coefficients():
@@ -372,15 +398,15 @@ def test_weideman_coefficients_are_the_fourier_coefficients():
 
 @pytest.mark.parametrize("name", SHAPES)
 def test_closed_form_agrees_with_the_scipy_erf_route(name, monkeypatch):
-    # the same closed form with scipy's erf in place of the package's own;
+    # the same closed form with scipy's erfc in place of the package's own;
     # the terms grow like e^{beta p^2 / 2m} and cancel, so the gate does too
-    from scipy.special import erf  # test-only
+    from scipy.special import erfc  # test-only
 
     pot = SHAPES[name]
     momenta = [1e-12, 0.5, 2.0] + [math.sqrt(2.0 * PARAMS.m * k / PARAMS.beta) for k in (9.0, 16.0)]
     points = [(q, p) for q in (-1.2, -0.5, 0.0, 0.37, 2.0) for p in momenta]
     ours = [effective_potential(PARAMS, pot, q, p) for q, p in points]
-    monkeypatch.setattr(kernel, "_erf_gauss", lambda v: (complex(erf(v)), cmath.exp(-(v * v))))
+    monkeypatch.setattr(kernel, "_erfc", lambda v, gauss: complex(erfc(v)))
     for (q, p), value in zip(points, ours):
         reference = effective_potential(PARAMS, pot, q, p)
         grow = max(1.0, math.exp(PARAMS.beta * p * p / (2.0 * PARAMS.m)))
