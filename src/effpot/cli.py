@@ -29,8 +29,7 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .atomic import linspace, write_atomic
 from .errors import EffpotError
@@ -57,8 +56,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     m: float
     beta: float
     hbar: float

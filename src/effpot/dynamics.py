@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .atomic import write_atomic
@@ -64,6 +63,7 @@ from .lowmomentum import (
     smoothed_potential,
     tunneling_threshold,
 )
+from .physical import Record
 from .potential import _require_finite, eval_classical, support_interval
 
 SURPASSED = "surpassed"
@@ -78,25 +78,23 @@ T_END_TRANSITS = 50.0    # default time budget in units of domain transit time
 MAX_EVENTS = 100_000
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Time-ordered samples of one scattering run with its conservation
-    record; t, q, p and energy_drift are tuples of floats."""
+    record; t, q, p and energy_drift are tuples of floats. n_rhs counts the
+    right-hand-side calls, summed over the run's segments."""
 
-    t: tuple
-    q: tuple
-    p: tuple
-    energy0: float
-    energy_drift: tuple
-    max_energy_drift: float
-    outcome: Optional[str] = None
-    n_rhs: int = 0  # right-hand-side calls, summed over the run's segments
+    __slots__ = _fields = (
+        "t", "q", "p", "energy0", "energy_drift", "max_energy_drift", "outcome", "n_rhs",
+    )
 
-    def __post_init__(self):
-        t = self.t
+    def __init__(self, t: tuple, q: tuple, p: tuple, energy0: float, energy_drift: tuple,
+                 max_energy_drift: float, outcome: Optional[str] = None, n_rhs: int = 0):
+        values = (t, q, p, energy0, energy_drift, max_energy_drift, outcome, n_rhs)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         if len(t) < 1:
             raise ValueError("trajectory needs at least one sample")
-        if not (len(self.q) == len(self.p) == len(self.energy_drift) == len(t)):
+        if not (len(q) == len(p) == len(energy_drift) == len(t)):
             raise ValueError("sample arrays must have equal length")
         if not all(b > a for a, b in zip(t, t[1:])):  # a NaN time fails too
             raise ValueError("sample times must be strictly increasing")

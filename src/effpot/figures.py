@@ -16,9 +16,8 @@ of its columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .atomic import linspace, write_atomic
 from .lowmomentum import LowMomentumModel, mass, vq_potential
@@ -33,8 +32,7 @@ PROFILE_GRID = tuple(linspace(-4.0, 4.0, 801))
 CURVE_GRID = tuple(linspace(0.02, 10.0, 500))  # uniform grid on (0, 10]
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     id: int
     header: Tuple[str, ...]  # x column first; it is also the x-axis label
     ylabel: str

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import DomainError, NonPositiveMass
-from .physical import PhysicalParams
+from .physical import PhysicalParams, Record
 from .potential import (
     ClassicalPotential,
     Shape,
@@ -175,8 +173,7 @@ class Profile:
         return rhs
 
 
-@dataclass(frozen=True)
-class LowMomentumModel:
+class LowMomentumModel(Record):
     """Evaluator bundle for one (parameters, potential) pair.
 
     Construction finds the lowest 1/M and fails with NonPositiveMass when it
@@ -186,19 +183,18 @@ class LowMomentumModel:
     smoothing and profile is None.
     """
 
-    params: PhysicalParams
-    pot: ClassicalPotential
-    smoothing_sigma: float = field(init=False)
-    profile: Optional[Profile] = field(default=None, init=False, repr=False, compare=False)
-    _top: float = field(default=0.0, init=False, repr=False, compare=False)
+    __slots__ = ("params", "pot", "smoothing_sigma", "profile", "_top")
+    _fields = ("params", "pot", "smoothing_sigma")
 
-    def __post_init__(self):
-        sigma = math.sqrt(self.params.beta / (4.0 * self.params.m)) * self.params.hbar
-        object.__setattr__(self, "smoothing_sigma", sigma)
-        if self.params.hbar == 0:
-            object.__setattr__(self, "_top", classical_max(self.pot))
+    def __init__(self, params: PhysicalParams, pot: ClassicalPotential):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "pot", pot)
+        object.__setattr__(self, "smoothing_sigma", math.sqrt(params.beta / (4.0 * params.m)) * params.hbar)
+        if params.hbar == 0:
+            object.__setattr__(self, "profile", None)
+            object.__setattr__(self, "_top", classical_max(pot))
             return
-        object.__setattr__(self, "profile", Profile(self.params, self.pot.shape))
+        object.__setattr__(self, "profile", Profile(params, pot.shape))
         top, low, where = _extrema(self)
         if not low > 0:
             raise NonPositiveMass(

@@ -3,39 +3,87 @@
 Everything is carried in arbitrary consistent units; temperature enters only
 through the inverse temperature beta. The two dimensionless numbers H and Q
 fully parameterize the transport results, so no unit registry exists.
+
+``Record`` is the immutable base of every validated record in the package.
+It lives here because this module imports nothing else from the package, so
+each module that defines a record can import it without loading more.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class Record:
+    """Immutable record with explicit slots.
+
+    A subclass lists in ``_fields`` what its equality, hash and repr cover,
+    in order; its ``__init__`` validates and stores every slot through
+    ``object.__setattr__``. Assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through here, past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PhysicalParams(Record):
     """Particle mass, inverse temperature and Planck constant.
 
     hbar = 0 is legal and selects exact classical code paths everywhere;
     no evaluation route divides by hbar.
     """
 
-    m: float
-    beta: float
-    hbar: float
+    __slots__ = ("m", "beta", "hbar", "_hash")
+    _fields = ("m", "beta", "hbar")
 
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.m, self.beta, self.hbar)):
+    def __init__(self, m: float, beta: float, hbar: float):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "hbar", hbar)
+        if not all(math.isfinite(x) for x in (m, beta, hbar)):
             raise ValueError(f"parameters must be finite, got {self}")
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not self.beta > 0:
-            raise ValueError(f"inverse temperature must be positive, got {self.beta}")
-        if self.hbar < 0:
-            raise ValueError(f"hbar must be nonnegative, got {self.hbar}")
+        if not m > 0:
+            raise ValueError(f"mass must be positive, got {m}")
+        if not beta > 0:
+            raise ValueError(f"inverse temperature must be positive, got {beta}")
+        if hbar < 0:
+            raise ValueError(f"hbar must be nonnegative, got {hbar}")
+        # parameters key kernel's per-(parameters, shape) cache, looked up on
+        # every V_eff call, so the hash is taken once
+        object.__setattr__(self, "_hash", hash((m, beta, hbar)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
+class DimensionlessParams(NamedTuple):
     """Quantum-strength numbers, always computed from the primitive inputs."""
 
     H: float

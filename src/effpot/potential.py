@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Union
+
+from .physical import Record
 
 KINK_ULPS = 64.0  # slope changes of at most this many ulp are rounding (Shape)
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record):
     """Asymptotic level plus segments (x[k], x[k+1]).
 
     On segment k the potential runs linearly from left[k] at x[k] to right[k]
@@ -37,40 +37,35 @@ class Shape:
     costs the smoothed profiles one erf and one Gaussian.
     """
 
-    level: float
-    x: tuple
-    left: tuple
-    right: tuple
-    slopes: tuple = field(init=False, repr=False, compare=False)
-    corners: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("level", "x", "left", "right", "slopes", "corners", "_hash")
+    _fields = ("level", "x", "left", "right")
 
-    def __post_init__(self):
-        _require_finite("levels, breakpoints and values", (self.level, *self.x, *self.left, *self.right))
-        if not len(self.left) == len(self.right) == len(self.x) - 1:
+    def __init__(self, level: float, x: tuple, left: tuple, right: tuple):
+        _require_finite("levels, breakpoints and values", (level, *x, *left, *right))
+        if not len(left) == len(right) == len(x) - 1:
             raise ValueError("need one left and one right value per segment between breakpoints")
-        if any(b <= a for a, b in zip(self.x[:-1], self.x[1:])):
+        if any(b <= a for a, b in zip(x[:-1], x[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         # segments at the level at either end add nothing but width; a shape
         # with no segment off the level stays as given
-        off = [k for k, (va, vb) in enumerate(zip(self.left, self.right)) if not va == vb == self.level]
+        off = [k for k, (va, vb) in enumerate(zip(left, right)) if not va == vb == level]
         if off:
             first, stop = off[0], off[-1] + 1
-            object.__setattr__(self, "x", self.x[first:stop + 1])
-            object.__setattr__(self, "left", self.left[first:stop])
-            object.__setattr__(self, "right", self.right[first:stop])
-        slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb
-                         in zip(self.x[:-1], self.x[1:], self.left, self.right)), 0.0)
+            x, left, right = x[first:stop + 1], left[first:stop], right[first:stop]
+        for name, value in (("level", level), ("x", x), ("left", left), ("right", right)):
+            object.__setattr__(self, name, value)
+        slopes = (0.0, *((vb - va) / (b - a) for a, b, va, vb in zip(x[:-1], x[1:], left, right)), 0.0)
         object.__setattr__(self, "slopes", slopes)
         kinks = []
         for a, b in zip(slopes[:-1], slopes[1:]):
             kink = float(b - a)  # an infinite kink stays, though math.ulp(inf) is inf
             rounding = math.isfinite(kink) and abs(kink) <= KINK_ULPS * math.ulp(max(abs(a), abs(b)))
             kinks.append(0.0 if rounding else kink)
-        jumps = (float(a - b) for a, b in zip((*self.left, self.level), (self.level, *self.right)))
-        object.__setattr__(self, "corners", (tuple(map(float, self.x)), tuple(jumps), tuple(kinks)))
+        jumps = (float(a - b) for a, b in zip((*left, level), (level, *right)))
+        object.__setattr__(self, "corners", (tuple(map(float, x)), tuple(jumps), tuple(kinks)))
         # shapes key kernel's per-(parameters, shape) caches, looked up on
         # every V_eff call, so the hash of the four defining fields is taken once
-        object.__setattr__(self, "_hash", hash((self.level, self.x, self.left, self.right)))
+        object.__setattr__(self, "_hash", hash((level, x, left, right)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,8 +87,7 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class SquareBarrier:
+class SquareBarrier(Record):
     """Rectangular barrier of height v0 on (-l, l), zero outside.
 
     At the jump points q = +-l the value is v0/2 (midpoint convention), which
@@ -101,33 +95,32 @@ class SquareBarrier:
     smoothing width goes to zero.
     """
 
-    v0: float
-    l: float
-    shape: Shape = field(init=False, repr=False, compare=False)
+    __slots__ = ("v0", "l", "shape")
+    _fields = ("v0", "l")
 
-    def __post_init__(self):
-        if not self.v0 > 0:
-            raise ValueError(f"barrier height must be positive, got {self.v0}")
-        if not self.l > 0:
-            raise ValueError(f"barrier half-width must be positive, got {self.l}")
-        object.__setattr__(self, "shape", Shape(0.0, (-self.l, self.l), (self.v0,), (self.v0,)))
+    def __init__(self, v0: float, l: float):
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "l", l)
+        if not v0 > 0:
+            raise ValueError(f"barrier height must be positive, got {v0}")
+        if not l > 0:
+            raise ValueError(f"barrier half-width must be positive, got {l}")
+        object.__setattr__(self, "shape", Shape(0.0, (-l, l), (v0,), (v0,)))
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantPotential:
+class PiecewiseConstantPotential(Record):
     """Constant segments separated by jumps at strictly increasing breakpoints.
 
     values has one more entry than breakpoints; the first and last values are
     the asymptotic levels and must be equal.
     """
 
-    breakpoints: tuple
-    values: tuple
-    shape: Shape = field(init=False, repr=False, compare=False)
+    __slots__ = ("breakpoints", "values", "shape")
+    _fields = ("breakpoints", "values")
 
-    def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+    def __init__(self, breakpoints: tuple, values: tuple):
+        bp = tuple(float(x) for x in breakpoints)
+        vals = tuple(float(v) for v in values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bp) + 1:
@@ -137,8 +130,7 @@ class PiecewiseConstantPotential:
         object.__setattr__(self, "shape", Shape(vals[0], bp, vals[1:-1], vals[1:-1]))
 
 
-@dataclass(frozen=True)
-class TabulatedPotential:
+class TabulatedPotential(Record):
     """Sampled potential, linearly interpolated inside the grid.
 
     Outside the grid the potential sits at its asymptotic level, the first
@@ -146,13 +138,12 @@ class TabulatedPotential:
     sample magnitude (at least 1).
     """
 
-    grid: tuple
-    values: tuple
-    shape: Shape = field(init=False, repr=False, compare=False)
+    __slots__ = ("grid", "values", "shape")
+    _fields = ("grid", "values")
 
-    def __post_init__(self):
-        grid = tuple(map(float, self.grid))
-        vals = tuple(map(float, self.values))
+    def __init__(self, grid: tuple, values: tuple):
+        grid = tuple(map(float, grid))
+        vals = tuple(map(float, values))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
         if len(grid) != len(vals):

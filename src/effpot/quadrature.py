@@ -17,23 +17,26 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import NonConvergence
+from .physical import Record
 
 MAX_SUBDIVISIONS = 60
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
+class QuadratureConfig(Record):
+    __slots__ = _fields = ("rel_tol", "abs_tol")
 
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        if not rel_tol > 0:
+            raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+        if not abs_tol > 0:
+            raise ValueError(f"abs_tol must be positive, got {abs_tol}")
+        # an infinite tolerance accepts the first panel's estimate unchecked
+        if rel_tol == math.inf or abs_tol == math.inf:
+            raise ValueError(f"tolerances must be finite, got {self}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

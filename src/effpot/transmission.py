@@ -20,12 +20,11 @@ The quantum side carries three independent routes that must agree:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import DomainError
 from .lowmomentum import LowMomentumModel, tunneling_threshold
-from .physical import PhysicalParams
+from .physical import PhysicalParams, Record
 from .potential import (
     PiecewiseConstantPotential,
     SquareBarrier,
@@ -38,15 +37,15 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 SINH_OVERFLOW = 350.0  # beyond this, sinh^2 is replaced by its leading exponential
 
 
-@dataclass(frozen=True)
-class CoefficientPair:
+class CoefficientPair(Record):
     """Transmission coefficient t in [0, 1] and its reflection r = 1 - t."""
 
-    t: float
+    __slots__ = _fields = ("t",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:  # nan and +-inf fail it too
-            raise ValueError(f"transmission coefficient {self.t!r} outside [0, 1]")
+    def __init__(self, t: float):
+        object.__setattr__(self, "t", t)
+        if not 0.0 <= t <= 1.0:  # nan and +-inf fail it too
+            raise ValueError(f"transmission coefficient {t!r} outside [0, 1]")
 
     @property
     def r(self) -> float:

@@ -545,6 +545,20 @@ def test_every_command_runs_without_numpy(tmp_path):
     ]
 
 
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # the records build no methods at import, so no launch pays for
+    # dataclasses or for the inspect, ast, dis and tokenize it pulls in
+    code = (
+        "import sys\n"
+        "from effpot import cli\n"
+        f"runs = (['model'], ['trajectory', '--eps', '0.9'], ['coeff', '--hbar', '3'], ['veff', '--nq', '81', '--np', '9'], ['validate'], ['figures', '--out', {str(tmp_path)!r}])\n"
+        "print('@', [cli.main(argv) for argv in runs], 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert [line for line in res.stdout.splitlines() if line.startswith("@")] == ["@ [0, 0, 0, 0, 0, 0] False False"]
+
+
 def test_unknown_subcommand():
     res = launch("frobnicate")
     assert res.returncode == 2

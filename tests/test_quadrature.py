@@ -20,6 +20,13 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1e-14)
 
 
+@pytest.mark.parametrize("rel_tol, abs_tol", [(math.inf, 1e-14), (1e-10, math.inf), (math.inf, math.inf)])
+def test_non_finite_tolerance_is_refused(rel_tol, abs_tol):
+    # an infinite tolerance would pass the first 21-point panel unchecked
+    with pytest.raises(ValueError, match="tolerances must be finite, got QuadratureConfig"):
+        QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+
+
 def test_adaptive_polynomial():
     assert abs(integrate_adaptive(lambda x: x**3, 0.0, 1.0) - 0.25) < 1e-13
 
@@ -127,3 +134,32 @@ def test_quad_is_read_as_a_module_attribute(monkeypatch):
     assert calls == [(0.0, 2.0)]
     with pytest.raises(AttributeError):
         quadrature.no_such_name
+
+
+def test_roundoff_stop_after_twenty_growing_bisections(monkeypatch):
+    # a line plus deterministic noise: from some depth on, bisecting a
+    # subinterval raises the summed error estimate of its halves above its
+    # own. dqagse counts such bisections once subinterval `last` > 10 exists
+    # (iroff3) and stops with code 2 when the count reaches 20; the count is
+    # rebuilt here from every 21-point panel the run evaluates
+    panels = []
+    real = quadrature._qk21
+
+    def recorded(f, a, b):
+        out = real(f, a, b)
+        panels.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(quadrature, "_qk21", recorded)
+    out = quadrature.quad(lambda x: x + 1e-4 * math.sin(1e8 * x), 0.0, 1.0,
+                          epsabs=1e-300, epsrel=1e-14, limit=500)
+    error = {(a, b): panel[1] for a, b, panel in panels}
+    growing = []  # `last` of each bisection whose halves' estimate grew
+    for last in range(2, len(panels) // 2 + 2):
+        (a1, _, (_, error1, _, defab1)), (_, b2, (_, error2, _, defab2)) = panels[2 * last - 3:2 * last - 1]
+        if not (defab1 == error1 or defab2 == error2) and error1 + error2 > error[(a1, b2)]:
+            growing.append(last)
+    counted = [last for last in growing if last > 10]
+    assert 10 in growing  # so counting from last > 9 would stop earlier
+    assert len(counted) >= 20 and out[2]["last"] == counted[19]
+    assert out[3] == "roundoff error prevents the requested tolerance"
