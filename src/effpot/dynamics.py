@@ -25,8 +25,10 @@ A zone of nonzero width is crossed by one adaptive Dormand-Prince 8(5,3)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
 the speed at entry, keeps it from stepping over a wall. The canonical
 right-hand side (``Profile.canonical_rhs``) never forms V, so a jump costs it
-no error function; the Newtonian one (``Profile.newtonian_rhs``) needs V and
-reads all four profiles from ``Profile.at``. The segment ends when the state
+no error function, and on the zone's window it sums only the jumps whose
+terms are not exact zeros there, bitwise as ``Profile.at``; the Newtonian
+one (``Profile.newtonian_rhs``) needs V and reads all four profiles from
+``Profile.at``. The segment ends when the state
 leaves downward through the zone's low surface or upward through its high
 one, each the zone edge clipped to the evaluation domain; leaving through a
 domain edge decides the outcome. The stepper follows
@@ -74,6 +76,7 @@ DRIFT_FLOOR = 1e-12
 REL_TOL = 1e-11          # adaptive step control
 ABS_TOL = 1e-12
 MAX_ZONE_SIGMAS = 5000.0  # widest breakpoint span of one zone, in units of sigma
+WINDOW_SIGMAS = 5.0      # reach of a zone's jump window beyond its edges, in units of sigma
 T_END_TRANSITS = 50.0    # default time budget in units of domain transit time
 MAX_EVENTS = 100_000
 
@@ -547,9 +550,12 @@ def _zones(model) -> list:
     eps_mach * |q|, which the steep wall force (~ V0/sigma) would turn into
     an energy random walk near the conservation gate, and for a lone wall
     the dominant erf/Gaussian arguments are exact (nearby doubles subtract
-    exactly). A zone whose breakpoints span more than MAX_ZONE_SIGMAS sigma
-    is refused: its max step of 2 sigma over the speed would need far too
-    many steps.
+    exactly). Its window, the zone widened by WINDOW_SIGMAS sigma (more than
+    two max steps at the entry speed), is where its canonical right-hand side
+    leaves out the jumps of other zones whose terms are exact zeros there
+    (``Profile.canonical_rhs``); a stage beyond it reads every corner. A
+    zone whose breakpoints span more than MAX_ZONE_SIGMAS sigma is refused:
+    its max step of 2 sigma over the speed would need far too many steps.
     """
     shape, sigma = model.pot.shape, model.smoothing_sigma
     if model.profile is None and not shape.steps:
@@ -570,7 +576,9 @@ def _zones(model) -> list:
                 f"across the force zone [{first:g}, {last:g}] of this potential"
             )
         origin = 0.5 * (first + last)
-        profile = None if model.profile is None else Profile(model.params, shape, origin=origin)
+        reach = half + WINDOW_SIGMAS * sigma
+        window = (first - reach - origin, last + reach - origin)
+        profile = None if model.profile is None else Profile(model.params, shape, origin, window)
         zones.append(_Zone(profile, origin, first - half, last + half, shape.levels[j + 1]))
     return zones
 
@@ -615,10 +623,11 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             column.extend(values[skip:])
 
     def fly(t_a, q_a, v, p, energy, t_b, closed):
-        """Sample exact flight from (t_a, q_a) up to t_b, included when closed."""
+        """Sample exact flight from (t_a, q_a) up to t_b, included when closed
+        (once, when t_b is t_a)."""
         nonlocal cursor
         if t_eval is None:
-            ts = [t_a, t_b] if closed else [t_a]
+            ts = [t_a, t_b] if closed and t_b > t_a else [t_a]
         else:
             stop = (bisect_right if closed else bisect_left)(t_eval, t_b)
             ts, cursor = t_eval[cursor:stop], stop

@@ -15,7 +15,8 @@ Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
 (``Profile``); the kinks' share of V and V' is summed by parts, which keeps
 its digits far from the shape. One scalar sum on ``math.erf``
 (``Profile.at``) forms V; the canonical right-hand side repeats its V', 1/M
-and (1/M)' terms without V, the Newtonian one reads it.
+and (1/M)' terms without V, and on a trajectory zone's window only those of
+the jumps that act there; the Newtonian one reads it.
 The model is only meaningful while M(q) stays positive. Both that and the
 tunneling threshold, the maximum of V, are found at construction zone by
 zone: every extremum lies within ZONE_SIGMAS smoothing widths of a corner,
@@ -39,6 +40,7 @@ from .potential import (
 
 EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute and relative
 ZONE_SIGMAS = 20.0  # reach of a corner's terms beyond its breakpoint, in units of sigma
+U_UNDERFLOW = 28.0  # |u| beyond which exp(-u^2) underflows to 0.0
 SCAN_STEP = 0.5     # largest step of the extremum scan, in units of sigma
 
 
@@ -68,22 +70,27 @@ class Profile:
     in coordinates local to each force zone. q - x is formed first, so the
     argument at a lone wall is exact there. The integrator's canonical
     right-hand side (``canonical_rhs``) never forms V, so a jump costs it
-    one Gaussian and no erf; a kink keeps its erf, which V' reads. The
-    Newtonian one (``newtonian_rhs``) needs V, so it reads all four profiles
-    from ``at``. So does everything else: the trajectory samples and exits,
-    the threshold and the mass check.
+    one Gaussian and no erf; a kink keeps its erf, which V' reads. On
+    ``window``, an interval the integrator sets to its zone, it also leaves
+    out the jumps whose terms are exact zeros there, and beyond it reads
+    ``at``. The Newtonian one (``newtonian_rhs``) needs V, so it reads all
+    four profiles from ``at``. So does everything else: the trajectory
+    samples and exits, the threshold and the mass check.
     """
 
-    def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0):
+    def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0,
+                 window: tuple = (-math.inf, math.inf)):
         m, beta, hbar = params.m, params.beta, params.hbar
         sigma = math.sqrt(beta / (4.0 * m)) * hbar
         beta_hbar2 = beta * hbar * hbar
-        if not (sigma > 0 and beta_hbar2 > 0 and 2.0 * m / beta_hbar2 < math.inf):
-            raise DomainError(f"hbar = {hbar:g} is too small for finite smoothing constants")
+        twelve_m2 = 12.0 * m * m
+        if not (sigma > 0 and beta_hbar2 > 0 and 2.0 * m / beta_hbar2 < math.inf and twelve_m2 > 0):
+            raise DomainError(
+                f"the smoothing constants at m = {m:g}, hbar = {hbar:g} leave floating range")
         c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
         k = c / math.sqrt(math.pi)
-        curv = beta * beta_hbar2 / (12.0 * m * m)  # 1/M = 1/m - curv V''
-        self.level, self.inv_m, self.c = shape.level, 1.0 / m, c
+        curv = beta * beta_hbar2 / twelve_m2  # 1/M = 1/m - curv V''
+        self.level, self.inv_m, self.c, self.window = shape.level, 1.0 / m, c, window
         # per jump the position and the weights of e in V, of g in V', of u g
         # in 1/M and of (1/2 - u^2) g in (1/M)'; per kink the position, those
         # of the line's value and slope, and of g, g, u g in V, 1/M, (1/M)'
@@ -134,11 +141,24 @@ class Profile:
         """The canonical equations of motion (q, p) -> (p/M, -V' - (1/2) (1/M)' p^2)
         as one closure on Python floats. It sums V', 1/M and (1/M)' term for
         term as ``at`` does, so its values are bitwise those of ``at``, but it
-        never forms V: a jump costs one exp and no erf."""
-        c, inv_m, jumps, kinks = self.c, self.inv_m, self.jumps, self.kinks
+        never forms V: a jump costs one exp and no erf.
+
+        On ``window`` it leaves out the jumps whose terms are exact zeros
+        there, so it adds the same floats in the same order. Where
+        |u| >= U_UNDERFLOW the Gaussian is 0.0, and the rounded
+        u = c (q - x) is monotone in q, so the window's ends decide which
+        jumps go. Every kink stays. Beyond the window, and at a NaN q, it
+        reads ``at``."""
+        c, inv_m, kinks, at = self.c, self.inv_m, self.kinks, self.at
+        lo, hi = self.window
         exp, erf = math.exp, math.erf
+        jumps = [jump for jump in self.jumps
+                 if c * (lo - jump[0]) < U_UNDERFLOW and c * (hi - jump[0]) > -U_UNDERFLOW]
 
         def rhs(q, p):
+            if not lo <= q <= hi:
+                _, vp, minv, minvp = at(q)
+                return p * minv, -vp - 0.5 * minvp * p * p
             vp = mi = mip = 0.0
             e_prev = 1.0
             for x, _, slope, _, km, km_p in kinks:
@@ -345,7 +365,9 @@ def _brent(f, xa: float, xb: float) -> float:
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # on a zero denominator scipy's C gets inf or nan here, and bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

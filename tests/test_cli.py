@@ -298,11 +298,13 @@ def test_non_finite_parameter_is_usage_error(run, within_60s, tmp_path, flags):
     ("trajectory", "--hbar", "1e-154", "--eps", "0.9"),  # used to hang in the stepper
     ("trajectory", "--hbar", "1e-145", "--eps", "0.9"),  # used to divide by a zero first step
     ("coeff", "--hbar", "1e-300"),  # used to divide by zero
-], ids=["1e-154", "1e-145", "1e-300"])
+    ("model", "--m", "1e-300"),  # 12 m^2 underflowed to 0, and a division by it raised
+    ("coeff", "--m", "1e-300"),
+], ids=["1e-154", "1e-145", "1e-300", "model-m-1e-300", "coeff-m-1e-300"])
 def test_tiny_hbar_fails_cleanly(run, within_60s, flags):
     res = run(*flags)
     assert res.returncode == 1
-    assert res.stderr.startswith("error:")
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
 
 

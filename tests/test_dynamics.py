@@ -105,6 +105,21 @@ def test_trajectory_invariants():
         )
 
 
+@pytest.mark.parametrize("newtonian", [False, True], ids=["hamiltonian", "newtonian"])
+@pytest.mark.parametrize("hbar", [0.0, 0.05, 3.0])
+def test_t_end_at_the_start_is_one_sample(hbar, newtonian):
+    # exact flight (hbar 0 and 0.05 start in a gap) and a zone run (hbar 3)
+    # alike record the start once
+    model = _model(hbar)
+    q0, p0 = launch_state(model, 0.5)
+    if newtonian:
+        traj = integrate_newtonian(model, q0, p0 * inverse_mass(model, q0), 0.5, t_end=0.0)
+    else:
+        traj = integrate_hamiltonian(model, q0, p0, t_end=0.0)
+    assert (traj.t, traj.q, traj.p, traj.energy_drift) == ((0.0,), (q0,), (p0,), (0.0,))
+    assert traj.outcome is None
+
+
 @pytest.mark.parametrize("hbar", [0.05, 2.0, 6.0])
 @pytest.mark.parametrize("pot", [BARRIER, TWIN, TENT, BUMP], ids=["square", "twin", "tent", "bump"])
 def test_canonical_rhs_runs_bitwise_as_the_at_route(monkeypatch, pot, hbar):

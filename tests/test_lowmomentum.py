@@ -2,18 +2,22 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import erf
 
+from effpot import dynamics
 from effpot.errors import DomainError, NonPositiveMass
 from effpot.lowmomentum import (
+    EVENT_TOL,
     ZONE_SIGMAS,
     LowMomentumModel,
     Profile,
+    _brent,
     corner_groups,
     evaluation_domain,
     inverse_mass,
@@ -212,6 +216,65 @@ def test_newtonian_rhs_is_bitwise_the_at_route(shape, hbar, origin, eps, u):
     near = (x - origin + k * sigma for x in shape.x for k in (-3.0, -1.0, -0.25, 0.0, 0.5, 2.0))
     for q in (*np.linspace(a - pad, b + pad, 101).tolist(), *near):
         assert rhs(q, u) == oracle(q, u), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_shapes(), st.floats(min_value=0.02, max_value=2.0),
+       st.floats(min_value=-4.0, max_value=4.0), st.floats(min_value=-2.5, max_value=2.5))
+# four zones: a wall, a wall and a ramp, two walls; each window drops jumps
+@example(Shape(0.0, (0.0, 1.0, 1.2, 2.5, 3.5), (1.0, 0.5, 0.0, -0.5), (1.0, 0.0, 0.0, -0.5)),
+         0.05, 1.3, 0.2)
+def test_zone_closures_are_bitwise_the_at_route(shape, hbar, p, eps):
+    # each zone's canonical right-hand side leaves out the other zones' jumps
+    # on its window, and reads every corner beyond it
+    try:
+        model = LowMomentumModel(_params(hbar), SimpleNamespace(shape=shape))
+    except (DomainError, NonPositiveMass):
+        assume(False)
+    sigma = model.smoothing_sigma
+    for zone in dynamics._zones(model):
+        profile = zone.profile
+        lo, hi = profile.window
+        closures = ((dynamics._rhs(profile, None), canonical_rhs_from_at(profile), p),
+                    (dynamics._rhs(profile, eps), newtonian_rhs_from_at(profile, eps), p))
+        near = (x - zone.origin + k * sigma for x in shape.x for k in (-1.0, 0.0, 0.5))
+        beyond = (lo - 3.0 * sigma, hi + 3.0 * sigma)
+        for q in (*np.linspace(lo, hi, 101).tolist(), *near, *beyond):
+            for rhs, oracle, s in closures:
+                assert rhs(q, s) == oracle(q, s), q
+
+
+def test_thin_wall_zones_sum_their_own_jump(monkeypatch):
+    # at hbar = 0.05 the walls are 113 sigma apart: on each zone's window the
+    # other wall's Gaussian is exactly 0, so a call costs one exp and no erf
+    model = LowMomentumModel(_params(0.05), BARRIER)
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    monkeypatch.setattr(math, "erf", None)
+    zones = dynamics._zones(model)
+    assert len(zones) == 2
+    for zone in zones:
+        rhs = dynamics._rhs(zone.profile, None)
+        lo, hi = zone.profile.window
+        for q in np.linspace(lo, hi, 21).tolist():
+            calls.clear()
+            rhs(q, 1.0)
+            assert len(calls) == 1, q
+    calls.clear()
+    Profile(model.params, BARRIER.shape).canonical_rhs()(0.0, 1.0)  # no window: both walls
+    assert len(calls) == 2
+
+
+def test_brent_bisects_on_a_zero_denominator():
+    # dblk * dpre underflows to 0 on this tiny cubic: scipy's C brentq gets
+    # inf there and bisects, step for step as the port must
+    def f(x):
+        return 1e-160 * (x * x * x - 0.2)
+
+    assert _brent(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=EVENT_TOL, rtol=EVENT_TOL)
+    top = tunneling_threshold(LowMomentumModel(_params(3.0), SquareBarrier(1e-300, 0.5)))
+    assert 0.0 < top < 1e-300
 
 
 def test_collinear_samples_cost_nothing():
