@@ -39,6 +39,12 @@ four times the length of a fifth-order one, so it crosses a zone in about a
 quarter of the steps at twice the calls per step. Where the max step, not
 the tolerance, sets the step (narrow walls, hbar well below 1) that trade
 is lost: each clamped step costs twelve calls.
+
+``classify_traversal`` runs a launched trajectory only to its first turning
+point. By time reversal the way back retraces the way in, so the first
+accepted step whose momentum has turned (``solve_ivp``'s status 2), or a
+reflection at a step at hbar = 0, decides 'reflected'; about half of a
+reflected run's work is saved. The integrators run to an exit or t_end.
 """
 
 from __future__ import annotations
@@ -166,10 +172,11 @@ class Segment(NamedTuple):
     Without t_eval the samples are the start and every accepted step, the
     exit point replacing the last one when the run leaves the zone; with it,
     the requested times reached. status is 0 when the run reached the end of
-    t_span, 1 when it left the zone and -1 when the step size fell below
-    10 ulp of the time; exit is (side, t, q, s) when status is 1, side -1
-    through the low surface and +1 through the high one. nfev counts every
-    right-hand-side call, the dense output's included.
+    t_span, 1 when it left the zone, 2 when it turned (only a run asked to
+    stop there) and -1 when the step size fell below 10 ulp of the time; exit
+    is (side, t, q, s) when status is 1, side -1 through the low surface and
+    +1 through the high one. nfev counts every right-hand-side call, the
+    dense output's included.
     """
 
     t: list
@@ -187,10 +194,13 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
+def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Segment:
     """Dormand-Prince 8(5,3) run of (q, s)' = fun(q, s) from y0 = (q, s) over
     t_span, ending early when q leaves downward through low or upward
-    through high.
+    through high. With turn it also ends, with status 2 and no exit located,
+    at the first accepted step where s no longer has the sign it started
+    with (s == 0 counts as a turn); that status takes precedence over the
+    other two.
 
     The control is scipy's DOP853, rule for rule (Hairer, Norsett & Wanner,
     Solving ODEs I, II.10): twelve stages a step, the first of them the last
@@ -210,6 +220,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
     nfev = 1
     ts, qs, ss = ([t], [q], [s]) if t_eval is None else ([], [], [])
     cursor = 0
+    forward = s > 0.0
     if t >= t_end:
         return Segment(ts, qs, ss, nfev, 0, None)
     rtol, atol = REL_TOL, ABS_TOL
@@ -454,6 +465,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high) -> Segment:
         out_low = g_low >= 0.0 and d_low <= 0.0
         out_high = g_high <= 0.0 and d_high >= 0.0
         g_low, g_high = d_low, d_high
+        if turn and (s <= 0.0 if forward else s >= 0.0):
+            status, out_low, out_high = 2, False, False
         sampled = t_eval is not None and cursor < len(t_eval) and t_eval[cursor] <= t
         if out_low or out_high or sampled:
             dense = _dense_output(
@@ -592,7 +605,7 @@ def _rhs(profile, eps):
     return profile.newtonian_rhs(eps)
 
 
-def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
+def _propagate(model, q0, s0, t_end, t_eval, eps, energy0, turn=False) -> Trajectory:
     """Event loop over the force zones from (q0, s0) up to time t_end.
 
     s is the momentum p in the canonical form (eps None), else the velocity
@@ -600,6 +613,13 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
     the start, every accepted RK step, the state after every jump and the
     end; with it, the requested times reached plus the exit point when the
     run ends at an exit.
+
+    With turn, a run launched toward +q ends 'reflected' at its first
+    reversal: the accepted step of a zone segment where the sign of s turns
+    (``solve_ivp``'s status 2), or a reflection in a jump zone. In 1-D
+    conservative motion the way back retraces the way in, so the full run
+    would leave through the low edge; its samples are a prefix of the full
+    run's.
     """
     if t_eval is not None:
         t_eval = [float(tau) for tau in t_eval]
@@ -674,11 +694,12 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
             p = s * m if newton else s
             ahead = zone + 1 if p > 0 else zone
             dv = levels[ahead] - levels[gap]
-            if p * p / (2.0 * m) > dv:
+            turned = not p * p / (2.0 * m) > dv
+            if turned:
+                p = -p
+            else:
                 p = math.copysign(math.sqrt(p * p - 2.0 * m * dv), p)
                 gap = ahead
-            else:
-                p = -p
             s = p / m if newton else p
             side = p
             exit_state = ([p], [p * p / (2.0 * m) + levels[gap]])
@@ -695,6 +716,7 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
                 max_step=2.0 * model.smoothing_sigma / abs(v) if v else math.inf,
                 low=low,
                 high=high,
+                turn=turn,
             )
             n_rhs += seg.nfev
             if seg.status == -1:
@@ -705,11 +727,15 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0) -> Trajectory:
                 cursor += len(seg.t)
             if seg.status == 0:
                 break  # t_end reached inside the zone
+            if seg.status == 2:
+                outcome = REFLECTED
+                break
             side, t, xi, s = seg.exit
+            turned = False
             q = z.origin + xi
             gap = zone + 1 if side > 0 else zone
             exit_state = tuple([col] for col in zone_state(z.profile, xi, s))
-        if (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
+        if (turn and turned) or (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
             outcome = SURPASSED if side > 0 else REFLECTED
             put([t], [q], *exit_state)
             break
@@ -811,17 +837,23 @@ def launch_state(model: LowMomentumModel, eps: float):
 def classify_traversal(model: LowMomentumModel, eps: float) -> str:
     """Decide whether energy eps surpasses the barrier or reflects.
 
-    Runs an actual trajectory for every generic energy. The single degenerate
-    tie, eps equal to the tunneling threshold to within 1e-12 relative, is
-    decided by convention as reflected without integrating: the true motion
-    approaches the barrier top asymptotically and never crosses, while a
-    numerical run accumulates just enough truncation error to creep over.
+    Runs an actual trajectory for every generic energy, from ``launch_state``
+    and within ``integrate_hamiltonian``'s default time budget, up to its
+    first turning point: in 1-D conservative motion the way back retraces
+    the way in (time reversal), so the first reversal decides 'reflected',
+    and a run that never turns surpasses through the high edge. Every
+    computed sample is held to the drift gate. The single degenerate tie, eps
+    equal to the tunneling threshold to within 1e-12 relative, is decided by
+    convention as reflected without integrating: the true motion approaches
+    the barrier top asymptotically and never crosses, while a numerical run
+    accumulates just enough truncation error to creep over.
     """
     threshold = tunneling_threshold(model)
     if abs(eps - threshold) <= 1e-12 * max(1.0, abs(threshold)):
         return REFLECTED
     q0, p0 = launch_state(model, eps)
-    traj = integrate_hamiltonian(model, q0, p0)
+    t_end = _default_t_end(model, p0 * inverse_mass(model, q0))
+    traj = _propagate(model, q0, p0, t_end, None, None, hamiltonian(model, q0, p0), turn=True)
     if traj.outcome is not None:
         return traj.outcome
     raise DidNotResolve(

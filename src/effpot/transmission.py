@@ -212,8 +212,10 @@ def surpass_fraction(
 ) -> float:
     """Fraction of a uniform-energy beam that surpasses the barrier.
 
-    Runs n actual trajectories with energies on (base, max V); this is the
-    simulated-transport route to the effective transmission coefficient.
+    Runs n actual trajectories with energies on (base, max V), each by
+    ``classify_traversal``: until it leaves over the far edge or first
+    turns; this is the simulated-transport route to the effective
+    transmission coefficient.
     Stratified energies are the n bin midpoints. Random draws use numpy's
     generator seeded with rng, so they need numpy (the ``test`` extra).
     """

@@ -25,7 +25,13 @@ from effpot.dynamics import (
     solve_ivp,
     write_trajectory_csv,
 )
-from effpot.errors import DomainError, InconsistentEnergy, StepFailure
+from effpot.errors import (
+    DidNotResolve,
+    DomainError,
+    EffpotError,
+    InconsistentEnergy,
+    StepFailure,
+)
 from effpot.lowmomentum import (
     LowMomentumModel,
     Profile,
@@ -393,8 +399,6 @@ def test_classify_flat_top_creep_exhausts_budget():
     # just above a thin-wall threshold the top is flat over the whole
     # interior, so the crossing speed stays ~sqrt(2 excess) for the full
     # width and the default time budget genuinely runs out
-    from effpot.errors import DidNotResolve
-
     model = _model(1e-6)
     thr = tunneling_threshold(model)
     with pytest.raises(DidNotResolve):
@@ -415,6 +419,94 @@ def test_classify_flip_matches_closed_threshold():
         else:
             lo = mid
     assert abs(0.5 * (lo + hi) - thr) < 1e-7
+
+
+# perfbench's fixed 3-step barrier and its seed-1 41-point tent (offset
+# -0.2701500698449057, height 0.546486970518657) and raised-cosine bump
+# (centre 0.22495290939589513, width 0.6322469856785315, height 0.6029951184487711)
+STEP3 = PiecewiseConstantPotential((-0.6, 0.0, 0.55), (0.0, 0.5, 0.9, 0.0))
+_SEED1_TENT_X = _TENT_GRID + -0.2701500698449057
+_SEED1_TENT_V = 0.546486970518657 * (1.0 - np.abs(_SEED1_TENT_X - -0.2701500698449057))
+_SEED1_TENT_V[0] = _SEED1_TENT_V[-1] = 0.0
+SEED1_TENT = TabulatedPotential(tuple(_SEED1_TENT_X.tolist()), tuple(_SEED1_TENT_V.tolist()))
+_SEED1_BUMP_X = np.clip((_TENT_GRID - 0.22495290939589513) / 0.6322469856785315, -1.0, 1.0)
+_SEED1_BUMP_V = 0.6029951184487711 * 0.5 * (1.0 + np.cos(np.pi * _SEED1_BUMP_X))
+_SEED1_BUMP_V[0] = _SEED1_BUMP_V[-1] = 0.0
+SEED1_BUMP = TabulatedPotential(tuple(_TENT_GRID.tolist()), tuple(_SEED1_BUMP_V.tolist()))
+# a reflection at the second, higher hump comes back over the first
+TWO_HUMP = PiecewiseConstantPotential((-1.0, -0.6, -0.2, 0.2), (0.0, 0.6, 0.2, 1.0, 0.0))
+
+
+def _outcome_or_error(run):
+    try:
+        return run()
+    except EffpotError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("hbar", [0.0, 0.05, 0.5, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("pot", [BARRIER, TWIN, STEP3, STEP4, SEED1_TENT, SEED1_BUMP, TWO_HUMP],
+                         ids=["square", "twin", "step3", "step4", "tent", "bump", "two-hump"])
+def test_classification_is_the_full_runs_outcome(pot, hbar):
+    # classify_traversal stops at the first turning point; the full run goes
+    # back out to the launch edge and must reach the same outcome, or both
+    # must raise the same error (tabulated shapes at hbar 0, and the creep
+    # over a flat top that exhausts the budget)
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
+    thr = tunneling_threshold(model)
+    for f in (0.3, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.1, 1.6):
+        eps = f * thr
+
+        def full():
+            return integrate_hamiltonian(model, *launch_state(model, eps)).outcome or DidNotResolve
+
+        assert _outcome_or_error(lambda: classify_traversal(model, eps)) == _outcome_or_error(full), f
+
+
+def _turn_and_full_runs(monkeypatch, model, eps):
+    """The run classify_traversal makes and the full integrate_hamiltonian
+    run from the same launch, each with its RHS calls."""
+    runs, nfev = [], [0]
+
+    def propagated(*args, **kwargs):
+        runs.append(propagate(*args, **kwargs))
+        return runs[-1]
+
+    def counted(*args, **kwargs):
+        seg = segment(*args, **kwargs)
+        nfev[0] += seg.nfev
+        return seg
+
+    propagate, segment = dynamics._propagate, dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "_propagate", propagated)
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    outcome = classify_traversal(model, eps)
+    turn_calls = nfev[0]
+    full = integrate_hamiltonian(model, *launch_state(model, eps))
+    assert outcome == full.outcome == REFLECTED
+    (turn, _) = runs
+    # the way to the turning point is the full run's, sample for sample
+    n = len(turn.t)
+    assert n < len(full.t)
+    for name in ("t", "q", "p", "energy_drift"):
+        assert getattr(turn, name) == getattr(full, name)[:n], name
+    return turn, turn_calls, full, nfev[0] - turn_calls
+
+
+def test_reflected_classification_stops_at_the_turn(monkeypatch):
+    turn, turn_calls, full, full_calls = _turn_and_full_runs(monkeypatch, _model(2.0), 0.5)
+    assert turn.p[-2] > 0.0 >= turn.p[-1]  # the last accepted step is the first one turned
+    assert turn_calls == turn.n_rhs and full_calls == full.n_rhs
+    assert turn_calls < 0.6 * full_calls
+
+
+def test_exact_reflection_stops_at_the_first_reflecting_step(monkeypatch):
+    # hbar 0: the run crosses the first step and reflects at the second
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=0.0), STEP3)
+    turn, turn_calls, _, _ = _turn_and_full_runs(monkeypatch, model, 0.7)
+    assert turn_calls == 0
+    assert turn.q[-2:] == (-0.6, 0.0)
+    assert turn.p[-2] > 0.0 > turn.p[-1]
 
 
 def test_launch_state_energy():
@@ -879,6 +971,23 @@ def test_stepper_samples_like_scipy_rk45(hbar):
     assert 0 < len(ours.t) < grid.size
     np.testing.assert_allclose(ours.q, ref.y[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(ours.s, ref.y[1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("s0", [1.0, -1.0])
+def test_turn_ends_the_segment_at_the_first_turned_step(s0):
+    # q'' = -q from (0, s0) turns at t = pi/2; the turning run is the full
+    # run's first steps, and it locates no exit
+    def oscillator(q, s):
+        return s, -q
+
+    common = dict(t_eval=None, max_step=0.1, low=-2.0, high=2.0)
+    full = solve_ivp(oscillator, (0.0, 10.0), (0.0, s0), **common)
+    turned = solve_ivp(oscillator, (0.0, 10.0), (0.0, s0), turn=True, **common)
+    assert full.status == 0 and turned.status == 2 and turned.exit is None
+    n = len(turned.t)
+    assert (turned.t, turned.q, turned.s) == (full.t[:n], full.q[:n], full.s[:n])
+    assert turned.s[-2] * s0 > 0.0 >= turned.s[-1] * s0
+    assert math.pi / 2 <= turned.t[-1] < math.pi / 2 + 0.1
 
 
 def test_nan_right_hand_side_fails_the_step():
