@@ -45,6 +45,7 @@ point. By time reversal the way back retraces the way in, so the first
 accepted step whose momentum has turned (``solve_ivp``'s status 2), or a
 reflection at a step at hbar = 0, decides 'reflected'; about half of a
 reflected run's work is saved. The integrators run to an exit or t_end.
+``_propagate`` sets up every driver's run: checks, time budget, energy.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ from .lowmomentum import (
     LowMomentumModel,
     Profile,
     _brent,
+    _smoothed,
     corner_groups,
     evaluation_domain,
-    inverse_mass,
-    smoothed_potential,
     tunneling_threshold,
 )
 from .physical import Record
@@ -197,10 +197,10 @@ def _rms(a: float, b: float) -> float:
 def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Segment:
     """Dormand-Prince 8(5,3) run of (q, s)' = fun(q, s) from y0 = (q, s) over
     t_span, ending early when q leaves downward through low or upward
-    through high. With turn it also ends, with status 2 and no exit located,
-    at the first accepted step where s no longer has the sign it started
-    with (s == 0 counts as a turn); that status takes precedence over the
-    other two.
+    through high (low < high). With turn it also ends, with status 2 and no
+    exit located, at the first accepted step where s no longer has the sign
+    it started with (s == 0 counts as a turn); that status takes precedence
+    over the other two.
 
     The control is scipy's DOP853, rule for rule (Hairer, Norsett & Wanner,
     Solving ODEs I, II.10): twelve stages a step, the first of them the last
@@ -462,13 +462,18 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Se
         t, q, s, fq, fs = t_new, q_new, s_new, k12q, k12s
         status = 0 if t >= t_end else None
         d_low, d_high = q - low, q - high
-        out_low = g_low >= 0.0 and d_low <= 0.0
-        out_high = g_high <= 0.0 and d_high >= 0.0
+        # low < high, so a step leaves through one surface at most
+        if g_low >= 0.0 and d_low <= 0.0:
+            side, edge = -1, low
+        elif g_high <= 0.0 and d_high >= 0.0:
+            side, edge = 1, high
+        else:
+            side = 0
         g_low, g_high = d_low, d_high
         if turn and (s <= 0.0 if forward else s >= 0.0):
-            status, out_low, out_high = 2, False, False
+            status, side = 2, 0
         sampled = t_eval is not None and cursor < len(t_eval) and t_eval[cursor] <= t
-        if out_low or out_high or sampled:
+        if side or sampled:
             dense = _dense_output(
                 fun, t_old, h, (q_old, s_old), (q, s),
                 ((k0q, k0s), (k1q, k1s), (k2q, k2s), (k3q, k3s), (k4q, k4s), (k5q, k5s),
@@ -477,13 +482,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Se
             )
             nfev += 3
         leaving = None
-        if out_low or out_high:
-            crossed = [(side, edge) for side, edge, out in ((-1, low, out_low), (1, high, out_high))
-                       if out]
-            t, side = min(
-                (_brent(lambda tau, edge=edge: dense(tau)[0] - edge, t_old, t), side)
-                for side, edge in crossed
-            )
+        if side:
+            t = _brent(lambda tau: dense(tau)[0] - edge, t_old, t)
             q, s = dense(t)
             leaving, status = (side, t, q, s), 1
         if t_eval is None:
@@ -605,14 +605,17 @@ def _rhs(profile, eps):
     return profile.newtonian_rhs(eps)
 
 
-def _propagate(model, q0, s0, t_end, t_eval, eps, energy0, turn=False) -> Trajectory:
-    """Event loop over the force zones from (q0, s0) up to time t_end.
+def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> Trajectory:
+    """Event loop over the force zones from (q0, s0) up to time t_end, and
+    the one place where every driver's run is set up.
 
     s is the momentum p in the canonical form (eps None), else the velocity
-    dq/dt of the Newtonian form at energy eps. Without t_eval the samples are
-    the start, every accepted RK step, the state after every jump and the
-    end; with it, the requested times reached plus the exit point when the
-    run ends at an exit.
+    dq/dt of the Newtonian form at energy eps, which (q0, s0) must carry to
+    1e-10 relative. The default t_end is T_END_TRANSITS domain transits at
+    the launch speed. Drift is measured from eps, or from ``hamiltonian`` at
+    the start. Without t_eval the samples are the start, every accepted RK
+    step, the state after every jump and the end; with it, the requested
+    times reached plus the exit point when the run ends at an exit.
 
     With turn, a run launched toward +q ends 'reflected' at its first
     reversal: the accepted step of a zone segment where the sign of s turns
@@ -621,6 +624,24 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0, turn=False) -> Trajec
     would leave through the low edge; its samples are a prefix of the full
     run's.
     """
+    newton = eps is not None
+    what = "initial state, energy and time budget" if newton else "initial state and time budget"
+    _require_finite(what, (q0, s0, eps if newton else 0.0, 0.0 if t_end is None else t_end))
+    lo_edge, hi_edge = evaluation_domain(model)
+    if t_end is None:
+        speed = s0 if newton else s0 * _smoothed(model, q0)[1]
+        if speed == 0.0:
+            raise ValueError("an explicit t_end is required when the initial velocity is zero")
+        t_end = T_END_TRANSITS * (hi_edge - lo_edge) / abs(speed)
+    elif t_end < 0:
+        raise ValueError(f"time budget must be nonnegative, got {t_end:g}")
+    if newton:
+        v, minv = _smoothed(model, q0)
+        check = 0.5 * s0 * s0 / minv + v
+        if abs(check - eps) > 1e-10 * max(1.0, abs(eps)):
+            raise InconsistentEnergy(
+                f"initial data carries energy {check:.12g}, stated energy is {eps:.12g}")
+    energy0 = eps if newton else hamiltonian(model, q0, s0)
     if t_eval is not None:
         t_eval = [float(tau) for tau in t_eval]
         if not (all(map(math.isfinite, t_eval)) and all(b > a for a, b in zip(t_eval, t_eval[1:]))):
@@ -629,10 +650,8 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0, turn=False) -> Trajec
         if not t_eval:
             raise ValueError(f"t_eval has no time in [0, t_end] = [0, {t_end:g}]")
     zones = _zones(model)
-    lo_edge, hi_edge = evaluation_domain(model)
     m = model.params.m
     levels = (model.pot.shape.level, *(z.level for z in zones))  # of each gap
-    newton = eps is not None
     samples = ([], [], [], [])  # t, q, p, energy
     cursor = 0  # first requested time not yet sampled
 
@@ -759,13 +778,6 @@ def _propagate(model, q0, s0, t_end, t_eval, eps, energy0, turn=False) -> Trajec
 # -------------------------------------------------------------------- drivers
 
 
-def _default_t_end(model, v_init: float) -> float:
-    if v_init == 0.0:
-        raise ValueError("an explicit t_end is required when the initial velocity is zero")
-    lo_edge, hi_edge = evaluation_domain(model)
-    return T_END_TRANSITS * (hi_edge - lo_edge) / abs(v_init)
-
-
 def integrate_hamiltonian(
     model: LowMomentumModel,
     q0: float,
@@ -782,12 +794,7 @@ def integrate_hamiltonian(
     must be finite and strictly increasing with a time in [0, t_end]; its
     times outside that interval are dropped.
     """
-    _require_finite("initial state and time budget", (q0, p0, 0.0 if t_end is None else t_end))
-    if t_end is None:
-        t_end = _default_t_end(model, p0 * inverse_mass(model, q0))
-    elif t_end < 0:
-        raise ValueError(f"time budget must be nonnegative, got {t_end:g}")
-    return _propagate(model, q0, p0, t_end, t_eval, None, hamiltonian(model, q0, p0))
+    return _propagate(model, q0, p0, t_end=t_end, t_eval=t_eval)
 
 
 def integrate_newtonian(
@@ -804,18 +811,7 @@ def integrate_newtonian(
     momentum is p = M(q) dq/dt so records are directly comparable with the
     canonical form. t_eval is read as by integrate_hamiltonian.
     """
-    _require_finite("initial state, energy and time budget",
-                    (q0, v0, eps, 0.0 if t_end is None else t_end))
-    if t_end is None:
-        t_end = _default_t_end(model, v0)
-    elif t_end < 0:
-        raise ValueError(f"time budget must be nonnegative, got {t_end:g}")
-    check = 0.5 * v0 * v0 / inverse_mass(model, q0) + smoothed_potential(model, q0)
-    if abs(check - eps) > 1e-10 * max(1.0, abs(eps)):
-        raise InconsistentEnergy(
-            f"initial data carries energy {check:.12g}, stated energy is {eps:.12g}"
-        )
-    return _propagate(model, q0, v0, t_end, t_eval, eps, eps)
+    return _propagate(model, q0, v0, eps, t_end, t_eval)
 
 
 # -------------------------------------------------------------- classification
@@ -827,10 +823,10 @@ def launch_state(model: LowMomentumModel, eps: float):
     a, b = support_interval(model.pot)
     lo_edge, _ = evaluation_domain(model)
     q0 = lo_edge - 0.5 * (b - a)
-    v_here = smoothed_potential(model, q0)
+    v_here, minv = _smoothed(model, q0)
     if eps <= v_here:
         raise DomainError(f"energy {eps:g} does not exceed the asymptotic potential {v_here:g}")
-    p0 = math.sqrt(2.0 * (eps - v_here) / inverse_mass(model, q0))
+    p0 = math.sqrt(2.0 * (eps - v_here) / minv)
     return q0, p0
 
 
@@ -851,9 +847,7 @@ def classify_traversal(model: LowMomentumModel, eps: float) -> str:
     threshold = tunneling_threshold(model)
     if abs(eps - threshold) <= 1e-12 * max(1.0, abs(threshold)):
         return REFLECTED
-    q0, p0 = launch_state(model, eps)
-    t_end = _default_t_end(model, p0 * inverse_mass(model, q0))
-    traj = _propagate(model, q0, p0, t_end, None, None, hamiltonian(model, q0, p0), turn=True)
+    traj = _propagate(model, *launch_state(model, eps), turn=True)
     if traj.outcome is not None:
         return traj.outcome
     raise DidNotResolve(

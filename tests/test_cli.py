@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from effpot import cli
-from effpot.atomic import linspace
+from effpot.atomic import linspace, write_atomic
 from effpot.kernel import effective_potential
 from effpot.lowmomentum import LowMomentumModel, mass, smoothed_potential, vq_potential
 from effpot.physical import PhysicalParams
@@ -195,6 +195,12 @@ def test_trajectory_samples_need_t_end(run):
     assert res.returncode == 2
 
 
+def test_trajectory_needs_two_samples(run):
+    res = run("trajectory", "--samples", "1", "--t-end", "5")
+    assert res.returncode == 2
+    assert res.stderr == "usage error: --samples must be at least 2\n"
+
+
 @pytest.mark.parametrize("t_end", ["0", "-1"])
 def test_trajectory_samples_need_positive_t_end(run, t_end):
     res = run("trajectory", "--samples", "2", "--t-end", t_end)
@@ -235,6 +241,24 @@ def test_validate_passes(run):
     assert "FAIL" not in res.stdout
 
 
+def test_validate_reports_each_failure(monkeypatch, capsys):
+    from effpot import checks
+    from effpot.errors import DidNotResolve
+
+    def unresolved(model, eps):
+        raise DidNotResolve("forced")
+
+    # one check fails its bound and one raises: both are reported, the rest still run
+    monkeypatch.setattr(checks, "effective_t_of_H", lambda H: 0.9)
+    monkeypatch.setattr(checks, "classify_traversal", unresolved)
+    assert checks.run() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  effective coefficient at H=2.97  (t(H=2.97)=0.900000)" in lines
+    assert "FAIL  classical limit at hbar=0  (error: forced)" in lines
+    assert sum(line.startswith("PASS  ") for line in lines) == 7
+    assert lines[-1] == "2 of 9 checks failed"
+
+
 def test_config_file_and_flag_precedence(run, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"hbar": 10.0, "beta": 0.125}))
@@ -258,6 +282,14 @@ def test_config_malformed(run, tmp_path):
     cfg.write_text("{not json")
     res = run("coeff", "--config", str(cfg))
     assert res.returncode == 2
+
+
+def test_config_must_be_an_object(run, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([3.0]))
+    res = run("coeff", "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stderr == "usage error: config file must hold a JSON object\n"
 
 
 def test_unphysical_mass_is_computational_failure(run):
@@ -420,6 +452,26 @@ def test_model_from_tabulated_csv(run, tmp_path):
 def test_out_into_missing_directory(run):
     res = run("coeff", "--out", "/nonexistent_dir_xyz/out.txt")
     assert res.returncode == 1
+
+
+def test_write_atomic_onto_a_directory_leaves_no_temporary(tmp_path):
+    # the rename fails after the temporary file is written, which must not stay behind
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(target, "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []
+
+
+def test_out_onto_a_directory_is_io_error(run, tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    res = run("model", "--n", "3", "--out", str(target))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("i/o error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_help_exits_zero():

@@ -544,6 +544,16 @@ def test_negative_time_budget_rejected():
         integrate_newtonian(model, q0, v0, hamiltonian(model, q0, p0), t_end=-1.0)
 
 
+def test_zero_speed_needs_an_explicit_time_budget():
+    # the default budget counts domain transits at the launch speed
+    model = _model(3.0)
+    eps = hamiltonian(model, -4.0, 0.0)
+    with pytest.raises(ValueError, match="explicit t_end"):
+        integrate_hamiltonian(model, -4.0, 0.0)
+    with pytest.raises(ValueError, match="explicit t_end"):
+        integrate_newtonian(model, -4.0, 0.0, eps)
+
+
 @pytest.mark.parametrize("form", ["hamiltonian", "newtonian"])
 @pytest.mark.parametrize("t_eval", [
     [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.nan], [0.0, math.inf], [], [-2.0, -1.0], [3.0, 4.0],
@@ -1031,7 +1041,7 @@ def test_finite_time_blowup_raises_step_failure(monkeypatch):
     monkeypatch.setattr(dynamics, "evaluation_domain", lambda model: (-math.inf, math.inf))
     monkeypatch.setattr(dynamics, "ZONE_SIGMAS", math.inf)
     with pytest.raises(StepFailure, match="step size fell below 10 ulp"):
-        dynamics._propagate(_model(2.0), 1.0, 1.0, 2.0, None, None, 1.0)
+        dynamics._propagate(_model(2.0), 1.0, 1.0, t_end=2.0)
 
 
 # ------------------------------------------------------------------- export
