@@ -1,8 +1,24 @@
 """Output helpers shared by the CLI, the figures and the trajectory export:
-whole-or-nothing file writes and the uniform grids outputs are sampled on.
-It imports only ``os``, so none of them pulls in another layer (or numpy)."""
+the one CSV format, whole-or-nothing file writes and the uniform grids
+outputs are sampled on. It imports only ``os``, so none of them pulls in
+another layer (or numpy)."""
 
 import os
+
+
+def csv_text(meta, header=(), rows=()) -> str:
+    """The text of one CSV output: a ``# key=value`` line per metadata entry
+    (a float at 12 significant digits, any other value through ``str``), then
+    the header and each row of numbers at 12 significant digits, every line
+    ending in a newline. Without a header only the metadata lines are made."""
+    lines = [f"# {key}={value:.12g}" if isinstance(value, float) else f"# {key}={value}"
+             for key, value in meta.items()]
+    if header:
+        lines.append(",".join(header))
+        row = ",".join(["{:.12g}"] * len(header)).format
+        lines.extend(row(*values) for values in rows)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_atomic(path, text: str) -> None:

@@ -26,12 +26,11 @@ and the kernel and the dynamics run on Python floats.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .atomic import linspace, write_atomic
+from .atomic import csv_text, linspace, write_atomic
 from .errors import EffpotError
 
 if TYPE_CHECKING:
@@ -149,14 +148,14 @@ def _require_grid_size(flag: str, size: int) -> None:
         raise UsageError(f"{flag} must be at least 1, got {size}")
 
 
-def _header(cfg: RunConfig, potential_csv=None, **extra) -> str:
-    """The metadata lines every CSV command starts with, naming the
-    parameters or file its potential was built from."""
+def _metadata(cfg: RunConfig, potential_csv=None, **extra) -> dict:
+    """The metadata every CSV command starts with, naming the parameters or
+    file its potential was built from."""
     keys = ("m", "beta", "hbar") + (() if potential_csv else ("L", "V0"))
-    meta = {key: f"{getattr(cfg, key):.12g}" for key in keys}
+    meta = {key: getattr(cfg, key) for key in keys}
     if potential_csv:
         meta["potential_csv"] = potential_csv
-    return "".join(f"# {key}={value}\n" for key, value in {**meta, **extra}.items())
+    return {**meta, **extra}
 
 
 # ------------------------------------------------------------------- commands
@@ -173,13 +172,8 @@ def _cmd_veff(args) -> int:
     qs = linspace(args.qmin, args.qmax, args.nq)
     ps = linspace(args.pmin, args.pmax, args.np_)
     params, barrier = cfg.params(), cfg.barrier()
-    fh = io.StringIO()
-    fh.write(_header(cfg))
-    fh.write("q,p,veff\n")
-    for q in qs:
-        for p in ps:
-            fh.write(f"{q:.12g},{p:.12g},{effective_potential(params, barrier, q, p):.12g}\n")
-    _emit(args, fh.getvalue())
+    rows = ((q, p, effective_potential(params, barrier, q, p)) for q in qs for p in ps)
+    _emit(args, csv_text(_metadata(cfg), ("q", "p", "veff"), rows))
     return 0
 
 
@@ -200,15 +194,15 @@ def _cmd_model(args) -> int:
     cfg = _build_config(args)
     model = cfg.model(_load_pot(args, cfg))
     m, eps = model.params.m, cfg.eps
-    fh = io.StringIO()
-    fh.write(_header(cfg, args.potential_csv, eps=f"{eps:.12g}"))
-    fh.write("q,V,M,VQ\n")
-    for q in linspace(args.qmin, args.qmax, args.n):
+
+    def row(q):
         # one profile evaluation per row; M and VQ are formed as
         # lowmomentum.mass and vq_potential form them
         v, m_inv = _smoothed(model, q)
-        fh.write(f"{q:.12g},{v:.12g},{1.0 / m_inv:.12g},{m * m_inv * (v - eps) + eps:.12g}\n")
-    _emit(args, fh.getvalue())
+        return q, v, 1.0 / m_inv, m * m_inv * (v - eps) + eps
+
+    rows = map(row, linspace(args.qmin, args.qmax, args.n))
+    _emit(args, csv_text(_metadata(cfg, args.potential_csv, eps=eps), ("q", "V", "M", "VQ"), rows))
     return 0
 
 
@@ -243,10 +237,8 @@ def _cmd_trajectory(args) -> int:
         v0 = p0 * inverse_mass(model, q0)
         eps = hamiltonian(model, q0, p0)
         traj = integrate_newtonian(model, q0, v0, eps, t_end=t_end, t_eval=t_eval)
-    fh = io.StringIO()
-    fh.write(_header(cfg, args.potential_csv))
-    write_trajectory_csv(traj, fh, metadata={"form": args.form, "q0": f"{q0:.12g}", "p0": f"{p0:.12g}"})
-    _emit(args, fh.getvalue())
+    meta = _metadata(cfg, args.potential_csv, form=args.form, q0=q0, p0=p0)
+    write_trajectory_csv(traj, args.out or sys.stdout, meta)
     return 0
 
 
@@ -257,16 +249,13 @@ def _cmd_coeff(args) -> int:
     cfg = _build_config(args)
     model = cfg.model()
     dims = dimensionless(cfg.params(), cfg.barrier())
-    fh = io.StringIO()
-    fh.write(_header(cfg, H=f"{dims.H:.12g}", Q=f"{dims.Q:.12g}"))
     eff = effective_coefficients(model)
-    fh.write(f"t_effective={eff.t:.12g}\n")
-    fh.write(f"r_effective={eff.r:.12g}\n")
+    results = {"t_effective": eff.t, "r_effective": eff.r}
     if cfg.hbar > 0:
         tq = quantum_t_mixture(dims.Q, cfg.quadrature())
-        fh.write(f"t_quantum_mixture={tq:.12g}\n")
-        fh.write(f"r_quantum_mixture={1.0 - tq:.12g}\n")
-    _emit(args, fh.getvalue())
+        results.update(t_quantum_mixture=tq, r_quantum_mixture=1.0 - tq)
+    lines = "".join(f"{key}={value:.12g}\n" for key, value in results.items())
+    _emit(args, csv_text(_metadata(cfg, H=dims.H, Q=dims.Q)) + lines)
     return 0
 
 

@@ -12,8 +12,9 @@ One event loop propagates both forms over force zones. The smoothed force
 acts only within a few smoothing widths sigma of the breakpoints where the
 bare potential jumps or bends and along its ramps, so the zones are the
 +-20 sigma neighbourhoods of those breakpoints, merged where they overlap or
-a ramp joins them; beyond them the force underflows to zero in double
-precision. Between zones 1/M = 1/m and V is the bare level of the gap, so
+a ramp joins them; beyond them a jump's Gaussian is below e^-200 of its peak
+(about 1.4e-87, a normal double), and the force there is taken as zero.
+Between zones 1/M = 1/m and V is the bare level of the gap, so
 flight there is exact and an adaptive step never has to span a gap. The
 asymptotic exits are the edges of the evaluation domain. At hbar = 0 the
 zones have zero width and are crossed by the jump rule (adaptive stepping
@@ -54,7 +55,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
-from .atomic import write_atomic
+from .atomic import csv_text, write_atomic
 from .errors import (
     DidNotResolve,
     DomainError,
@@ -827,6 +828,8 @@ def launch_state(model: LowMomentumModel, eps: float):
     if eps <= v_here:
         raise DomainError(f"energy {eps:g} does not exceed the asymptotic potential {v_here:g}")
     p0 = math.sqrt(2.0 * (eps - v_here) / minv)
+    if not math.isfinite(p0):
+        raise ValueError(f"energy {eps:g} is too large: its launch momentum overflows")
     return q0, p0
 
 
@@ -856,16 +859,16 @@ def classify_traversal(model: LowMomentumModel, eps: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file, metadata=None) -> None:
-    """Write samples as CSV with '#'-prefixed metadata lines. The text is
-    built first, so a path is written whole or not at all."""
-    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    """Write samples as CSV (``atomic.csv_text``) after the metadata, the
+    outcome when there is one and energy0; a float metadata value prints at
+    12 significant digits. The text is built first, so a path is written
+    whole or not at all."""
+    meta = dict(metadata or {})
     if traj.outcome is not None:
-        lines.append(f"# outcome={traj.outcome}")
-    lines.append(f"# energy0={traj.energy0:.12g}")
-    lines.append("t,q,p,energy_drift")
-    lines.extend(",".join(f"{x:.12g}" for x in row)
-                 for row in zip(traj.t, traj.q, traj.p, traj.energy_drift))
-    text = "".join(line + "\n" for line in lines)
+        meta["outcome"] = traj.outcome
+    meta["energy0"] = traj.energy0
+    rows = zip(traj.t, traj.q, traj.p, traj.energy_drift)
+    text = csv_text(meta, ("t", "q", "p", "energy_drift"), rows)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

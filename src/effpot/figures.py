@@ -5,8 +5,8 @@ significant digits, no timestamps so regeneration is byte-identical) plus a
 small script for a command-driven plotting tool. All four share one barrier
 and one parameter set: m = 1, half-width 0.5, height 1, beta = 1/8, with the
 quantum strength varied per series. The four specs are one fixed table; each
-row carries its header, y-axis label, extra metadata lines and the builder
-of its columns.
+row carries its header, y-axis label, own metadata entries and the builder
+of its columns. ``atomic.csv_text`` prints the file.
 
 - fig1: position-dependent mass M(q) at hbar 10 and 30
 - fig2: reduced potential V^Q(q) at energy 0.25 for hbar 0, 3, 6
@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, NamedTuple, Tuple
 
-from .atomic import linspace, write_atomic
+from .atomic import csv_text, linspace, write_atomic
 from .lowmomentum import LowMomentumModel, mass, vq_potential
 from .physical import PhysicalParams
 from .potential import SquareBarrier
@@ -36,7 +36,7 @@ class FigureSpec(NamedTuple):
     id: int
     header: Tuple[str, ...]  # x column first; it is also the x-axis label
     ylabel: str
-    metadata: Tuple[str, ...]  # comment lines after the shared parameters
+    metadata: Tuple[Tuple[str, object], ...]  # (key, value) entries after the shared ones
     columns: Callable[[], list]
 
 
@@ -52,10 +52,10 @@ def _curve(coefficient) -> list:
 
 def default_figure_specs():
     return [
-        FigureSpec(1, ("q", "M_hbar10", "M_hbar30"), "M(q)", ("# series=hbar 10,30",),
+        FigureSpec(1, ("q", "M_hbar10", "M_hbar30"), "M(q)", (("series", "hbar 10,30"),),
                    lambda: _profiles(mass, (10.0, 30.0))),
         FigureSpec(2, ("q", "VQ_h0", "VQ_h3", "VQ_h6"), "V^Q(q)",
-                   (f"# eps={FIG2_EPS:.12g}", "# series=hbar 0,3,6"),
+                   (("eps", FIG2_EPS), ("series", "hbar 0,3,6")),
                    lambda: _profiles(lambda mod, q: vq_potential(mod, q, FIG2_EPS), (0.0, 3.0, 6.0))),
         FigureSpec(3, ("H", "t", "r"), "coefficient", (), lambda: _curve(effective_t_of_H)),
         FigureSpec(4, ("Q", "tQ", "rQ"), "coefficient", (), lambda: _curve(quantum_t_mixture)),
@@ -81,20 +81,12 @@ def _plot_script(spec: FigureSpec) -> str:
 def emit_figure(spec: FigureSpec, out_dir) -> list:
     """Write fig<N>.csv and fig<N>.gp into out_dir; returns the paths."""
     out = Path(out_dir)
-    metadata = (
-        f"# figure={spec.id}",
-        f"# m={FIG_M:.12g}",
-        f"# beta={FIG_BETA:.12g}",
-        f"# V0={FIG_BARRIER.v0:.12g}",
-        f"# L={FIG_BARRIER.l:.12g}",
-        *spec.metadata,
-    )
+    meta = {"figure": spec.id, "m": FIG_M, "beta": FIG_BETA, "V0": FIG_BARRIER.v0,
+            "L": FIG_BARRIER.l, **dict(spec.metadata)}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        rows = (",".join(f"{x:.12g}" for x in row) for row in zip(*spec.columns()))
-        lines = (*metadata, ",".join(spec.header), *rows)
         csv_path, gp_path = out / f"fig{spec.id}.csv", out / f"fig{spec.id}.gp"
-        write_atomic(csv_path, "".join(line + "\n" for line in lines))
+        write_atomic(csv_path, csv_text(meta, spec.header, zip(*spec.columns())))
         write_atomic(gp_path, _plot_script(spec))
     except OSError as exc:
         raise OSError(f"cannot write figure {spec.id} under {out}: {exc}") from exc

@@ -112,8 +112,9 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-_GAUSS = tuple(zip(range(1, 10, 2), _WG))
-_KRONROD_ONLY = tuple(range(0, 10, 2))
+# the node pairs in dqk21's order: the Gauss ones with their Gauss weight,
+# then the Kronrod-only ones
+_PAIRS = (*zip(range(1, 10, 2), _WG), *((j, None) for j in range(0, 10, 2)))
 
 # the text of each failure code, numbered as scipy.integrate.quad's ier
 _MESSAGES = {
@@ -135,23 +136,15 @@ def _qk21(f, a: float, b: float):
     fc = float(f(centr))
     resk = _WGK[10] * fc
     resabs = abs(resk)
-    for j, wg in _GAUSS:
+    for j, wg in _PAIRS:
         absc = hlgth * _XGK[j]
         fval1 = float(f(centr - absc))
         fval2 = float(f(centr + absc))
         fv1[j] = fval1
         fv2[j] = fval2
         fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-    for j in _KRONROD_ONLY:
-        absc = hlgth * _XGK[j]
-        fval1 = float(f(centr - absc))
-        fval2 = float(f(centr + absc))
-        fv1[j] = fval1
-        fv2[j] = fval2
-        fsum = fval1 + fval2
+        if wg is not None:
+            resg = resg + wg * fsum
         resk = resk + _WGK[j] * fsum
         resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from effpot import cli
-from effpot.atomic import linspace, write_atomic
+from effpot.atomic import csv_text, linspace, write_atomic
 from effpot.kernel import effective_potential
 from effpot.lowmomentum import LowMomentumModel, mass, smoothed_potential, vq_potential
 from effpot.physical import PhysicalParams
@@ -106,6 +106,18 @@ def test_veff_grid_size(run):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_csv_text_format():
+    meta = {"m": 1.0, "third": 1 / 3, "figure": 2, "potential_csv": "tent.csv"}
+    rows = [(0.1, 2.0), (1 / 3, -1e-300)]
+    assert csv_text(meta, ("q", "V"), iter(rows)) == (
+        "# m=1\n# third=0.333333333333\n# figure=2\n# potential_csv=tent.csv\n"
+        "q,V\n0.1,2\n0.333333333333,-1e-300\n"
+    )
+    # without a header only the metadata is printed
+    assert csv_text({"H": 2.0}) == "# H=2\n"
+    assert csv_text({}, ("t",), []) == "t\n"
+
+
 @pytest.mark.parametrize("start,stop,n", [
     (-4.0, 4.0, 1), (-4.0, 4.0, 2), (-4.0, 4.0, 3), (-4.0, 4.0, 801), (-4.0, 4.0, 201),
     (-2.0, 2.0, 41), (0.0, 2.0, 9), (0.0, 20.0, 50), (0.1, 0.7, 7),
@@ -188,6 +200,12 @@ def test_trajectory_eps_with_initial_state_is_usage_error(tmp_path, capsys):
     assert "usage error: --eps" in capsys.readouterr().err
     assert not out.exists()
     assert cli.main(["trajectory", "--q0", "-4", "--p0", "1.2", "--t-end", "1", "--out", str(out)]) == 0
+
+
+def test_trajectory_at_an_overflowing_energy_names_it(run):
+    res = run("trajectory", "--eps", "1e308")
+    assert res.returncode == 2
+    assert res.stderr == "usage error: energy 1e+308 is too large: its launch momentum overflows\n"
 
 
 def test_trajectory_samples_need_t_end(run):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import subprocess
 import sys
 
@@ -544,6 +545,23 @@ def test_negative_time_budget_rejected():
         integrate_newtonian(model, q0, v0, hamiltonian(model, q0, p0), t_end=-1.0)
 
 
+@pytest.mark.parametrize("eps", [1e308, 1.5e308])
+def test_launch_momentum_overflow_names_the_energy(eps):
+    # 2 (eps - V) overflows to inf, and p0 with it
+    with pytest.raises(ValueError, match=re.escape(f"energy {eps:g} is too large")):
+        classify_traversal(_model(2.0), eps)
+
+
+def test_event_budget_exhausted(monkeypatch):
+    # at hbar = 0 a particle trapped between two steps bounces without end,
+    # one event per wall, long before the time budget runs out
+    well = PiecewiseConstantPotential((-2.0, -1.0, 1.0, 2.0), (0.0, 2.0, 0.0, 2.0, 0.0))
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=0.0), well)
+    monkeypatch.setattr(dynamics, "MAX_EVENTS", 50)
+    with pytest.raises(DidNotResolve, match="event budget exhausted"):
+        integrate_hamiltonian(model, 0.0, 1.0, t_end=1e6)
+
+
 def test_zero_speed_needs_an_explicit_time_budget():
     # the default budget counts domain transits at the launch speed
     model = _model(3.0)
@@ -1062,6 +1080,13 @@ def test_write_trajectory_csv():
     row = lines[4].split(",")
     assert len(row) == 4
     assert float(row[0]) == traj.t[0]
+
+
+def test_write_trajectory_csv_prints_float_metadata_at_12_digits():
+    traj = integrate_hamiltonian(_model(0.0), -5.0, 1.0, t_end=2.0)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, metadata={"eps": 1 / 3, "form": "demo"})
+    assert buf.getvalue().splitlines()[:3] == ["# eps=0.333333333333", "# form=demo", "# energy0=0.5"]
 
 
 def test_write_trajectory_csv_to_path(tmp_path):

@@ -194,6 +194,9 @@ def test_requires_positive_hbar():
     classical = PhysicalParams(m=1.0, beta=0.125, hbar=0.0)
     with pytest.raises(DomainError):
         effective_potential(classical, BARRIER, 0.0, 0.0)
+    # the oracle too: its damping scale divides by hbar
+    with pytest.raises(DomainError):
+        _fourier_veff(classical, BARRIER, 0.0, 0.0)
 
 
 def test_tabulated_route():

@@ -266,6 +266,14 @@ def test_thin_wall_zones_sum_their_own_jump(monkeypatch):
     assert len(calls) == 2
 
 
+def test_brent_returns_a_root_at_the_first_end():
+    # brentq's rule: an exact zero at xa is returned before any sign test
+    def f(x):
+        return x - 0.25
+
+    assert _brent(f, 0.25, 1.0) == 0.25 == brentq(f, 0.25, 1.0, xtol=EVENT_TOL, rtol=EVENT_TOL)
+
+
 def test_brent_bisects_on_a_zero_denominator():
     # dblk * dpre underflows to 0 on this tiny cubic: scipy's C brentq gets
     # inf there and bisects, step for step as the port must
