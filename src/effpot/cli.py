@@ -55,15 +55,10 @@ class UsageError(Exception):
     pass
 
 
-class RunConfig(NamedTuple):
-    m: float
-    beta: float
-    hbar: float
-    L: float
-    V0: float
-    eps: float
-    rel_tol: float
-    abs_tol: float
+class RunConfig(NamedTuple("RunFields", [(key, float) for key in PARAMS])):
+    """One value per PARAMS key, under its name, with builders for the objects a command needs."""
+
+    __slots__ = ()
 
     def params(self) -> PhysicalParams:
         from .physical import PhysicalParams

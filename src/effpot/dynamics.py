@@ -616,7 +616,9 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
     the launch speed. Drift is measured from eps, or from ``hamiltonian`` at
     the start. Without t_eval the samples are the start, every accepted RK
     step, the state after every jump and the end; with it, the requested
-    times reached plus the exit point when the run ends at an exit.
+    times reached plus the exit point when the run ends at an exit. Each
+    sample is one (t, q, p, energy) row of one list, which the Trajectory's
+    columns are taken from.
 
     With turn, a run launched toward +q ends 'reflected' at its first
     reversal: the accepted step of a zone segment where the sign of s turns
@@ -653,14 +655,12 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
     zones = _zones(model)
     m = model.params.m
     levels = (model.pot.shape.level, *(z.level for z in zones))  # of each gap
-    samples = ([], [], [], [])  # t, q, p, energy
+    rows = []  # (t, q, p, energy) per sample
     cursor = 0  # first requested time not yet sampled
 
-    def put(t, q, p, energy):
-        """Append lists of samples, dropping a first one at a time already recorded."""
-        skip = 1 if samples[0] and t and t[0] <= samples[0][-1] else 0
-        for column, values in zip(samples, (t, q, p, energy)):
-            column.extend(values[skip:])
+    def put(new):
+        """Append sample rows, dropping a first one at a time already recorded."""
+        rows.extend(new[1:] if rows and new and new[0][0] <= rows[-1][0] else new)
 
     def fly(t_a, q_a, v, p, energy, t_b, closed):
         """Sample exact flight from (t_a, q_a) up to t_b, included when closed
@@ -671,7 +671,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
         else:
             stop = (bisect_right if closed else bisect_left)(t_eval, t_b)
             ts, cursor = t_eval[cursor:stop], stop
-        put(ts, [q_a + v * (tt - t_a) for tt in ts], [p] * len(ts), [energy] * len(ts))
+        put([(tt, q_a + v * (tt - t_a), p, energy) for tt in ts])
 
     def zone_state(profile, xi, s):
         """p and energy of a zone state, from V and 1/M at xi."""
@@ -706,7 +706,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             t, q = t_hit, target
             if target != edge:
                 outcome = SURPASSED if v > 0 else REFLECTED
-                put([t], [q], [p], [energy])
+                put([(t, q, p, energy)])
                 break
             zone = gap if v > 0 else gap - 1
         z = zones[zone]
@@ -722,7 +722,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
                 gap = ahead
             s = p / m if newton else p
             side = p
-            exit_state = ([p], [p * p / (2.0 * m) + levels[gap]])
+            exit_state = p, p * p / (2.0 * m) + levels[gap]
         else:
             xi = q - z.origin
             v = s if newton else s * z.profile.at(xi)[2]
@@ -741,10 +741,9 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             n_rhs += seg.nfev
             if seg.status == -1:
                 raise StepFailure("adaptive step size fell below 10 ulp of the time")
-            states = [zone_state(z.profile, xi, si) for xi, si in zip(seg.q, seg.s)]
-            put(seg.t, [z.origin + xi for xi in seg.q], [p for p, _ in states], [e for _, e in states])
-            if t_eval is not None:
-                cursor += len(seg.t)
+            put([(tt, z.origin + xi, *zone_state(z.profile, xi, si))
+                 for tt, xi, si in zip(seg.t, seg.q, seg.s)])
+            cursor += len(seg.t)
             if seg.status == 0:
                 break  # t_end reached inside the zone
             if seg.status == 2:
@@ -754,26 +753,24 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             turned = False
             q = z.origin + xi
             gap = zone + 1 if side > 0 else zone
-            exit_state = tuple([col] for col in zone_state(z.profile, xi, s))
+            exit_state = zone_state(z.profile, xi, s)
         if (turn and turned) or (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
             outcome = SURPASSED if side > 0 else REFLECTED
-            put([t], [q], *exit_state)
+            put([(t, q, *exit_state)])
             break
         zone = None
     else:
         raise DidNotResolve("event budget exhausted")
 
-    t, q, p, energy = samples
+    t, q, p, energy = zip(*rows) if rows else ((),) * 4
     scale = max(abs(energy0), DRIFT_FLOOR)
     drift = tuple(abs(e - energy0) / scale for e in energy)
     # each sample is tested, as the builtin max passes over a NaN that is not first
     if not all(d < DRIFT_LIMIT for d in drift):
         worst = math.nan if any(map(math.isnan, drift)) else max(drift)
         raise StepFailure(f"energy drift {worst:.3e} breaches the {DRIFT_LIMIT:g} conservation gate")
-    return Trajectory(
-        t=tuple(t), q=tuple(q), p=tuple(p), energy0=energy0, energy_drift=drift,
-        max_energy_drift=max(drift, default=0.0), outcome=outcome, n_rhs=n_rhs,
-    )
+    return Trajectory(t=t, q=q, p=p, energy0=energy0, energy_drift=drift,
+                      max_energy_drift=max(drift, default=0.0), outcome=outcome, n_rhs=n_rhs)
 
 
 # -------------------------------------------------------------------- drivers

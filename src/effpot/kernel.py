@@ -158,12 +158,13 @@ def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p) -
 
 @functools.lru_cache(maxsize=8)
 def _prepared(params: PhysicalParams, shape: Shape) -> tuple:
-    """c, each breakpoint that jumps or bends as (x, w0 = J/(2c),
-    w2/2 = K/(4c^2)) (the others add nothing) and the p = 0 profile."""
-    c = math.sqrt(2.0 * params.m) / (math.sqrt(params.beta) * params.hbar)
+    """The p = 0 profile's c, each breakpoint that jumps or bends as (x,
+    w0 = J/(2c), w2/2 = K/(4c^2)) (the others add nothing) and the profile."""
+    profile = Profile(params, shape)
+    c = profile.c
     corners = tuple((x, jump * (0.5 / c), kink * (0.25 / (c * c)))
                     for x, jump, kink in zip(*shape.corners) if jump != 0.0 or kink != 0.0)
-    return c, corners, Profile(params, shape)
+    return c, corners, profile
 
 
 def _corrections(c: float, corners: tuple, q: float, a: float) -> float:

@@ -51,7 +51,8 @@ class Profile:
     ``jumps``, and one where its slope changes by K one entry to ``kinks``
     (``Shape.corners``); a breakpoint that does both adds one of each. Each
     entry adds terms in one e = erf(u) and one g = exp(-u^2), with
-    u = c (q - x), c = 1/(sqrt(2) sigma) and k = c/sqrt(pi):
+    u = c (q - x), c = 1/(sqrt(2) sigma) and k = c/sqrt(pi) (the profile
+    keeps ``sigma`` and ``c``, which nothing else derives):
 
         jump: V += J e/2,    V' += J k g,   V'' += -2 c J k u g,
               V''' += J k c^2 (4 u^2 - 2) g;
@@ -90,7 +91,7 @@ class Profile:
         c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
         k = c / math.sqrt(math.pi)
         curv = beta * beta_hbar2 / twelve_m2  # 1/M = 1/m - curv V''
-        self.level, self.inv_m, self.c, self.window = shape.level, 1.0 / m, c, window
+        self.level, self.inv_m, self.sigma, self.c, self.window = shape.level, 1.0 / m, sigma, c, window
         # per jump the position and the weights of e in V, of g in V', of u g
         # in 1/M and of (1/2 - u^2) g in (1/M)'; per kink the position, those
         # of the line's value and slope, and of g, g, u g in V, 1/M, (1/M)'
@@ -209,12 +210,12 @@ class LowMomentumModel(Record):
     def __init__(self, params: PhysicalParams, pot: ClassicalPotential):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "pot", pot)
-        object.__setattr__(self, "smoothing_sigma", math.sqrt(params.beta / (4.0 * params.m)) * params.hbar)
-        if params.hbar == 0:
-            object.__setattr__(self, "profile", None)
+        profile = None if params.hbar == 0 else Profile(params, pot.shape)
+        object.__setattr__(self, "smoothing_sigma", 0.0 if profile is None else profile.sigma)
+        object.__setattr__(self, "profile", profile)
+        if profile is None:
             object.__setattr__(self, "_top", classical_max(pot))
             return
-        object.__setattr__(self, "profile", Profile(params, pot.shape))
         top, low, where = _extrema(self)
         if not low > 0:
             raise NonPositiveMass(

@@ -27,8 +27,10 @@ class Shape(Record):
     On segment k the potential runs linearly from left[k] at x[k] to right[k]
     at x[k+1]; the two are equal on a constant segment. Outside (x[0], x[-1])
     it equals the level; segments at the level at either end are dropped.
-    Every number must be finite and x strictly increasing, with one left and
-    one right value per segment; anything else raises ValueError. slopes
+    The level is taken as a float and x, left and right as tuples of floats,
+    so lists and arrays give the same, hashable shape as tuples. Every number
+    must be finite and x strictly increasing, with one left and one right
+    value per segment; anything else raises ValueError. slopes
     holds the slope on each interval between breakpoints, 0 on the outer
     ones, and corners three tuples of floats, one entry per breakpoint: its
     position, the jump of the value and the jump of the slope across it. A
@@ -41,6 +43,7 @@ class Shape(Record):
     _fields = ("level", "x", "left", "right")
 
     def __init__(self, level: float, x: tuple, left: tuple, right: tuple):
+        level, x, left, right = float(level), *(tuple(map(float, v)) for v in (x, left, right))
         _require_finite("levels, breakpoints and values", (level, *x, *left, *right))
         if not len(left) == len(right) == len(x) - 1:
             raise ValueError("need one left and one right value per segment between breakpoints")
@@ -58,11 +61,11 @@ class Shape(Record):
         object.__setattr__(self, "slopes", slopes)
         kinks = []
         for a, b in zip(slopes[:-1], slopes[1:]):
-            kink = float(b - a)  # an infinite kink stays, though math.ulp(inf) is inf
+            kink = b - a  # an infinite kink stays, though math.ulp(inf) is inf
             rounding = math.isfinite(kink) and abs(kink) <= KINK_ULPS * math.ulp(max(abs(a), abs(b)))
             kinks.append(0.0 if rounding else kink)
-        jumps = (float(a - b) for a, b in zip((*left, level), (level, *right)))
-        object.__setattr__(self, "corners", (tuple(map(float, x)), tuple(jumps), tuple(kinks)))
+        jumps = (a - b for a, b in zip((*left, level), (level, *right)))
+        object.__setattr__(self, "corners", (x, tuple(jumps), tuple(kinks)))
         # shapes key kernel's per-(parameters, shape) caches, looked up on
         # every V_eff call, so the hash of the four defining fields is taken once
         object.__setattr__(self, "_hash", hash((level, x, left, right)))

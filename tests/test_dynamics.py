@@ -562,6 +562,16 @@ def test_event_budget_exhausted(monkeypatch):
         integrate_hamiltonian(model, 0.0, 1.0, t_end=1e6)
 
 
+def test_a_run_that_records_no_sample_is_refused():
+    # a turning run that turns before its only requested time records no
+    # sample; the Trajectory record refuses it with its own message
+    model = _model(2.0)
+    q0, p0 = launch_state(model, 0.5)
+    turned = dynamics._propagate(model, q0, p0, turn=True)
+    with pytest.raises(ValueError, match="trajectory needs at least one sample"):
+        dynamics._propagate(model, q0, p0, t_end=100.0, t_eval=[turned.t[-1] + 1.0], turn=True)
+
+
 def test_zero_speed_needs_an_explicit_time_budget():
     # the default budget counts domain transits at the launch speed
     model = _model(3.0)
@@ -988,6 +998,24 @@ def test_stepper_grows_tenfold_on_a_zero_error_estimate():
     assert ours.nfev == ref.nfev
     np.testing.assert_allclose(ours.t, ref.t, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(ours.t[1:4], [1e-6, 1.1e-5, 1.11e-4], rtol=1e-12, atol=0.0)
+
+
+def test_stepper_raises_a_tiny_step_to_the_minimum_like_scipy_dop853(monkeypatch):
+    # q'' = -w^2 q at w = 1e6 from (1, 0), late in time: the first-step rule
+    # proposes about 1e-12, below 10 ulp of t = 1e6 (1.16e-9), and the step
+    # is raised to that minimum instead of failing; the 45 steps and 542
+    # calls are scipy's, and the times, quantized at 1 ulp of 1e6, are equal
+    _scipy_sums_in_stage_order(monkeypatch)
+    omega2, t_span = 1e12, (1e6, 1e6 + 1e-5)
+    ref = scipy_solve_ivp(lambda _, y: [y[1], -omega2 * y[0]], t_span, [1.0, 0.0], method="DOP853",
+                          rtol=REL_TOL, atol=ABS_TOL)
+    ours = solve_ivp(lambda q, s: (s, -omega2 * q), t_span, (1.0, 0.0), t_eval=None,
+                     max_step=math.inf, low=-math.inf, high=math.inf)
+    assert ref.status == ours.status == 0
+    assert ours.t[1] - ours.t[0] == 10.0 * (math.nextafter(1e6, math.inf) - 1e6)
+    assert (len(ours.t) - 1, ours.nfev) == (len(ref.t) - 1, ref.nfev) == (45, 542)
+    np.testing.assert_array_equal(ours.t, ref.t)
+    np.testing.assert_allclose([ours.q, ours.s], ref.y, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("hbar", [2.0, 0.05])

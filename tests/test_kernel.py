@@ -199,6 +199,13 @@ def test_requires_positive_hbar():
         _fourier_veff(classical, BARRIER, 0.0, 0.0)
 
 
+def test_smoothing_constants_out_of_floating_range_are_a_domain_error():
+    # sqrt(beta) hbar underflows to 0 here; c comes from the profile, which
+    # refuses the constants before anything divides by it
+    with pytest.raises(DomainError, match="leave floating range"):
+        effective_potential(PhysicalParams(m=1.0, beta=1e-300, hbar=1e-180), BARRIER, 0.1, 0.5)
+
+
 def test_tabulated_route():
     # dense tabulated copy of the barrier tracks the analytic route
     grid = np.linspace(-0.7, 0.7, 5601)

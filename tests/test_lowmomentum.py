@@ -63,8 +63,12 @@ def _params(hbar):
 def test_smoothing_width():
     model = LowMomentumModel(_params(3.0), BARRIER)
     assert math.isclose(model.smoothing_sigma, math.sqrt(0.125 * 9.0 / 4.0), rel_tol=1e-15)
+    assert model.smoothing_sigma == model.profile.sigma
     classical = LowMomentumModel(_params(0.0), BARRIER)
     assert classical.smoothing_sigma == 0.0
+    # 0 at hbar = 0 even where beta/(4m) overflows and its square root times 0 is nan
+    far = LowMomentumModel(PhysicalParams(m=1e-300, beta=1e300, hbar=0.0), BARRIER)
+    assert far.smoothing_sigma == 0.0 and evaluation_domain(far) == (-1.5, 1.5)
 
 
 def test_classical_limit_returns_bare_potential():

@@ -66,6 +66,22 @@ def test_shape_refuses_bad_geometry(geometry):
         Shape(*geometry)
 
 
+def test_shape_takes_lists_and_arrays_as_tuples_of_floats():
+    # a list or an array used to pass validation and then fail to hash
+    given = [
+        (0.0, (-1.0, 0.0, 1.0), (0.5, 1.0), (1.0, 0.5)),
+        (0, [-1, 0, 1], [0.5, 1], [1, 0.5]),
+        (np.float64(0.0), np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1.0]), np.array([1.0, 0.5])),
+    ]
+    shapes = [Shape(*geometry) for geometry in given]
+    assert shapes[0] == shapes[1] == shapes[2]
+    assert len({hash(shape) for shape in shapes}) == 1
+    for shape in shapes:
+        assert type(shape.level) is float
+        for values in (shape.x, shape.left, shape.right, *shape.corners):
+            assert type(values) is tuple and all(type(v) is float for v in values)
+
+
 def test_shapes_of_the_three_types():
     assert BARRIER.shape.x == (-0.5, 0.5) and BARRIER.shape.left == (1.0,)
     assert BARRIER.shape.steps

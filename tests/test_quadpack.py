@@ -227,3 +227,14 @@ def test_singular_and_oscillatory_families(c, alpha, w, tol, limit):
     assert _port_code(out, limit) in (1, 2, 3) or out[1] <= max(epsabs, epsrel * abs(out[0]))
     # a damped oscillation is analytic, so the port agrees with scipy
     _agree(lambda x: math.cos(w * x) * math.exp(-x), 0.0, 1.0, epsabs, epsrel, limit)
+
+
+@pytest.mark.parametrize("epsabs, epsrel, limit", [
+    (1.49e-8, 1.49e-8, 0),  # not one subinterval
+    (0.0, 1e-30, 50),       # no absolute tolerance, and a relative one below 5e-29
+    (-1.0, 1e-20, 50),      # ... and below 50 machine epsilons
+], ids=["limit-0", "epsrel-1e-30", "epsrel-1e-20"])
+def test_invalid_arguments_raise_value_error_as_scipy_does(epsabs, epsrel, limit):
+    for integrate in (PORT, scipy_quad):
+        with pytest.raises(ValueError):
+            integrate(math.sin, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit)

@@ -13,6 +13,7 @@ from effpot.errors import DomainError
 from effpot.lowmomentum import LowMomentumModel, tunneling_threshold
 from effpot.physical import PhysicalParams, dimensionless
 from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from effpot.quadrature import QuadratureConfig
 from effpot.transmission import (
     CoefficientPair,
     effective_coefficients,
@@ -199,6 +200,17 @@ def test_quantum_t_mixture_small_q_asymptote():
     for Q in (0.007, 0.005):
         t0 = 0.75 * zeta3 * Q**4
         assert abs(quantum_t_mixture(Q) / t0 - 1.0) <= 2.0 * Q * Q
+
+
+@pytest.mark.parametrize("Q", [0.0025, 0.001])
+def test_quantum_t_mixture_small_q_asymptote_at_tight_tolerance(Q):
+    # at these Q the argument 2 sqrt(1 - x^2)/Q of sinh exceeds SINH_OVERFLOW
+    # near x = 0, and 710, where math.sinh overflows: the integrand is taken
+    # as 0 there. With an absolute tolerance that resolves the boundary layer
+    # at x -> 1, t meets its asymptote (3 zeta(3) / 4) Q^4 (1 + O(Q^2))
+    zeta3 = 1.2020569031595942
+    t0 = 0.75 * zeta3 * Q**4
+    assert abs(quantum_t_mixture(Q, QuadratureConfig(abs_tol=1e-300)) / t0 - 1.0) <= 2.0 * Q * Q
 
 
 def test_mixture_average_rejects_zero_hbar():
