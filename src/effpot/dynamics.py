@@ -571,19 +571,19 @@ def _zones(model) -> list:
     zone whose breakpoints span more than MAX_ZONE_SIGMAS sigma is refused:
     its max step of 2 sigma over the speed would need far too many steps.
     """
-    shape, sigma = model.pot.shape, model.smoothing_sigma
-    if model.profile is None and not shape.steps:
+    pot, sigma = model.pot, model.smoothing_sigma
+    if model.profile is None and not pot.steps:
         raise DomainError("exact classical propagation needs a piecewise-constant potential")
     half = ZONE_SIGMAS * sigma
     groups = []  # [first, last] breakpoint index
-    for first, last in corner_groups(shape, half):
-        if groups and shape.left[first - 1] != shape.right[first - 1]:
+    for first, last in corner_groups(pot, half):
+        if groups and pot.left[first - 1] != pot.right[first - 1]:
             groups[-1][1] = last  # a ramp joins the two groups
         else:
             groups.append([first, last])
     zones = []
     for i, j in groups:
-        first, last = shape.x[i], shape.x[j]
+        first, last = pot.x[i], pot.x[j]
         if last - first > MAX_ZONE_SIGMAS * sigma:
             raise DomainError(
                 f"smoothing width {sigma:g} is too small a feature for adaptive stepping "
@@ -592,8 +592,8 @@ def _zones(model) -> list:
         origin = 0.5 * (first + last)
         reach = half + WINDOW_SIGMAS * sigma
         window = (first - reach - origin, last + reach - origin)
-        profile = None if model.profile is None else Profile(model.params, shape, origin, window)
-        zones.append(_Zone(profile, origin, first - half, last + half, shape.levels[j + 1]))
+        profile = None if model.profile is None else Profile(model.params, pot, origin, window)
+        zones.append(_Zone(profile, origin, first - half, last + half, pot.levels[j + 1]))
     return zones
 
 
@@ -654,7 +654,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             raise ValueError(f"t_eval has no time in [0, t_end] = [0, {t_end:g}]")
     zones = _zones(model)
     m = model.params.m
-    levels = (model.pot.shape.level, *(z.level for z in zones))  # of each gap
+    levels = (model.pot.level, *(z.level for z in zones))  # of each gap
     rows = []  # (t, q, p, energy) per sample
     cursor = 0  # first requested time not yet sampled
 

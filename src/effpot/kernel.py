@@ -52,7 +52,7 @@ import math
 from .errors import DomainError
 from .lowmomentum import Profile
 from .physical import PhysicalParams
-from .potential import ClassicalPotential, Shape, eval_classical
+from .potential import Shape, eval_classical
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 TAIL_SIGMAS = 8.0  # Fourier-oracle truncation, in damping scales past the peak
@@ -130,7 +130,7 @@ def sinhc(x: float) -> float:
     return math.sinh(ax) / ax
 
 
-def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p) -> float:
+def effective_potential(params: PhysicalParams, pot: Shape, q, p) -> float:
     """Momentum-dependent smoothed potential V_eff(q, p) at one point.
 
     q and p are real scalars (numpy scalars too, through float). Even in p.
@@ -143,7 +143,7 @@ def effective_potential(params: PhysicalParams, pot: ClassicalPotential, q, p) -
         raise DomainError("effective_potential needs hbar > 0; use eval_classical at hbar = 0")
     q = float(q)
     a = abs(float(p)) * (params.beta * params.hbar / (2.0 * params.m))
-    c, corners, profile = _prepared(params, pot.shape)
+    c, corners, profile = _prepared(params, pot)
     if a == 0.0:
         value = profile.at(q)[0]
     else:
@@ -222,7 +222,7 @@ def _form_factor(shape: Shape, k: float) -> complex:
     return complex(re, im)
 
 
-def _fourier_veff(params: PhysicalParams, pot: ClassicalPotential, q: float, p: float) -> float:
+def _fourier_veff(params: PhysicalParams, pot: Shape, q: float, p: float) -> float:
     """V_eff(q, p) as the damped Fourier integral over the form factor, to
     quadrature tolerance: the independent oracle of effective_potential.
 
@@ -238,13 +238,12 @@ def _fourier_veff(params: PhysicalParams, pot: ClassicalPotential, q: float, p: 
     if params.hbar <= 0:
         raise DomainError("effective_potential needs hbar > 0; use eval_classical at hbar = 0")
     m, beta, hbar = params.m, params.beta, params.hbar
-    shape = pot.shape
     damp_coeff = beta * hbar * hbar / (8.0 * m)
     momentum_coeff = beta * hbar * abs(p) / (2.0 * m)
     scale = math.sqrt(4.0 * m / (beta * hbar * hbar))
 
     def integrand(k: float) -> float:
-        ff = _form_factor(shape, k)
+        ff = _form_factor(pot, k)
         kq = k * q
         real_part = math.cos(kq) * ff.real - math.sin(kq) * ff.imag
         return sinhc(momentum_coeff * k) * math.exp(-damp_coeff * k * k) * real_part
@@ -254,4 +253,4 @@ def _fourier_veff(params: PhysicalParams, pot: ClassicalPotential, q: float, p: 
     # itself overflows, which the quadrature reports as NonConvergence
     growth = math.exp(min(beta * p * p / (2.0 * m), 700.0))
     cfg = QuadratureConfig(abs_tol=DEFAULT_CONFIG.abs_tol * growth)
-    return shape.level + integrate_adaptive(integrand, 0.0, k_max, cfg) / math.pi
+    return pot.level + integrate_adaptive(integrand, 0.0, k_max, cfg) / math.pi

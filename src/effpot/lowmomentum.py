@@ -30,13 +30,7 @@ import sys
 
 from .errors import DomainError, NonPositiveMass
 from .physical import PhysicalParams, Record
-from .potential import (
-    ClassicalPotential,
-    Shape,
-    classical_max,
-    eval_classical,
-    support_interval,
-)
+from .potential import Shape, classical_max, eval_classical, support_interval
 
 EVENT_TOL = 4.0 * sys.float_info.epsilon  # root tolerance of _brent, absolute and relative
 ZONE_SIGMAS = 20.0  # reach of a corner's terms beyond its breakpoint, in units of sigma
@@ -85,10 +79,12 @@ class Profile:
         sigma = math.sqrt(beta / (4.0 * m)) * hbar
         beta_hbar2 = beta * hbar * hbar
         twelve_m2 = 12.0 * m * m
-        if not (sigma > 0 and beta_hbar2 > 0 and 2.0 * m / beta_hbar2 < math.inf and twelve_m2 > 0):
+        # c is formed only once sigma > 0, where sqrt(beta) hbar > 0; c^2,
+        # which the V_eff kernel divides by, must not underflow to 0
+        if not (sigma > 0 and beta_hbar2 > 0 and 2.0 * m / beta_hbar2 < math.inf and twelve_m2 > 0
+                and (c := math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)) * c > 0):
             raise DomainError(
                 f"the smoothing constants at m = {m:g}, hbar = {hbar:g} leave floating range")
-        c = math.sqrt(2.0 * m) / (math.sqrt(beta) * hbar)
         k = c / math.sqrt(math.pi)
         curv = beta * beta_hbar2 / twelve_m2  # 1/M = 1/m - curv V''
         self.level, self.inv_m, self.sigma, self.c, self.window = shape.level, 1.0 / m, sigma, c, window
@@ -207,10 +203,10 @@ class LowMomentumModel(Record):
     __slots__ = ("params", "pot", "smoothing_sigma", "profile", "_top")
     _fields = ("params", "pot", "smoothing_sigma")
 
-    def __init__(self, params: PhysicalParams, pot: ClassicalPotential):
+    def __init__(self, params: PhysicalParams, pot: Shape):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "pot", pot)
-        profile = None if params.hbar == 0 else Profile(params, pot.shape)
+        profile = None if params.hbar == 0 else Profile(params, pot)
         object.__setattr__(self, "smoothing_sigma", 0.0 if profile is None else profile.sigma)
         object.__setattr__(self, "profile", profile)
         if profile is None:
@@ -270,9 +266,9 @@ def _extrema(model: LowMomentumModel):
     wherever the Gaussian is 0, at any hbar (the weight multiplies the
     product, not 1/2 - u^2).
     """
-    profile, x, sigma = model.profile, model.pot.shape.x, model.smoothing_sigma
+    profile, x, sigma = model.profile, model.pot.x, model.smoothing_sigma
     at, reach, edges = profile.at, ZONE_SIGMAS * sigma, evaluation_domain(model)
-    groups = corner_groups(model.pot.shape, reach)
+    groups = corner_groups(model.pot, reach)
     qs = [*edges, *(0.5 * (x[a] + x[b]) for (_, a), (b, _) in zip(groups, groups[1:]))]
     samples = [at(q) for q in qs]
     peaks, dips = [], []  # cells holding a local maximum of V and a local minimum of 1/M

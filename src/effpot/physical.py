@@ -96,8 +96,15 @@ def dimensionless(params: PhysicalParams, barrier) -> DimensionlessParams:
     H = sqrt(beta/m) hbar / L drives the smoothed-barrier transport model;
     Q = hbar / (sqrt(2 m V0) L) = 1/(k0 L) drives the quantum mixture
     average, whose sub-barrier exponent is 2 kappa L = 2 sqrt(1 - x^2)/Q.
-    Both scale linearly in hbar and vanish in the classical limit.
+    Both scale linearly in hbar and vanish in the classical limit. DomainError
+    when k0 L underflows to 0 or either number leaves floating range.
     """
+    k0_l = math.sqrt(2.0 * params.m * barrier.v0) * barrier.l
     H = math.sqrt(params.beta / params.m) * params.hbar / barrier.l
-    Q = params.hbar / (math.sqrt(2.0 * params.m * barrier.v0) * barrier.l)
+    Q = params.hbar / k0_l if k0_l > 0 else math.inf
+    if not (math.isfinite(H) and math.isfinite(Q)):
+        from .errors import DomainError  # only here, so records load no other module
+
+        raise DomainError(f"the quantum-strength numbers H and Q at hbar = {params.hbar:g}, "
+                          f"L = {barrier.l:g} leave floating range")
     return DimensionlessParams(H=H, Q=Q)

@@ -1,20 +1,20 @@
 """Classical 1-D potentials as one shape description, and their bare values.
 
-Every potential is an asymptotic level plus segments between breakpoints on
-which it is constant or linear (``Shape``): a square barrier is one constant
-segment, a piecewise-constant potential several, and a tabulated potential
-the linear segments between its samples, at the asymptotic level outside the
-grid. Only the deviation from the asymptotic level is ever smoothed, which
-is what makes the smoothing integrals converge; the smoothing modules sum it
-in closed form over the shape's corners. Potentials with unequal left/right
-asymptotes are rejected.
+Every potential is a ``Shape``: an asymptotic level plus segments between
+breakpoints on which it is constant or linear. The three potential types
+subclass it: a square barrier is one constant segment, a piecewise-constant
+potential several, and a tabulated potential the linear segments between
+its samples, at the asymptotic level outside the grid. Wherever a potential
+is expected, any ``Shape`` is accepted. Only the deviation from the
+asymptotic level is ever smoothed, which is what makes the smoothing
+integrals converge; the smoothing modules sum it in closed form over the
+shape's corners. Potentials with unequal left/right asymptotes are rejected.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Union
 
 from .physical import Record
 
@@ -67,7 +67,9 @@ class Shape(Record):
         jumps = (a - b for a, b in zip((*left, level), (level, *right)))
         object.__setattr__(self, "corners", (x, tuple(jumps), tuple(kinks)))
         # shapes key kernel's per-(parameters, shape) caches, looked up on
-        # every V_eff call, so the hash of the four defining fields is taken once
+        # every V_eff call, so the hash of the four defining fields is taken
+        # once; a subclass compares by its own fields, which fix these four,
+        # so its equal instances hash equal too
         object.__setattr__(self, "_hash", hash((level, x, left, right)))
 
     def __hash__(self) -> int:
@@ -90,7 +92,7 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-class SquareBarrier(Record):
+class SquareBarrier(Shape):
     """Rectangular barrier of height v0 on (-l, l), zero outside.
 
     At the jump points q = +-l the value is v0/2 (midpoint convention), which
@@ -98,7 +100,7 @@ class SquareBarrier(Record):
     smoothing width goes to zero.
     """
 
-    __slots__ = ("v0", "l", "shape")
+    __slots__ = ("v0", "l")
     _fields = ("v0", "l")
 
     def __init__(self, v0: float, l: float):
@@ -108,17 +110,17 @@ class SquareBarrier(Record):
             raise ValueError(f"barrier height must be positive, got {v0}")
         if not l > 0:
             raise ValueError(f"barrier half-width must be positive, got {l}")
-        object.__setattr__(self, "shape", Shape(0.0, (-l, l), (v0,), (v0,)))
+        super().__init__(0.0, (-l, l), (v0,), (v0,))
 
 
-class PiecewiseConstantPotential(Record):
+class PiecewiseConstantPotential(Shape):
     """Constant segments separated by jumps at strictly increasing breakpoints.
 
     values has one more entry than breakpoints; the first and last values are
     the asymptotic levels and must be equal.
     """
 
-    __slots__ = ("breakpoints", "values", "shape")
+    __slots__ = ("breakpoints", "values")
     _fields = ("breakpoints", "values")
 
     def __init__(self, breakpoints: tuple, values: tuple):
@@ -130,10 +132,10 @@ class PiecewiseConstantPotential(Record):
             raise ValueError("need exactly one more value than breakpoints")
         if vals[0] != vals[-1]:
             raise ValueError("unequal left/right asymptotic levels are not supported")
-        object.__setattr__(self, "shape", Shape(vals[0], bp, vals[1:-1], vals[1:-1]))
+        super().__init__(vals[0], bp, vals[1:-1], vals[1:-1])
 
 
-class TabulatedPotential(Record):
+class TabulatedPotential(Shape):
     """Sampled potential, linearly interpolated inside the grid.
 
     Outside the grid the potential sits at its asymptotic level, the first
@@ -141,7 +143,7 @@ class TabulatedPotential(Record):
     sample magnitude (at least 1).
     """
 
-    __slots__ = ("grid", "values", "shape")
+    __slots__ = ("grid", "values")
     _fields = ("grid", "values")
 
     def __init__(self, grid: tuple, values: tuple):
@@ -155,27 +157,22 @@ class TabulatedPotential(Record):
             raise ValueError("need at least two samples")
         if abs(vals[0] - vals[-1]) > 1e-12 * max(1.0, *map(abs, vals)):
             raise ValueError("unequal left/right asymptotic levels are not supported")
-        object.__setattr__(self, "shape", Shape(vals[0], grid, vals[:-1], vals[1:]))
+        super().__init__(vals[0], grid, vals[:-1], vals[1:])
 
 
-ClassicalPotential = Union[SquareBarrier, PiecewiseConstantPotential, TabulatedPotential]
-
-
-def asymptotic_level(pot: ClassicalPotential) -> float:
+def asymptotic_level(pot: Shape) -> float:
     """Common potential level far from the structure."""
-    return pot.shape.level
+    return pot.level
 
 
-def support_interval(pot: ClassicalPotential):
+def support_interval(pot: Shape):
     """Interval [a, b] outside which the potential equals its asymptotic level."""
-    x = pot.shape.x
-    return x[0], x[-1]
+    return pot.x[0], pot.x[-1]
 
 
-def eval_classical(pot: ClassicalPotential, q: float) -> float:
+def eval_classical(pot: Shape, q: float) -> float:
     """Value of the bare potential at q, midpoint convention at jumps."""
-    shape = pot.shape
-    level, x, left, right = shape.level, shape.x, shape.left, shape.right
+    level, x, left, right = pot.level, pot.x, pot.left, pot.right
     k = bisect_right(x, q)  # x[k - 1] <= q < x[k]
     if k == 0:
         return level
@@ -192,10 +189,9 @@ def eval_classical(pot: ClassicalPotential, q: float) -> float:
     return va + (vb - va) * (q - a) / (b - a)
 
 
-def classical_max(pot: ClassicalPotential) -> float:
+def classical_max(pot: Shape) -> float:
     """Largest value the bare potential takes."""
-    shape = pot.shape
-    return max((shape.level, *shape.left, *shape.right))
+    return max((pot.level, *pot.left, *pot.right))
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:
@@ -204,7 +200,7 @@ def load_tabulated_csv(path) -> TabulatedPotential:
     import csv
 
     positions, values = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [(num, cells) for num, row in enumerate(csv.reader(fh), start=1)
                 if (cells := [c.strip() for c in row if c.strip() != ""])]
     for index, (row_num, cells) in enumerate(rows):

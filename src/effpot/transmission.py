@@ -20,18 +20,12 @@ The quantum side carries three independent routes that must agree:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import DomainError
 from .lowmomentum import LowMomentumModel, tunneling_threshold
 from .physical import PhysicalParams, Record
-from .potential import (
-    PiecewiseConstantPotential,
-    SquareBarrier,
-    _require_finite,
-    asymptotic_level,
-    classical_max,
-)
+from .potential import Shape, SquareBarrier, _require_finite, asymptotic_level, classical_max
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_adaptive
 
 SINH_OVERFLOW = 350.0  # beyond this, sinh^2 is replaced by its leading exponential
@@ -156,7 +150,7 @@ class TransferMatrixResult(NamedTuple):
 
 
 def transfer_matrix_transmission(
-    pot: Union[PiecewiseConstantPotential, SquareBarrier],
+    pot: Shape,
     params: PhysicalParams,
     E: float,
 ) -> TransferMatrixResult:
@@ -172,17 +166,16 @@ def transfer_matrix_transmission(
     instead of raising.
     """
     _require_finite("energy", (E,))
-    shape = pot.shape
-    if not shape.steps:
+    if not pot.steps:
         raise DomainError("transfer matrix needs a piecewise-constant potential")
     if params.hbar <= 0:
         raise DomainError("scattering needs hbar > 0")
-    if E <= shape.level:
+    if E <= pot.level:
         raise DomainError("energy must exceed the asymptotic level for an incident wave")
 
     two_m, hbar = 2.0 * params.m, params.hbar
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for x0, x1, v in zip(shape.x[:-1], shape.x[1:], shape.left):
+    for x0, x1, v in zip(pot.x[:-1], pot.x[1:], pot.left):
         w = x1 - x0
         kv = math.sqrt(two_m * abs(E - v)) / hbar
         if E > v:
@@ -194,7 +187,7 @@ def transfer_matrix_transmission(
         else:
             cs, sn, ksn = 1.0, w, 0.0
         a, b, c, d = cs * a + sn * c, cs * b + sn * d, ksn * a + cs * c, ksn * b + cs * d
-    k2 = two_m * (E - shape.level) / (hbar * hbar)
+    k2 = two_m * (E - pot.level) / (hbar * hbar)
     denom = (c - k2 * b) ** 2 + k2 * (a + d) ** 2
     if not math.isfinite(denom):
         return TransferMatrixResult(t=0.0, underflow=True)

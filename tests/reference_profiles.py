@@ -38,15 +38,14 @@ def _kernels(sigma):
 def _convolve(pot, q, kernel, sigma):
     """Integral of kernel(q - x) (V(x) - level) dx, split at every breakpoint
     and at the kernel's centre."""
-    shape = pot.shape
-    lo, hi = max(shape.x[0], q - TAILS * sigma), min(shape.x[-1], q + TAILS * sigma)
+    lo, hi = max(pot.x[0], q - TAILS * sigma), min(pot.x[-1], q + TAILS * sigma)
     if lo >= hi:
         return 0.0
-    cuts = sorted({lo, hi, *(x for x in (*shape.x, q) if lo < x < hi)})
+    cuts = sorted({lo, hi, *(x for x in (*pot.x, q) if lo < x < hi)})
     # the quadrature nodes are interior points, so the bare value is never
     # read at a jump
     return sum(
-        quad(lambda x: kernel(q - x) * (eval_classical(pot, x) - shape.level),
+        quad(lambda x: kernel(q - x) * (eval_classical(pot, x) - pot.level),
              a, b, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
         for a, b in zip(cuts[:-1], cuts[1:])
     )
@@ -58,7 +57,7 @@ def reference_profiles(params, pot, q):
     curvature = params.beta**2 * params.hbar**2 / (12.0 * params.m**2)
     v, vp, vpp, vppp = (_convolve(pot, q, k, sigma) for k in _kernels(sigma))
     return (
-        pot.shape.level + v,
+        pot.level + v,
         vp,
         1.0 / params.m - curvature * vpp,
         -curvature * vppp,

@@ -350,12 +350,26 @@ def test_non_finite_parameter_is_usage_error(run, within_60s, tmp_path, flags):
     ("coeff", "--hbar", "1e-300"),  # used to divide by zero
     ("model", "--m", "1e-300"),  # 12 m^2 underflowed to 0, and a division by it raised
     ("coeff", "--m", "1e-300"),
-], ids=["1e-154", "1e-145", "1e-300", "model-m-1e-300", "coeff-m-1e-300"])
+    ("veff", "--hbar", "1e170", "--nq", "3", "--np", "3"),  # c^2 underflowed to 0, and V_eff divided by it
+    ("coeff", "--V0", "1e-300", "--L", "1e-300"),  # k0 L underflowed to 0, and Q divided by it
+    ("coeff", "--V0", "1e-300", "--L", "1e-300", "--hbar", "0"),
+    ("coeff", "--L", "5e-324"),  # Q overflowed, and was reported as a usage error
+], ids=["1e-154", "1e-145", "1e-300", "model-m-1e-300", "coeff-m-1e-300", "veff-hbar-1e170",
+        "coeff-k0L-0", "coeff-k0L-0-hbar-0", "coeff-L-5e-324"])
 def test_tiny_hbar_fails_cleanly(run, within_60s, flags):
     res = run(*flags)
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
+
+
+def test_coeff_at_a_tiny_half_width(run):
+    # H and Q are large but finite: a sound model
+    res = run("coeff", "--L", "1e-20")
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout == ("# m=1\n# beta=0.125\n# hbar=3\n# L=1e-20\n# V0=1\n# H=1.06066017178e+20\n"
+                          "# Q=2.12132034356e+20\nt_effective=1\nr_effective=0\n"
+                          "t_quantum_mixture=1\nr_quantum_mixture=0\n")
 
 
 @pytest.mark.parametrize("hbar", ["1e-20", "1e-145"])

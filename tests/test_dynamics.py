@@ -33,6 +33,7 @@ from effpot.errors import (
     InconsistentEnergy,
     StepFailure,
 )
+from effpot.kernel import effective_potential
 from effpot.lowmomentum import (
     LowMomentumModel,
     Profile,
@@ -45,6 +46,7 @@ from effpot.lowmomentum import (
 from effpot.physical import PhysicalParams
 from effpot.potential import (
     PiecewiseConstantPotential,
+    Shape,
     SquareBarrier,
     TabulatedPotential,
     eval_classical,
@@ -638,6 +640,19 @@ def test_tabulated_tent_adaptive_trajectories(form):
         assert traj.outcome == (SURPASSED if eps > thr else REFLECTED)
 
 
+def test_a_bare_shape_is_a_potential():
+    # a ramp up to 0.8 that steps to a plateau at 1, then drops: any Shape
+    # is a potential, no wrapper needed
+    shape = Shape(0.0, (-1.0, 0.0, 0.5), (0.0, 1.0), (0.8, 1.0))
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=0.5), shape)
+    for q in (-1.2, -0.4, 0.0, 0.3, 0.9):
+        assert effective_potential(model.params, shape, q, 0.0) == smoothed_potential(model, q)
+    thr = tunneling_threshold(model)
+    assert 0.8 < thr < 1.0
+    assert classify_traversal(model, 0.5 * thr) == REFLECTED
+    assert classify_traversal(model, 1.5 * thr) == SURPASSED
+
+
 # ------------------------------------------------------- thin walls, zones
 
 
@@ -774,7 +789,7 @@ def test_force_zones_cover_the_breakpoints(pot, hbar, count):
     zones = dynamics._zones(model)
     assert len(zones) == count
     assert all(z1.hi < z2.lo for z1, z2 in zip(zones[:-1], zones[1:]))
-    for b in pot.shape.x:
+    for b in pot.x:
         assert sum(z.lo <= b <= z.hi for z in zones) == 1
     for z in zones:
         assert math.isfinite(z.lo) and math.isfinite(z.hi)
@@ -788,7 +803,7 @@ def test_force_zones_cover_the_breakpoints(pot, hbar, count):
 def test_outcome_continuous_where_wall_zones_merge(pot):
     # just below spacing/40 the two closest walls have zones of their own,
     # just above one merged zone: the motion must not notice the switch
-    x = pot.shape.x
+    x = pot.x
     spacing = min(b - a for a, b in zip(x[:-1], x[1:]))
     to_hbar = 1.0 / math.sqrt(0.125 / 4.0)  # sigma = sqrt(beta/(4 m)) hbar
     sides = []
@@ -834,7 +849,7 @@ def test_exit_time_is_the_transit_quadrature(pot, hbar):
     # domain edge: scipy's quad of the segment-form profiles, which share no
     # code with the stepper
     model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
-    profile = SegmentProfile(model.params, pot.shape)
+    profile = SegmentProfile(model.params, pot)
     _, hi_edge = evaluation_domain(model)
     thr = tunneling_threshold(model)
     for eps in (1.05 * thr, 1.5 * thr):
@@ -846,7 +861,7 @@ def test_exit_time_is_the_transit_quadrature(pot, hbar):
             v, _, minv, _ = profile.at(q)
             return 1.0 / math.sqrt(2.0 * (eps - v) * minv)
 
-        transit, _ = quad(slowness, q0, traj.q[-1], points=pot.shape.x, epsabs=0.0, epsrel=1e-13,
+        transit, _ = quad(slowness, q0, traj.q[-1], points=pot.x, epsabs=0.0, epsrel=1e-13,
                           limit=200)
         assert abs(traj.t[-1] - transit) <= 1e-9 * transit
 

@@ -80,7 +80,7 @@ def test_saturated_pairs_never_reach_the_series(monkeypatch):
     points = [(q, p) for q in np.linspace(-2.0, 2.0, 81).tolist() for p in np.linspace(0.5, 4.0, 8).tolist()]
     for q, p in points:
         effective_potential(params, pot, q, p)
-    pairs = len(points) * len(kernel._prepared(params, pot.shape)[1])
+    pairs = len(points) * len(kernel._prepared(params, pot)[1])
     assert 0 < len(calls) < pairs
 
 
@@ -204,6 +204,9 @@ def test_smoothing_constants_out_of_floating_range_are_a_domain_error():
     # refuses the constants before anything divides by it
     with pytest.raises(DomainError, match="leave floating range"):
         effective_potential(PhysicalParams(m=1.0, beta=1e-300, hbar=1e-180), BARRIER, 0.1, 0.5)
+    # and here c^2 underflows to 0, which the corner weights divide by
+    with pytest.raises(DomainError, match="leave floating range"):
+        effective_potential(PhysicalParams(m=1.0, beta=0.125, hbar=1e170), BARRIER, 0.1, 0.5)
 
 
 def test_tabulated_route():

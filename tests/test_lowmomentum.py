@@ -2,7 +2,6 @@
 
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,7 +176,7 @@ def test_corner_sum_matches_segment_form_where_the_deviation_cancels():
 
 @pytest.mark.parametrize("hbar", [0.3, 3.0, 6.0])
 def test_corner_sum_matches_segment_form_on_a_long_table(hbar):
-    _assert_matches_segment_form(LONG_TABLE.shape, hbar, 0.0)
+    _assert_matches_segment_form(LONG_TABLE, hbar, 0.0)
 
 
 @pytest.mark.parametrize("hbar", [0.3, 3.0])
@@ -185,7 +184,7 @@ def test_corner_sum_matches_segment_form_on_a_long_table(hbar):
 def test_corner_sum_matches_segment_form_without_rounding_kinks(pot, hbar):
     # the tent's collinear samples have lost their kinks of a few ulp; the
     # segment form still sums every sample
-    _assert_matches_segment_form(pot.shape, hbar, 0.0)
+    _assert_matches_segment_form(pot, hbar, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -232,7 +231,7 @@ def test_zone_closures_are_bitwise_the_at_route(shape, hbar, p, eps):
     # each zone's canonical right-hand side leaves out the other zones' jumps
     # on its window, and reads every corner beyond it
     try:
-        model = LowMomentumModel(_params(hbar), SimpleNamespace(shape=shape))
+        model = LowMomentumModel(_params(hbar), shape)
     except (DomainError, NonPositiveMass):
         assume(False)
     sigma = model.smoothing_sigma
@@ -266,7 +265,7 @@ def test_thin_wall_zones_sum_their_own_jump(monkeypatch):
             rhs(q, 1.0)
             assert len(calls) == 1, q
     calls.clear()
-    Profile(model.params, BARRIER.shape).canonical_rhs()(0.0, 1.0)  # no window: both walls
+    Profile(model.params, BARRIER).canonical_rhs()(0.0, 1.0)  # no window: both walls
     assert len(calls) == 2
 
 
@@ -297,7 +296,7 @@ def test_collinear_samples_cost_nothing():
     # a ramp that ends in a drop: its last corner jumps and bends, which is
     # one entry of each kind
     ramp = Shape(0.0, (3.0, 4.0), (0.0,), (1.0,))
-    for shape, counts in ((tent.shape, (0, 3)), (ramp, (1, 2))):
+    for shape, counts in ((tent, (0, 3)), (ramp, (1, 2))):
         profile = Profile(_params(3.0), shape)
         assert (len(profile.jumps), len(profile.kinks)) == counts
 
@@ -380,9 +379,9 @@ def _reference_extremum(params, pot, lo, hi, column, sign, points=200_000):
     extremum of its cells within 1e-3 of the grid's best refined by scipy's
     bounded minimiser on Profile.at. The minimiser's tolerance grows with
     |q|, so it works in offsets from the cell."""
-    at = Profile(params, pot.shape).at
+    at = Profile(params, pot).at
     qs = np.linspace(lo, hi, points)
-    values, slopes = sign * np.array(SegmentProfile(params, pot.shape).on(qs)[column:column + 2])
+    values, slopes = sign * np.array(SegmentProfile(params, pot).on(qs)[column:column + 2])
     i = int(values.argmax())
     best = values[i], qs[i]
     cells = (slopes[:-1] > 0) & (slopes[1:] <= 0) & (values[:-1] >= best[0] - 1e-3 * abs(best[0]))
@@ -441,7 +440,7 @@ def test_separate_zones_keep_the_plateau_as_threshold():
     # sign change in either: the top is the level of the gap between them
     model = LowMomentumModel(_params(0.05), BARRIER)
     sigma = model.smoothing_sigma
-    assert len(corner_groups(BARRIER.shape, ZONE_SIGMAS * sigma)) == 2
+    assert len(corner_groups(BARRIER, ZONE_SIGMAS * sigma)) == 2
     assert tunneling_threshold(model) == 1.0
 
 
@@ -461,7 +460,7 @@ def test_profiles_leave_floating_range_only_with_u_squared(hbar, refused):
 def test_inverse_mass_slope_vanishes_away_from_tiny_hbar_walls(hbar):
     # a jump's (1/M)' term is jm_p (1/2 - u^2) e^{-u^2}: its Gaussian, 0 here,
     # must meet 1/2 - u^2 before the huge jm_p does, or inf * 0 reads nan
-    profile = Profile(_params(hbar), BARRIER.shape)
+    profile = Profile(_params(hbar), BARRIER)
     rhs = profile.canonical_rhs()
     for q in (-1.5, -0.6, 0.0, 0.7, 2.0):
         assert profile.at(q)[3] == 0.0
@@ -544,7 +543,7 @@ def test_threshold_matches_bounded_maximiser(hbar, pot):
     # root refinement
     model = LowMomentumModel(_params(hbar), pot)
     qs = np.linspace(*evaluation_domain(model), 20001)
-    i = int(np.argmax(SegmentProfile(model.params, pot.shape).on(qs)[0]))
+    i = int(np.argmax(SegmentProfile(model.params, pot).on(qs)[0]))
     res = minimize_scalar(
         lambda q: -smoothed_potential(model, q),
         bounds=(qs[i - 1], qs[i + 1]),

@@ -83,17 +83,26 @@ def test_shape_takes_lists_and_arrays_as_tuples_of_floats():
 
 
 def test_shapes_of_the_three_types():
-    assert BARRIER.shape.x == (-0.5, 0.5) and BARRIER.shape.left == (1.0,)
-    assert BARRIER.shape.steps
+    assert BARRIER.x == (-0.5, 0.5) and BARRIER.left == (1.0,)
+    assert BARRIER.steps
     pw = PiecewiseConstantPotential((-1.0, 0.0, 1.0), (0.5, 2.0, -1.0, 0.5))
-    assert (pw.shape.level, pw.shape.left, pw.shape.right) == (0.5, (2.0, -1.0), (2.0, -1.0))
+    assert (pw.level, pw.left, pw.right) == (0.5, (2.0, -1.0), (2.0, -1.0))
     tab = TabulatedPotential((-1.0, 0.0, 1.0), (0.0, 2.0, 0.0))
-    assert (tab.shape.left, tab.shape.right) == ((0.0, 2.0), (2.0, 0.0))
-    assert not tab.shape.steps
+    assert (tab.left, tab.right) == ((0.0, 2.0), (2.0, 0.0))
+    assert not tab.steps
+
+
+def test_every_potential_type_is_a_shape():
+    plain = Shape(0.0, (-0.5, 0.5), (1.0,), (1.0,))
+    assert (BARRIER.level, BARRIER.x, BARRIER.left, BARRIER.right) == \
+        (plain.level, plain.x, plain.left, plain.right)
+    assert isinstance(BARRIER, Shape)
+    assert isinstance(PiecewiseConstantPotential((-0.5, 0.5), (0.0, 1.0, 0.0)), Shape)
+    assert isinstance(TabulatedPotential((-1.0, 0.0, 1.0), (0.0, 2.0, 0.0)), Shape)
 
 
 def _kinks(pot):
-    return np.count_nonzero(pot.shape.corners[2])
+    return np.count_nonzero(pot.corners[2])
 
 
 def test_rounding_kinks_are_dropped():
@@ -102,8 +111,8 @@ def test_rounding_kinks_are_dropped():
     # bends only at its ends and apex
     grid = np.linspace(-1.0, 1.0, 41)
     tent = TabulatedPotential(tuple(grid), tuple(0.8 * (1.0 - np.abs(grid))))
-    assert np.count_nonzero(np.diff(tent.shape.slopes)) > 3
-    x, _, kink = np.asarray(tent.shape.corners)
+    assert np.count_nonzero(np.diff(tent.slopes)) > 3
+    x, _, kink = np.asarray(tent.corners)
     assert x[kink != 0.0].tolist() == [-1.0, 0.0, 1.0]
     # tents on an offset grid, as the benchmark seeds them
     rng = np.random.default_rng(22)
@@ -125,7 +134,7 @@ def test_real_kinks_are_kept():
         values = height * 0.5 * (1.0 + np.cos(np.pi * np.clip((grid - centre) / width, -1.0, 1.0)))
         values[0] = values[-1] = 0.0
         bump = TabulatedPotential(tuple(grid), tuple(values))
-        assert _kinks(bump) == np.count_nonzero(np.diff(bump.shape.slopes)) > 20
+        assert _kinks(bump) == np.count_nonzero(np.diff(bump.slopes)) > 20
 
 
 def _numpy_corners(shape):
@@ -170,7 +179,7 @@ def test_corners_equal_the_numpy_construction():
         # slopes at 0 next to subnormal ones, whose jumps are subnormal too
         _unit_ramps(1.0, 0.0, 1e-322, 0.0, 5e-324, -1e-310, 0.0, 1.0),
         Shape(0.0, (-1.0, 1.0), (5e-324,), (5e-324,)),
-        PiecewiseConstantPotential((-1.0, 0.0, 1.0), (1e-320, -5e-324, 2e-323, 1e-320)).shape,
+        PiecewiseConstantPotential((-1.0, 0.0, 1.0), (1e-320, -5e-324, 2e-323, 1e-320)),
         # a slope that overflows to inf, and one that is inf/inf
         Shape(0.0, (0.0, 5e-324), (0.0,), (1e308,)),
         Shape(0.0, (-1e308, 1e308), (-1e308,), (1e308,)),
@@ -193,8 +202,8 @@ def test_tabulated_samples_become_tuples_of_floats():
         assert all(type(x) is float for x in (*pot.grid, *pot.values))
         assert _bits((pot.grid, pot.values)) == _bits((np.asarray(g, dtype=float).tolist(),
                                                        np.asarray(v, dtype=float).tolist()))
-        assert pot.shape == TabulatedPotential(tuple(np.asarray(g, dtype=float).tolist()),
-                                               tuple(np.asarray(v, dtype=float).tolist())).shape
+        assert pot == TabulatedPotential(tuple(np.asarray(g, dtype=float).tolist()),
+                                 tuple(np.asarray(v, dtype=float).tolist()))
 
 
 def test_square_eval_points():
@@ -254,26 +263,26 @@ def test_asymptotic_levels():
 
 
 def test_form_factor_square_limits():
-    assert _form_factor(BARRIER.shape, 0.0) == complex(2.0 * 1.0 * 0.5)
+    assert _form_factor(BARRIER, 0.0) == complex(2.0 * 1.0 * 0.5)
     # sin(k l) zero at k = pi / l
-    assert abs(_form_factor(BARRIER.shape, math.pi / 0.5)) < 1e-12
+    assert abs(_form_factor(BARRIER, math.pi / 0.5)) < 1e-12
 
 
 def test_form_factor_square_point():
     pot = SquareBarrier(v0=2.0, l=1.0)
-    val = _form_factor(pot.shape, 1.0)
+    val = _form_factor(pot, 1.0)
     assert abs(val - 4.0 * math.sin(1.0)) < 1e-12
     assert abs(val.real - 3.3659) < 5e-5
 
 
 def test_form_factor_symmetric_real_even():
     for k in (0.3, 1.7, 12.0, 80.0):
-        ff = _form_factor(BARRIER.shape, k)
+        ff = _form_factor(BARRIER, k)
         assert abs(ff.imag) <= 1e-14 * max(1.0, abs(ff))
-        assert abs(_form_factor(BARRIER.shape, -k) - ff) <= 1e-14 * max(1.0, abs(ff))
+        assert abs(_form_factor(BARRIER, -k) - ff) <= 1e-14 * max(1.0, abs(ff))
     pw = PiecewiseConstantPotential((-1.0, -0.3, 0.3, 1.0), (0.0, 0.5, 1.2, 0.5, 0.0))
     for k in (0.3, 4.0, 30.0):
-        ff = _form_factor(pw.shape, k)
+        ff = _form_factor(pw, k)
         assert abs(ff.imag) <= 1e-13 * max(1.0, abs(ff))
 
 
@@ -291,7 +300,7 @@ def _brute_form_factor(pot, k):
 @pytest.mark.parametrize("k", [0.5, 3.0, 20.0, 200.0])
 def test_form_factor_vs_quadrature_square(k):
     # 200.0 = 100 / l for the reference barrier
-    analytic = _form_factor(BARRIER.shape, k)
+    analytic = _form_factor(BARRIER, k)
     brute = _brute_form_factor(BARRIER, k)
     assert abs(analytic - brute) <= 1e-10 * max(1.0, abs(analytic))
 
@@ -299,7 +308,7 @@ def test_form_factor_vs_quadrature_square(k):
 @pytest.mark.parametrize("k", [0.5, 3.0, 20.0])
 def test_form_factor_vs_quadrature_piecewise(k):
     pot = PiecewiseConstantPotential((-1.2, 0.1, 0.9), (0.5, 2.0, -0.5, 0.5))
-    analytic = _form_factor(pot.shape, k)
+    analytic = _form_factor(pot, k)
     brute = _brute_form_factor(pot, k)
     assert abs(analytic - brute) <= 1e-10 * max(1.0, abs(analytic))
 
@@ -311,7 +320,7 @@ def test_form_factor_tabulated_matches_dense_square():
     vals[np.abs(np.abs(grid) - 0.5) < 1e-12] = 0.5
     tab = TabulatedPotential(tuple(grid), tuple(vals))
     for k in (0.5, 2.0):
-        assert abs(_form_factor(tab.shape, k) - _form_factor(BARRIER.shape, k)) < 1e-4
+        assert abs(_form_factor(tab, k) - _form_factor(BARRIER, k)) < 1e-4
 
 
 def _brute_linear_form_factor(pot, k):
@@ -330,7 +339,7 @@ def test_form_factor_vs_quadrature_tabulated(k):
     # exact transform of the linear interpolant, through the series branch
     # (small k) and the closed branch; an uneven, asymmetric grid
     pot = TabulatedPotential((-1.1, -0.7, -0.05, 0.3, 0.45, 1.2), (0.2, 0.9, 1.4, 0.1, 0.6, 0.2))
-    analytic = _form_factor(pot.shape, k)
+    analytic = _form_factor(pot, k)
     brute = _brute_linear_form_factor(pot, k)
     assert abs(analytic - brute) <= 1e-11 * max(1.0, abs(analytic))
 
@@ -346,6 +355,16 @@ def test_load_tabulated_csv(tmp_path):
     path2.write_text("-1.0,0.0\n1.0,0.0\n")
     pot2 = load_tabulated_csv(path2)
     assert pot2.grid == (-1.0, 1.0)
+
+
+def test_byte_order_mark_is_not_part_of_the_first_cell(tmp_path):
+    # with the mark stuck to it, a headerless file's first row read as a header
+    for text in ("-2,0\n-1,0\n-0.5,0.4\n0,0.8\n1,0\n", "q,V\n-1.0,0.0\n0.0,1.5\n1.0,0.0\n"):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_tabulated_csv(marked) == load_tabulated_csv(plain)
 
 
 def test_header_after_blank_lines(tmp_path):

@@ -12,7 +12,7 @@ from effpot import lowmomentum
 from effpot.errors import DomainError
 from effpot.lowmomentum import LowMomentumModel, tunneling_threshold
 from effpot.physical import PhysicalParams, dimensionless
-from effpot.potential import PiecewiseConstantPotential, SquareBarrier, TabulatedPotential
+from effpot.potential import PiecewiseConstantPotential, Shape, SquareBarrier, TabulatedPotential
 from effpot.quadrature import QuadratureConfig
 from effpot.transmission import (
     CoefficientPair,
@@ -247,6 +247,15 @@ def test_transfer_matrix_free_particle():
     res = transfer_matrix_transmission(flat, _params(1.0), 0.5)
     assert res.t == 1.0
     assert not res.underflow
+
+
+def test_transfer_matrix_takes_a_bare_step_shape():
+    steps = (-0.8, -0.1, 0.6), (0.7, 1.1)
+    shape = Shape(0.0, steps[0], steps[1], steps[1])
+    twin = PiecewiseConstantPotential(steps[0], (0.0, *steps[1], 0.0))
+    for E in (0.3, 0.7, 0.9, 1.1, 1.6):
+        assert transfer_matrix_transmission(shape, _params(1.0), E) == \
+            transfer_matrix_transmission(twin, _params(1.0), E)
 
 
 def test_transfer_matrix_domain():
