@@ -11,11 +11,12 @@ eps = p^2/(2 M(q)) + V(q), and every accepted run is gated on that drift.
 One event loop propagates both forms over force zones. The smoothed force
 acts only within a few smoothing widths sigma of the breakpoints where the
 bare potential jumps or bends and along its ramps, so the zones are the
-+-20 sigma neighbourhoods of those breakpoints, merged where they overlap or
-a ramp joins them; beyond them a jump's Gaussian is below e^-200 of its peak
-(about 1.4e-87, a normal double), and the force there is taken as zero.
-Between zones 1/M = 1/m and V is the bare level of the gap, so
-flight there is exact and an adaptive step never has to span a gap. The
++-FORCE_SIGMAS = 9 sigma neighbourhoods of those breakpoints, merged where
+they overlap or a ramp joins them (``_zones``). Beyond a zone's edge every
+corner's |u| = |q - x| / (sqrt(2) sigma) exceeds 6: its erf rounds to +-1
+and its Gaussian is below e^-40.5, 1/80 of eps, so V is the bare level of
+the gap and 1/M = 1/m to double precision, and the force is taken as zero.
+Flight between zones is exact, and an adaptive step never spans a gap. The
 asymptotic exits are the edges of the evaluation domain. At hbar = 0 the
 zones have zero width and are crossed by the jump rule (adaptive stepping
 on a discontinuous force would be meaningless): a particle reaching a step
@@ -51,6 +52,7 @@ reflected run's work is saved. The integrators run to an exit or t_end.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
@@ -63,7 +65,6 @@ from .errors import (
     StepFailure,
 )
 from .lowmomentum import (
-    ZONE_SIGMAS,
     LowMomentumModel,
     Profile,
     _brent,
@@ -82,6 +83,9 @@ DRIFT_LIMIT = 1e-9
 DRIFT_FLOOR = 1e-12
 REL_TOL = 1e-11          # adaptive step control
 ABS_TOL = 1e-12
+# reach of a force zone beyond its outermost corners, in units of sigma: |u| = 6
+# (6 sqrt(2) sigma) rounded up to whole sigma (``_zones``)
+FORCE_SIGMAS = float(math.ceil(6.0 * math.sqrt(2.0)))
 MAX_ZONE_SIGMAS = 5000.0  # widest breakpoint span of one zone, in units of sigma
 WINDOW_SIGMAS = 5.0      # reach of a zone's jump window beyond its edges, in units of sigma
 T_END_TRANSITS = 50.0    # default time budget in units of domain transit time
@@ -552,12 +556,23 @@ class _Zone(NamedTuple):
     level: float
 
 
-def _zones(model) -> list:
-    """The force zones in increasing order: the +-ZONE_SIGMAS sigma
+def _zones(model) -> tuple:
+    """The force zones in increasing order: the +-FORCE_SIGMAS sigma
     neighbourhoods of the corner groups (``corner_groups``: breakpoints where
     the bare potential jumps or bends, merged where their neighbourhoods
     overlap), merged further where a ramp joins two groups; at hbar = 0, one
-    zero-width zone per step.
+    zero-width zone per step. Built once per model and zone constants.
+
+    The reach is where a corner's terms reach their asymptotes in double
+    precision. At |u| = c |q - x| = 6, that is 6 sqrt(2) sigma, erf(u)
+    rounds to +-1 and exp(-u^2) ~ 2.3e-16 is at eps; the weights of the
+    Gaussian in 1/M grow like beta times the jump (and beta sigma times the
+    kink), so at beta 4 those terms are still a few ulp of 1/m there.
+    Rounded up to 9 sigma, exp(-u^2) = e^-40.5 ~ 2.6e-18, 1/80 of eps: on
+    every edge V is within an ulp of the gap's level and 1/M is 1/m exactly,
+    so flight in the gap continues the zone's motion and energy. The
+    extremum scan keeps its wider ZONE_SIGMAS, because extrema of V can lie
+    far out where jump sizes differ greatly.
 
     A zone steps on a profile in coordinates centred on its breakpoints:
     there the state coordinate carries no absolute roundoff of order
@@ -571,10 +586,17 @@ def _zones(model) -> list:
     zone whose breakpoints span more than MAX_ZONE_SIGMAS sigma is refused:
     its max step of 2 sigma over the speed would need far too many steps.
     """
+    return _built_zones(model, FORCE_SIGMAS, WINDOW_SIGMAS, MAX_ZONE_SIGMAS)
+
+
+@functools.lru_cache(maxsize=8)
+def _built_zones(model, reach: float, widen: float, widest: float) -> tuple:
+    """``_zones`` at the given zone constants, in units of sigma; they are
+    arguments so that the cache keys on them."""
     pot, sigma = model.pot, model.smoothing_sigma
     if model.profile is None and not pot.steps:
         raise DomainError("exact classical propagation needs a piecewise-constant potential")
-    half = ZONE_SIGMAS * sigma
+    half = reach * sigma
     groups = []  # [first, last] breakpoint index
     for first, last in corner_groups(pot, half):
         if groups and pot.left[first - 1] != pot.right[first - 1]:
@@ -584,17 +606,17 @@ def _zones(model) -> list:
     zones = []
     for i, j in groups:
         first, last = pot.x[i], pot.x[j]
-        if last - first > MAX_ZONE_SIGMAS * sigma:
+        if last - first > widest * sigma:
             raise DomainError(
                 f"smoothing width {sigma:g} is too small a feature for adaptive stepping "
                 f"across the force zone [{first:g}, {last:g}] of this potential"
             )
         origin = 0.5 * (first + last)
-        reach = half + WINDOW_SIGMAS * sigma
-        window = (first - reach - origin, last + reach - origin)
+        span = half + widen * sigma
+        window = (first - span - origin, last + span - origin)
         profile = None if model.profile is None else Profile(model.params, pot, origin, window)
         zones.append(_Zone(profile, origin, first - half, last + half, pot.levels[j + 1]))
-    return zones
+    return tuple(zones)
 
 
 def _rhs(profile, eps):

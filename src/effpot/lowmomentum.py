@@ -144,8 +144,8 @@ class Profile:
         there, so it adds the same floats in the same order. Where
         |u| >= U_UNDERFLOW the Gaussian is 0.0, and the rounded
         u = c (q - x) is monotone in q, so the window's ends decide which
-        jumps go. Every kink stays. Beyond the window, and at a NaN q, it
-        reads ``at``."""
+        jumps go. Every kink stays, and a shape of steps skips the kink loop.
+        Beyond the window, and at a NaN q, it reads ``at``."""
         c, inv_m, kinks, at = self.c, self.inv_m, self.kinks, self.at
         lo, hi = self.window
         exp, erf = math.exp, math.erf
@@ -157,15 +157,16 @@ class Profile:
                 _, vp, minv, minvp = at(q)
                 return p * minv, -vp - 0.5 * minvp * p * p
             vp = mi = mip = 0.0
-            e_prev = 1.0
-            for x, _, slope, _, km, km_p in kinks:
-                u = c * (q - x)
-                e = erf(u)
-                g = exp(-u * u)
-                vp = vp + slope * (e_prev - e)
-                mi = mi + km * g
-                mip = mip + km_p * u * g
-                e_prev = e
+            if kinks:
+                e_prev = 1.0
+                for x, _, slope, _, km, km_p in kinks:
+                    u = c * (q - x)
+                    e = erf(u)
+                    g = exp(-u * u)
+                    vp = vp + slope * (e_prev - e)
+                    mi = mi + km * g
+                    mip = mip + km_p * u * g
+                    e_prev = e
             for x, _, grad, jm, jm_p in jumps:
                 u = c * (q - x)
                 uu = u * u
