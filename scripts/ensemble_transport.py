@@ -3,11 +3,14 @@
 
 Classifies a batch of trajectories with energies drawn on (0, V0) and
 compares the surpassing fraction with 1 - erf(sqrt(2)/H), reporting the
-binomial error of the sample.
+binomial error of the sample. The beam quantiles are the n bin midpoints
+with --stratified, else n draws of the standard library's ``random.Random``
+seeded with --seed; every hbar runs the same quantiles.
 """
 
 import argparse
 import math
+import random
 import sys
 
 from effpot.lowmomentum import LowMomentumModel
@@ -29,15 +32,17 @@ def main(argv=None) -> int:
                     help="use stratified midpoint energies instead of random draws")
     args = ap.parse_args(argv)
 
+    if args.stratified:
+        quantiles = [(i + 0.5) / args.n for i in range(args.n)]
+    else:
+        draw = random.Random(args.seed).random
+        quantiles = [draw() for _ in range(args.n)]
     barrier = SquareBarrier(v0=args.V0, l=args.L)
     print("hbar,H,t_closed,fraction,binomial_3sigma")
     for hbar in args.hbar:
         params = PhysicalParams(m=args.m, beta=args.beta, hbar=hbar)
         model = LowMomentumModel(params, barrier)
-        frac = surpass_fraction(
-            model, args.n, rng=None if args.stratified else args.seed,
-            stratified=args.stratified,
-        )
+        frac = surpass_fraction(model, quantiles)
         t = effective_coefficients(model).t
         err = 3.0 * math.sqrt(t * (1.0 - t) / args.n)
         H = dimensionless(params, barrier).H

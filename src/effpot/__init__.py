@@ -34,7 +34,7 @@ _EXPORTS = {
     ), "lowmomentum"),
     **dict.fromkeys((
         "REFLECTED", "SURPASSED", "Trajectory", "classify_traversal", "hamiltonian",
-        "integrate_hamiltonian", "integrate_newtonian", "launch_state", "write_trajectory_csv",
+        "integrate_hamiltonian", "integrate_newtonian", "launch_state", "trajectory_csv",
     ), "dynamics"),
     **dict.fromkeys((
         "CoefficientPair", "TransferMatrixResult", "effective_coefficients",

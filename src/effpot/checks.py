@@ -13,7 +13,14 @@ from __future__ import annotations
 import math
 
 from .atomic import linspace
-from .dynamics import REFLECTED, SURPASSED, classify_traversal, integrate_hamiltonian, launch_state
+from .dynamics import (
+    DRIFT_LIMIT,
+    REFLECTED,
+    SURPASSED,
+    classify_traversal,
+    integrate_hamiltonian,
+    launch_state,
+)
 from .errors import EffpotError
 from .kernel import _fourier_veff, effective_potential
 from .lowmomentum import LowMomentumModel, inverse_mass, smoothed_potential
@@ -101,7 +108,7 @@ def run() -> int:
     def conservation():
         q0, p0 = launch_state(model, 0.9)
         traj = integrate_hamiltonian(model, q0, p0)
-        ok = traj.max_energy_drift < 1e-9 and traj.outcome in (SURPASSED, REFLECTED)
+        ok = traj.max_energy_drift < DRIFT_LIMIT and traj.outcome in (SURPASSED, REFLECTED)
         return ok, f"drift {traj.max_energy_drift:.3e}, outcome {traj.outcome}"
 
     def classical_limit():

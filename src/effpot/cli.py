@@ -207,7 +207,7 @@ def _cmd_trajectory(args) -> int:
         integrate_hamiltonian,
         integrate_newtonian,
         launch_state,
-        write_trajectory_csv,
+        trajectory_csv,
     )
     from .lowmomentum import inverse_mass
 
@@ -233,7 +233,7 @@ def _cmd_trajectory(args) -> int:
         eps = hamiltonian(model, q0, p0)
         traj = integrate_newtonian(model, q0, v0, eps, t_end=t_end, t_eval=t_eval)
     meta = _metadata(cfg, args.potential_csv, form=args.form, q0=q0, p0=p0)
-    write_trajectory_csv(traj, args.out or sys.stdout, meta)
+    _emit(args, trajectory_csv(traj, meta))
     return 0
 
 

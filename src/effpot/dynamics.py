@@ -57,7 +57,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
-from .atomic import csv_text, write_atomic
+from .atomic import csv_text
 from .errors import (
     DidNotResolve,
     DomainError,
@@ -785,6 +785,11 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
         raise DidNotResolve("event budget exhausted")
 
     t, q, p, energy = zip(*rows) if rows else ((),) * 4
+    # a model whose lengths leave double precision records steps of zero
+    # length: at beta 1e150 the launch point rounds onto the domain edge
+    if not all(b > a for a, b in zip(t, t[1:])):
+        raise StepFailure("sample times do not strictly increase: the run's steps are below "
+                          "the resolution of double precision")
     scale = max(abs(energy0), DRIFT_FLOOR)
     drift = tuple(abs(e - energy0) / scale for e in energy)
     # each sample is tested, as the builtin max passes over a NaN that is not first
@@ -877,18 +882,14 @@ def classify_traversal(model: LowMomentumModel, eps: float) -> str:
     )
 
 
-def write_trajectory_csv(traj: Trajectory, path_or_file, metadata=None) -> None:
-    """Write samples as CSV (``atomic.csv_text``) after the metadata, the
-    outcome when there is one and energy0; a float metadata value prints at
-    12 significant digits. The text is built first, so a path is written
-    whole or not at all."""
+def trajectory_csv(traj: Trajectory, metadata=None) -> str:
+    """The CSV text of a trajectory (``atomic.csv_text``): the metadata, the
+    outcome when there is one and energy0, then one row of t, q, p and
+    energy_drift per sample; a float metadata value prints at 12 significant
+    digits."""
     meta = dict(metadata or {})
     if traj.outcome is not None:
         meta["outcome"] = traj.outcome
     meta["energy0"] = traj.energy0
     rows = zip(traj.t, traj.q, traj.p, traj.energy_drift)
-    text = csv_text(meta, ("t", "q", "p", "energy_drift"), rows)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        write_atomic(path_or_file, text)
+    return csv_text(meta, ("t", "q", "p", "energy_drift"), rows)

@@ -197,32 +197,22 @@ def transfer_matrix_transmission(
 # ---------------------------------------------------------- trajectory oracle
 
 
-def surpass_fraction(
-    model: LowMomentumModel,
-    n: int,
-    rng=None,
-    stratified: bool = False,
-) -> float:
+def surpass_fraction(model: LowMomentumModel, quantiles) -> float:
     """Fraction of a uniform-energy beam that surpasses the barrier.
 
-    Runs n actual trajectories with energies on (base, max V), each by
+    Each quantile u of the uniform beam on (base, max V) is the energy
+    base + u (max V - base), and each energy runs an actual trajectory by
     ``classify_traversal``: until it leaves over the far edge or first
     turns; this is the simulated-transport route to the effective
-    transmission coefficient.
-    Stratified energies are the n bin midpoints. Random draws use numpy's
-    generator seeded with rng, so they need numpy (the ``test`` extra).
+    transmission coefficient. The n bin midpoints (i + 0.5)/n make a
+    stratified beam, and uniform draws on [0, 1) a random one.
     """
     from .dynamics import SURPASSED, classify_traversal
 
-    if n < 1:
-        raise ValueError("need at least one trajectory")
     lo = asymptotic_level(model.pot)
     hi = classical_max(model.pot)
-    if stratified:
-        energies = [lo + (i + 0.5) / n * (hi - lo) for i in range(n)]
-    else:
-        import numpy as np
-
-        energies = np.random.default_rng(rng).uniform(lo, hi, size=n)
-    hits = sum(1 for eps in energies if classify_traversal(model, float(eps)) == SURPASSED)
-    return hits / n
+    energies = [lo + u * (hi - lo) for u in map(float, quantiles)]
+    if not energies:
+        raise ValueError("need at least one quantile")
+    hits = sum(1 for eps in energies if classify_traversal(model, eps) == SURPASSED)
+    return hits / len(energies)

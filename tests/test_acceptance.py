@@ -134,7 +134,7 @@ def test_criterion_6_monte_carlo_transport():
     details = []
     for hbar in (2.0, 4.0, 6.0):
         model = LowMomentumModel(_params(hbar), BARRIER)
-        frac = surpass_fraction(model, 200, rng=42)
+        frac = surpass_fraction(model, np.random.default_rng(42).random(200))
         t = effective_coefficients(model).t
         gate = 3.0 * math.sqrt(t * (1.0 - t) / 200.0) + 1.0 / 200.0
         details.append(f"hbar={hbar:g}: |{frac:.3f}-{t:.3f}|<={gate:.3f}")

@@ -3,6 +3,7 @@ subprocess for what only a process shows: the entry point, the exit code
 through sys.exit and a failed run's files."""
 
 import json
+import random
 import signal
 import subprocess
 import sys
@@ -202,6 +203,14 @@ def test_trajectory_eps_with_initial_state_is_usage_error(tmp_path, capsys):
     assert cli.main(["trajectory", "--q0", "-4", "--p0", "1.2", "--t-end", "1", "--out", str(out)]) == 0
 
 
+def test_trajectory_out_holds_the_printed_text(run, tmp_path):
+    out = tmp_path / "traj.csv"
+    res = run("trajectory", "--eps", "0.9", "--out", str(out))
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    assert out.read_text() == run("trajectory", "--eps", "0.9").stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
 def test_trajectory_at_an_overflowing_energy_names_it(run):
     res = run("trajectory", "--eps", "1e308")
     assert res.returncode == 2
@@ -361,6 +370,17 @@ def test_tiny_hbar_fails_cleanly(run, within_60s, flags):
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
+
+
+def test_collapsed_sample_times_are_a_computational_failure(run, tmp_path):
+    # at beta 1e150 the launch point rounds onto the domain edge, and the run
+    # records two samples at t = 0: a failed computation, not bad input
+    out = tmp_path / "traj.csv"
+    res = run("trajectory", "--beta", "1e150", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: sample times do not strictly increase")
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_coeff_at_a_tiny_half_width(run):
@@ -607,8 +627,8 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 def test_every_command_runs_without_numpy(tmp_path):
     # numpy is a test dependency only: with it unimportable every command
-    # runs, and so do the stratified transport energies, while the random
-    # draws of surpass_fraction fail with numpy's own ImportError
+    # runs, and so does transport over stratified and random beam quantiles
+    quantiles = ([(i + 0.5) / 5 for i in range(5)], [random.Random(1).random() for _ in range(5)])
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
@@ -617,17 +637,14 @@ def test_every_command_runs_without_numpy(tmp_path):
         "print('@', [cli.main(argv) for argv in runs])\n"
         "from effpot import LowMomentumModel, PhysicalParams, SquareBarrier, surpass_fraction\n"
         "model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 1.0))\n"
-        "print('@', repr(surpass_fraction(model, 5, stratified=True)))\n"
-        "try:\n"
-        "    surpass_fraction(model, 5, rng=1)\n"
-        "except ImportError:\n"
-        "    print('@ ImportError')\n"
+        f"for us in {quantiles!r}:\n"
+        "    print('@', repr(surpass_fraction(model, us)))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     model = LowMomentumModel(PhysicalParams(1.0, 0.125, 3.0), SquareBarrier(1.0, 1.0))
     assert [line for line in res.stdout.splitlines() if line.startswith("@")] == [
-        "@ [0, 0, 0, 0, 0, 0]", f"@ {surpass_fraction(model, 5, stratified=True)!r}", "@ ImportError",
+        "@ [0, 0, 0, 0, 0, 0]", *(f"@ {surpass_fraction(model, us)!r}" for us in quantiles),
     ]
 
 

@@ -1,6 +1,5 @@
 """Trajectory integration: conservation, formulation equivalence, classification."""
 
-import io
 import math
 import re
 import subprocess
@@ -24,7 +23,7 @@ from effpot.dynamics import (
     integrate_newtonian,
     launch_state,
     solve_ivp,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 from effpot.errors import (
     DidNotResolve,
@@ -1156,13 +1155,11 @@ def test_finite_time_blowup_raises_step_failure(monkeypatch):
 # ------------------------------------------------------------------- export
 
 
-def test_write_trajectory_csv():
+def test_trajectory_csv():
     model = _model(3.0)
     q0, p0 = launch_state(model, 0.3)
     traj = integrate_hamiltonian(model, q0, p0)
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf, metadata={"run": "demo"})
-    lines = buf.getvalue().splitlines()
+    lines = trajectory_csv(traj, metadata={"run": "demo"}).splitlines()
     assert lines[0] == "# run=demo"
     assert lines[1] == "# outcome=reflected"
     assert lines[2].startswith("# energy0=")
@@ -1173,30 +1170,8 @@ def test_write_trajectory_csv():
     assert float(row[0]) == traj.t[0]
 
 
-def test_write_trajectory_csv_prints_float_metadata_at_12_digits():
+def test_trajectory_csv_prints_float_metadata_at_12_digits():
     traj = integrate_hamiltonian(_model(0.0), -5.0, 1.0, t_end=2.0)
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf, metadata={"eps": 1 / 3, "form": "demo"})
-    assert buf.getvalue().splitlines()[:3] == ["# eps=0.333333333333", "# form=demo", "# energy0=0.5"]
-
-
-def test_write_trajectory_csv_to_path(tmp_path):
-    model = _model(0.0)
-    traj = integrate_hamiltonian(model, -5.0, 1.0, t_end=2.0)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    text = path.read_text()
-    assert text.startswith("# energy0=")
-    assert "t,q,p,energy_drift" in text
-
-
-def test_write_trajectory_csv_failure_leaves_no_file(tmp_path):
-    class Unprintable:
-        def __str__(self):
-            raise RuntimeError("no text")
-
-    traj = integrate_hamiltonian(_model(0.0), -5.0, 1.0, t_end=2.0)
-    path = tmp_path / "traj.csv"
-    with pytest.raises(RuntimeError):
-        write_trajectory_csv(traj, path, metadata={"run": Unprintable()})
-    assert list(tmp_path.iterdir()) == []
+    text = trajectory_csv(traj, metadata={"eps": 1 / 3, "form": "demo"})
+    assert text.splitlines()[:3] == ["# eps=0.333333333333", "# form=demo", "# energy0=0.5"]
+    assert trajectory_csv(traj).startswith("# energy0=0.5\nt,q,p,energy_drift\n")

@@ -23,8 +23,7 @@ EXPORTED = {
     "lowmomentum": ("LowMomentumModel", "Profile", "evaluation_domain", "inverse_mass", "mass",
                     "smoothed_potential", "tunneling_threshold", "vq_potential"),
     "dynamics": ("REFLECTED", "SURPASSED", "Trajectory", "classify_traversal", "hamiltonian",
-                 "integrate_hamiltonian", "integrate_newtonian", "launch_state",
-                 "write_trajectory_csv"),
+                 "integrate_hamiltonian", "integrate_newtonian", "launch_state", "trajectory_csv"),
     "transmission": ("CoefficientPair", "TransferMatrixResult", "effective_coefficients",
                      "effective_t_of_H", "mixture_average", "quantum_t_mixture",
                      "quantum_t_single", "surpass_fraction", "transfer_matrix_transmission"),

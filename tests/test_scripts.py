@@ -28,6 +28,14 @@ def test_ensemble_transport(capsys):
     assert abs(float(frac) - float(t)) <= float(err) + 1.0 / 8
 
 
+def test_ensemble_transport_random_draws(capsys):
+    assert _main("ensemble_transport")(["--n", "8", "--hbar", "3"]) == 0
+    ((hbar, _, _, frac, _),) = _rows(capsys.readouterr().out)
+    assert float(hbar) == 3.0
+    # k of the 8 random energies surpass
+    assert float(frac) * 8 in range(9)
+
+
 def test_expansion_order(capsys):
     assert _main("expansion_order")([]) == 0
     rows = _rows(capsys.readouterr().out)
