@@ -31,6 +31,8 @@ def main(argv=None) -> int:
     ap.add_argument("--stratified", action="store_true",
                     help="use stratified midpoint energies instead of random draws")
     args = ap.parse_args(argv)
+    if args.n < 1:
+        ap.error(f"--n must be at least 1, got {args.n}")
 
     if args.stratified:
         quantiles = [(i + 0.5) / args.n for i in range(args.n)]

@@ -33,6 +33,10 @@ def main(argv=None) -> int:
     ap.add_argument("--q", type=float, nargs="+", default=None,
                     help="positions to probe (default: 0, L, 2L)")
     args = ap.parse_args(argv)
+    if args.n < 2:
+        ap.error(f"--n must be at least 2 to fit a slope, got {args.n}")
+    if not 0.0 < args.pmin < args.pmax < math.inf:
+        ap.error(f"need 0 < --pmin < --pmax, both finite, got {args.pmin:g} and {args.pmax:g}")
 
     params = PhysicalParams(m=args.m, beta=args.beta, hbar=args.hbar)
     barrier = SquareBarrier(v0=args.V0, l=args.L)

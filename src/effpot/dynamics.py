@@ -43,11 +43,16 @@ the tolerance, sets the step (narrow walls, hbar well below 1) that trade
 is lost: each clamped step costs twelve calls.
 
 ``classify_traversal`` runs a launched trajectory only to its first turning
-point. By time reversal the way back retraces the way in, so the first
-accepted step whose momentum has turned (``solve_ivp``'s status 2), or a
-reflection at a step at hbar = 0, decides 'reflected'; about half of a
-reflected run's work is saved. The integrators run to an exit or t_end.
-``_propagate`` sets up every driver's run: checks, time budget, energy.
+point or over the top of V. By time reversal the way back retraces the way
+in, so the first accepted step whose momentum has turned (``solve_ivp``'s
+status 2), or a reflection at a step at hbar = 0, decides 'reflected'. At
+hbar > 0 a run that passes the top, the leftmost point where the model's
+scan found the maximum of V, moving forward decides 'surpassed': with M > 0
+and eps conserved, p^2/(2M) = eps - V(q) >= eps - max V > 0 beyond it, so p
+never vanishes again. The top is treated like the far edge: it clips the
+exact flight and a zone's high surface. About half of either run's work is
+saved. The integrators run to an exit or t_end. ``_propagate`` sets up
+every driver's run: checks, time budget, energy.
 """
 
 from __future__ import annotations
@@ -646,8 +651,12 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
     reversal: the accepted step of a zone segment where the sign of s turns
     (``solve_ivp``'s status 2), or a reflection in a jump zone. In 1-D
     conservative motion the way back retraces the way in, so the full run
-    would leave through the low edge; its samples are a prefix of the full
-    run's.
+    would leave through the low edge. It ends 'surpassed' where it crosses
+    the model's top point moving forward (exactly there: the top clips the
+    flight and the zone's high surface like the high edge), since beyond it
+    the momentum cannot vanish; a top at or left of q0 decides nothing, and
+    at hbar = 0 there is none. Its samples are a prefix of the full run's,
+    up to that exit.
     """
     newton = eps is not None
     what = "initial state, energy and time budget" if newton else "initial state and time budget"
@@ -702,6 +711,10 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             return s / minv, 0.5 * s * s / minv + v
         return s, 0.5 * s * s * minv + v
 
+    # with turn, a run that passes the top of V moving forward has decided
+    # 'surpassed'; a top at or left of the launch point decides nothing
+    top = model._top_at if turn else None
+    top = top if top is not None and top > q0 else math.inf
     k = bisect_right([z.lo for z in zones], q0) - 1
     zone = k if k >= 0 and q0 <= zones[k].hi else None
     gap = k + 1  # gap g lies between zones g - 1 and g
@@ -716,7 +729,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             energy = p * p / (2.0 * m) + levels[gap]
             if v > 0:
                 edge = zones[gap].lo if gap < len(zones) else math.inf
-                target = min(edge, hi_edge if hi_edge > q else math.inf)
+                target = min(edge, hi_edge if hi_edge > q else math.inf, top)
             else:
                 edge = zones[gap - 1].hi if gap > 0 else -math.inf
                 target = max(edge, lo_edge if lo_edge < q else -math.inf)
@@ -748,7 +761,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
         else:
             xi = q - z.origin
             v = s if newton else s * z.profile.at(xi)[2]
-            low, high = max(z.lo, lo_edge) - z.origin, min(z.hi, hi_edge) - z.origin
+            low, high = max(z.lo, lo_edge) - z.origin, min(z.hi, hi_edge, top) - z.origin
 
             seg = solve_ivp(
                 _rhs(z.profile, eps),
@@ -776,7 +789,8 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             q = z.origin + xi
             gap = zone + 1 if side > 0 else zone
             exit_state = zone_state(z.profile, xi, s)
-        if (turn and turned) or (side > 0 and z.hi >= hi_edge) or (side < 0 and z.lo <= lo_edge):
+        if ((turn and turned) or (side > 0 and z.hi >= min(hi_edge, top))
+                or (side < 0 and z.lo <= lo_edge)):
             outcome = SURPASSED if side > 0 else REFLECTED
             put([(t, q, *exit_state)])
             break
@@ -863,9 +877,12 @@ def classify_traversal(model: LowMomentumModel, eps: float) -> str:
     Runs an actual trajectory for every generic energy, from ``launch_state``
     and within ``integrate_hamiltonian``'s default time budget, up to its
     first turning point: in 1-D conservative motion the way back retraces
-    the way in (time reversal), so the first reversal decides 'reflected',
-    and a run that never turns surpasses through the high edge. Every
-    computed sample is held to the drift gate. The single degenerate tie, eps
+    the way in (time reversal), so the first reversal decides 'reflected'.
+    A run that never turns surpasses: through the high edge, or at hbar > 0
+    already where it passes the top of V moving forward, beyond which the
+    momentum cannot vanish. So a creep just above a flat top is decided at
+    the top and needs no budget for the plateau. Every computed sample is
+    held to the drift gate. The single degenerate tie, eps
     equal to the tunneling threshold to within 1e-12 relative, is decided by
     convention as reflected without integrating: the true motion approaches
     the barrier top asymptotically and never crosses, while a numerical run

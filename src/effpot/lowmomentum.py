@@ -197,11 +197,12 @@ class LowMomentumModel(Record):
     Construction finds the lowest 1/M and fails with NonPositiveMass when it
     is not positive, so downstream code can assume M(q) > 0; profiles that
     are not finite fail with DomainError. The same zone-by-zone scan
-    (``_extrema``) finds the tunneling threshold. At hbar = 0 there is no
-    smoothing and profile is None.
+    (``_extrema``) finds the tunneling threshold and the leftmost point where
+    it found it (``_top_at``), where a trajectory's outcome is decided. At
+    hbar = 0 there is no smoothing, and profile and ``_top_at`` are None.
     """
 
-    __slots__ = ("params", "pot", "smoothing_sigma", "profile", "_top")
+    __slots__ = ("params", "pot", "smoothing_sigma", "profile", "_top", "_top_at")
     _fields = ("params", "pot", "smoothing_sigma")
 
     def __init__(self, params: PhysicalParams, pot: Shape):
@@ -212,13 +213,15 @@ class LowMomentumModel(Record):
         object.__setattr__(self, "profile", profile)
         if profile is None:
             object.__setattr__(self, "_top", classical_max(pot))
+            object.__setattr__(self, "_top_at", None)
             return
-        top, low, where = _extrema(self)
+        top, top_at, low, where = _extrema(self)
         if not low > 0:
             raise NonPositiveMass(
                 f"inverse mass {low!r} at q = {where!r}; the reduced model is invalid at these parameters"
             )
         object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_top_at", top_at)
 
 
 def evaluation_domain(model: LowMomentumModel):
@@ -250,8 +253,8 @@ def corner_groups(shape: Shape, reach: float) -> list:
 
 
 def _extrema(model: LowMomentumModel):
-    """(highest V, lowest 1/M, where 1/M is lowest) over the whole line, all
-    read from ``Profile.at``.
+    """(highest V, the leftmost sample where V is highest, lowest 1/M, where
+    1/M is lowest) over the whole line, all read from ``Profile.at``.
 
     Between the corner groups (``corner_groups`` at ZONE_SIGMAS sigma) no
     extremum lies, so one sample per gap and the two edges of the evaluation
@@ -295,7 +298,9 @@ def _extrema(model: LowMomentumModel):
             qs.append(q)
             samples.append(at(q))
     low, where = min((sample[2], q) for q, sample in zip(qs, samples))
-    return max(sample[0] for sample in samples), low, where
+    top = max(sample[0] for sample in samples)
+    top_at = min(q for q, sample in zip(qs, samples) if sample[0] == top)
+    return top, top_at, low, where
 
 
 def smoothed_potential(model: LowMomentumModel, q: float) -> float:
@@ -387,6 +392,9 @@ def tunneling_threshold(model: LowMomentumModel) -> float:
     maximum of the smoothed potential. For the square barrier that is
     v0 erf(sqrt(2m) l / (sqrt(beta) hbar)); hbar = 0 gives back the bare
     barrier height. Found at construction by the model's zone scan
-    (``_extrema``).
+    (``_extrema``), which also keeps the leftmost point where it found it:
+    a trajectory that passes that point moving forward at an energy above
+    the threshold can no longer turn, and ``classify_traversal`` stops
+    there.
     """
     return model._top

@@ -202,8 +202,9 @@ def surpass_fraction(model: LowMomentumModel, quantiles) -> float:
 
     Each quantile u of the uniform beam on (base, max V) is the energy
     base + u (max V - base), and each energy runs an actual trajectory by
-    ``classify_traversal``: until it leaves over the far edge or first
-    turns; this is the simulated-transport route to the effective
+    ``classify_traversal``: until it first turns, or passes the top of V
+    moving forward (at hbar = 0, the far edge), after which it cannot turn;
+    this is the simulated-transport route to the effective
     transmission coefficient. The n bin midpoints (i + 0.5)/n make a
     stratified beam, and uniform draws on [0, 1) a random one.
     """

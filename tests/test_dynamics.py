@@ -409,11 +409,12 @@ def test_classify_exact_threshold_is_reflected():
 def test_classify_flat_top_creep_exhausts_budget():
     # just above a thin-wall threshold the top is flat over the whole
     # interior, so the crossing speed stays ~sqrt(2 excess) for the full
-    # width and the default time budget genuinely runs out
+    # width and the full run's default time budget genuinely runs out;
+    # classification stops where the run passes the top moving forward
     model = _model(1e-6)
-    thr = tunneling_threshold(model)
-    with pytest.raises(DidNotResolve):
-        classify_traversal(model, thr * (1.0 + 1e-6))
+    eps = tunneling_threshold(model) * (1.0 + 1e-6)
+    assert integrate_hamiltonian(model, *launch_state(model, eps)).outcome is None
+    assert classify_traversal(model, eps) == SURPASSED
 
 
 def test_classify_flip_matches_closed_threshold():
@@ -459,10 +460,13 @@ def _outcome_or_error(run):
 @pytest.mark.parametrize("pot", [BARRIER, TWIN, STEP3, STEP4, SEED1_TENT, SEED1_BUMP, TWO_HUMP],
                          ids=["square", "twin", "step3", "step4", "tent", "bump", "two-hump"])
 def test_classification_is_the_full_runs_outcome(pot, hbar):
-    # classify_traversal stops at the first turning point; the full run goes
-    # back out to the launch edge and must reach the same outcome, or both
-    # must raise the same error (tabulated shapes at hbar 0, and the creep
-    # over a flat top that exhausts the budget)
+    # classify_traversal stops at the first turning point or where the run
+    # passes the top of V moving forward; the full run goes on to an edge
+    # and must reach the same outcome, or both must raise the same error
+    # (tabulated shapes at hbar 0, and at hbar 0 the creep over a flat top
+    # that exhausts the budget). At hbar > 0 that creep, just above the
+    # threshold, exhausts only the full run's budget, after passing the top:
+    # classification decides it at the top, and right
     model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
     thr = tunneling_threshold(model)
     for f in (0.3, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.1, 1.6):
@@ -471,12 +475,15 @@ def test_classification_is_the_full_runs_outcome(pot, hbar):
         def full():
             return integrate_hamiltonian(model, *launch_state(model, eps)).outcome or DidNotResolve
 
-        assert _outcome_or_error(lambda: classify_traversal(model, eps)) == _outcome_or_error(full), f
+        expected = _outcome_or_error(full)
+        if expected is DidNotResolve and hbar > 0 and f == 1.0 + 1e-6:
+            expected = SURPASSED
+        assert _outcome_or_error(lambda: classify_traversal(model, eps)) == expected, f
 
 
-def _turn_and_full_runs(monkeypatch, model, eps):
+def _turn_and_full_runs(monkeypatch, model, eps, outcome=REFLECTED):
     """The run classify_traversal makes and the full integrate_hamiltonian
-    run from the same launch, each with its RHS calls."""
+    run from the same launch, each with its RHS calls and outcome."""
     runs, nfev = [], [0]
 
     def propagated(*args, **kwargs):
@@ -491,16 +498,19 @@ def _turn_and_full_runs(monkeypatch, model, eps):
     propagate, segment = dynamics._propagate, dynamics.solve_ivp
     monkeypatch.setattr(dynamics, "_propagate", propagated)
     monkeypatch.setattr(dynamics, "solve_ivp", counted)
-    outcome = classify_traversal(model, eps)
+    assert classify_traversal(model, eps) == outcome
     turn_calls = nfev[0]
     full = integrate_hamiltonian(model, *launch_state(model, eps))
-    assert outcome == full.outcome == REFLECTED
+    assert full.outcome == outcome
     (turn, _) = runs
-    # the way to the turning point is the full run's, sample for sample
-    n = len(turn.t)
+    # the way to the turning point is the full run's, sample for sample; a
+    # surpassed run ends at its exit through the top, within a full run's step
+    n = len(turn.t) - (outcome == SURPASSED)
     assert n < len(full.t)
     for name in ("t", "q", "p", "energy_drift"):
-        assert getattr(turn, name) == getattr(full, name)[:n], name
+        assert getattr(turn, name)[:n] == getattr(full, name)[:n], name
+    if outcome == SURPASSED:
+        assert full.t[n - 1] < turn.t[-1] < full.t[n]
     return turn, turn_calls, full, nfev[0] - turn_calls
 
 
@@ -509,6 +519,62 @@ def test_reflected_classification_stops_at_the_turn(monkeypatch):
     assert turn.p[-2] > 0.0 >= turn.p[-1]  # the last accepted step is the first one turned
     assert turn_calls == turn.n_rhs and full_calls == full.n_rhs
     assert turn_calls < 0.6 * full_calls
+
+
+def test_surpassed_classification_stops_at_the_top(monkeypatch):
+    model = _model(2.0)
+    eps = 1.1 * tunneling_threshold(model)
+    top, top_calls, full, full_calls = _turn_and_full_runs(monkeypatch, model, eps, SURPASSED)
+    assert abs(top.q[-1] - model._top_at) < 1e-12 and top.p[-1] > 0.0
+    assert top_calls == top.n_rhs and full_calls == full.n_rhs
+    assert top_calls < 0.6 * full_calls
+
+
+def test_thin_wall_surpass_stops_in_the_first_wall_zone(monkeypatch):
+    # at hbar 0.05 each wall of the square has a force zone of its own and
+    # the top is flat between them: the run is decided in the first zone
+    model = _model(0.05)
+    segments = []
+
+    def counted(*args, **kwargs):
+        segments.append(solve_ivp(*args, **kwargs))
+        return segments[-1]
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    eps = 1.1 * tunneling_threshold(model)
+    assert len(dynamics._zones(model)) == 2
+    assert classify_traversal(model, eps) == SURPASSED
+    (seg,) = segments
+    assert seg.status == 1 and seg.exit[0] == 1
+    assert integrate_hamiltonian(model, *launch_state(model, eps)).outcome == SURPASSED
+    assert len(segments) == 3
+
+
+NARROW_WELL = PiecewiseConstantPotential((-0.1, 0.1), (0.0, -1.0, 0.0))
+STAIR_WELL = PiecewiseConstantPotential((-2.0, 0.0, 2.0), (0.0, -1.0, -0.5, 0.0))
+
+
+@pytest.mark.parametrize("pot, hbar, top", [
+    (NARROW_WELL, 0.0, None), (NARROW_WELL, 2.0, "behind the launch point"),
+    (STAIR_WELL, 0.0, None), (STAIR_WELL, 0.5, "on the domain edge"),
+    (STAIR_WELL, 2.0, "ahead of the launch point"),
+], ids=["narrow-0", "narrow-2", "stair-0", "stair-0.5", "stair-2"])
+def test_classification_with_the_maximum_at_an_asymptote(pot, hbar, top):
+    # both asymptotes share the level, so a well has its maximum there, and
+    # the leftmost sample of it lies on the launch side: within 20 sigma of
+    # scan reach of the first corner, or on the domain's low edge
+    model = LowMomentumModel(PhysicalParams(m=1.0, beta=0.125, hbar=hbar), pot)
+    assert tunneling_threshold(model) == 0.0
+    q0, _ = launch_state(model, 1.0)
+    lo_edge, _ = evaluation_domain(model)
+    at = model._top_at
+    assert top == (None if at is None else "behind the launch point" if at < q0
+                   else "on the domain edge" if at == lo_edge
+                   else "ahead of the launch point" if at < lo_edge else "inside the domain")
+    for eps in (0.01, 0.3, 1.0, 3.0):
+        full = integrate_hamiltonian(model, *launch_state(model, eps)).outcome
+        assert full == SURPASSED
+        assert classify_traversal(model, eps) == full, eps
 
 
 def test_exact_reflection_stops_at_the_first_reflecting_step(monkeypatch):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -42,3 +44,22 @@ def test_expansion_order(capsys):
     assert len(rows) == 3
     for _, slope, _ in rows:
         assert abs(float(slope) - 4.0) < 0.1
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("ensemble_transport", ["--n", "0"]),
+    ("ensemble_transport", ["--n", "-3", "--hbar", "3"]),
+    ("ensemble_transport", ["--n", "0", "--stratified"]),
+    ("expansion_order", ["--n", "0"]),
+    ("expansion_order", ["--n", "1"]),
+    ("expansion_order", ["--pmin", "0"]),
+    ("expansion_order", ["--pmin", "-0.1"]),
+    ("expansion_order", ["--pmin", "0.4", "--pmax", "0.05"]),
+    ("expansion_order", ["--pmax", "inf"]),
+])
+def test_bad_sweep_argument_is_a_usage_error(capsys, name, argv):
+    with pytest.raises(SystemExit) as exc:
+        _main(name)(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err and "Traceback" not in err
