@@ -33,22 +33,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.n < 1:
         ap.error(f"--n must be at least 1, got {args.n}")
+    try:
+        barrier = SquareBarrier(v0=args.V0, l=args.L)
+        per_hbar = [PhysicalParams(m=args.m, beta=args.beta, hbar=hbar) for hbar in args.hbar]
+    except ValueError as exc:  # the records' own checks: not finite, not positive
+        ap.error(str(exc))
 
     if args.stratified:
         quantiles = [(i + 0.5) / args.n for i in range(args.n)]
     else:
         draw = random.Random(args.seed).random
         quantiles = [draw() for _ in range(args.n)]
-    barrier = SquareBarrier(v0=args.V0, l=args.L)
     print("hbar,H,t_closed,fraction,binomial_3sigma")
-    for hbar in args.hbar:
-        params = PhysicalParams(m=args.m, beta=args.beta, hbar=hbar)
+    for params in per_hbar:
         model = LowMomentumModel(params, barrier)
         frac = surpass_fraction(model, quantiles)
         t = effective_coefficients(model).t
         err = 3.0 * math.sqrt(t * (1.0 - t) / args.n)
         H = dimensionless(params, barrier).H
-        print(f"{hbar:g},{H:.6g},{t:.6g},{frac:.6g},{err:.3g}")
+        print(f"{params.hbar:g},{H:.6g},{t:.6g},{frac:.6g},{err:.3g}")
     return 0
 
 

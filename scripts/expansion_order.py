@@ -37,9 +37,16 @@ def main(argv=None) -> int:
         ap.error(f"--n must be at least 2 to fit a slope, got {args.n}")
     if not 0.0 < args.pmin < args.pmax < math.inf:
         ap.error(f"need 0 < --pmin < --pmax, both finite, got {args.pmin:g} and {args.pmax:g}")
+    if args.q is not None and not all(map(math.isfinite, args.q)):
+        ap.error(f"--q must be finite, got {' '.join(f'{q:g}' for q in args.q)}")
+    try:
+        params = PhysicalParams(m=args.m, beta=args.beta, hbar=args.hbar)
+        barrier = SquareBarrier(v0=args.V0, l=args.L)
+    except ValueError as exc:  # the records' own checks: not finite, not positive
+        ap.error(str(exc))
+    if args.hbar == 0:
+        ap.error("--hbar must be positive: at hbar = 0 there is no momentum expansion")
 
-    params = PhysicalParams(m=args.m, beta=args.beta, hbar=args.hbar)
-    barrier = SquareBarrier(v0=args.V0, l=args.L)
     model = LowMomentumModel(params, barrier)
     qs = args.q if args.q is not None else [0.0, args.L, 2.0 * args.L]
     ps = np.linspace(args.pmin, args.pmax, args.n) * math.sqrt(args.m / args.beta)

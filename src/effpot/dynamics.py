@@ -25,12 +25,12 @@ exceeds dV and reflects otherwise.
 
 A zone of nonzero width is crossed by one adaptive Dormand-Prince 8(5,3)
 segment (``solve_ivp``, on two Python floats) whose max step, 2 sigma over
-the speed at entry, keeps it from stepping over a wall. The canonical
-right-hand side (``Profile.canonical_rhs``) never forms V, so a jump costs it
-no error function, and on the zone's window it sums only the jumps whose
-terms are not exact zeros there, bitwise as ``Profile.at``; the Newtonian
-one (``Profile.newtonian_rhs``) needs V and reads all four profiles from
-``Profile.at``. The segment ends when the state
+the speed at entry, keeps it from stepping over a wall. Both right-hand
+sides share one split of the jumps against the zone's window and sum terms
+only for those that act on it, bitwise as ``Profile.at``: the canonical one
+(``Profile.canonical_rhs``) never forms V, so a jump costs it no error
+function, and the Newtonian one (``Profile.newtonian_rhs``) adds a far
+jump's exact +-J/2 to V. The segment ends when the state
 leaves downward through the zone's low surface or upward through its high
 one, each the zone edge clipped to the evaluation domain; leaving through a
 domain edge decides the outcome. The stepper follows

@@ -14,9 +14,9 @@ changes by K. Smoothing turns each corner into one error function and one
 Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
 (``Profile``); the kinks' share of V and V' is summed by parts, which keeps
 its digits far from the shape. One scalar sum on ``math.erf``
-(``Profile.at``) forms V; the canonical right-hand side repeats its V', 1/M
-and (1/M)' terms without V, and on a trajectory zone's window only those of
-the jumps that act there; the Newtonian one reads it.
+(``Profile.at``) forms all four. The trajectory right-hand sides repeat its
+terms on a zone's window for the jumps that act there: the canonical one
+without V, the Newtonian one with a far jump's exact +-J/2 in V.
 The model is only meaningful while M(q) stays positive. Both that and the
 tunneling threshold, the maximum of V, are found at construction zone by
 zone: every extremum lies within ZONE_SIGMAS smoothing widths of a corner,
@@ -63,14 +63,18 @@ class Profile:
 
     Positions are measured from ``origin``: the trajectory integrator works
     in coordinates local to each force zone. q - x is formed first, so the
-    argument at a lone wall is exact there. The integrator's canonical
-    right-hand side (``canonical_rhs``) never forms V, so a jump costs it
-    one Gaussian and no erf; a kink keeps its erf, which V' reads. On
-    ``window``, an interval the integrator sets to its zone, it also leaves
-    out the jumps whose terms are exact zeros there, and beyond it reads
-    ``at``. The Newtonian one (``newtonian_rhs``) needs V, so it reads all
-    four profiles from ``at``. So does everything else: the trajectory
-    samples and exits, the threshold and the mass check.
+    argument at a lone wall is exact there. ``window`` is an interval the
+    integrator sets to its zone, and construction splits the jumps against
+    it once: ``far_left`` and ``far_right`` hold the +-J/2 of those whose
+    erf is exactly +-1 and Gaussian exactly 0 across it, ``acting`` the
+    rest. Both trajectory right-hand sides read that split on the window and
+    ``at`` beyond it. The canonical one (``canonical_rhs``) never forms V,
+    so an acting jump costs it one Gaussian and no erf; a kink keeps its
+    erf, which V' reads. The Newtonian one (``newtonian_rhs``) forms V, so a
+    far jump costs it one addition. Every kink stays in both. ``at`` has no
+    window: on the square at hbar >= 2, where no jump is far, the test cost
+    a windowed copy of it 10-20 % a call. It serves everything else: the
+    trajectory samples and exits, the threshold and the mass check.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0,
@@ -106,6 +110,15 @@ class Profile:
         # beyond the last kink the continuous part is -sum J, which weighs
         # that kink's erf
         self.tail = -0.5 * jumped if self.kinks else 0.0
+        # the window's split of the jumps, in breakpoint order: the J/2 of
+        # those far left of it (|u| >= U_UNDERFLOW there: e = 1, g = 0), the
+        # jumps that act on it, and the -J/2 of those far right (e = -1); the
+        # rounded u = c (q - x) is monotone in q and in x, so the window's
+        # ends decide, and the far ones are a prefix and a suffix
+        lo, hi = window
+        self.far_left = [jump[1] for jump in self.jumps if c * (lo - jump[0]) >= U_UNDERFLOW]
+        self.far_right = [-jump[1] for jump in self.jumps if c * (hi - jump[0]) <= -U_UNDERFLOW]
+        self.acting = self.jumps[len(self.far_left):len(self.jumps) - len(self.far_right)]
 
     def at(self, q: float):
         """(V, V', 1/M, (1/M)') at one position, on math scalars."""
@@ -140,17 +153,13 @@ class Profile:
         term as ``at`` does, so its values are bitwise those of ``at``, but it
         never forms V: a jump costs one exp and no erf.
 
-        On ``window`` it leaves out the jumps whose terms are exact zeros
-        there, so it adds the same floats in the same order. Where
-        |u| >= U_UNDERFLOW the Gaussian is 0.0, and the rounded
-        u = c (q - x) is monotone in q, so the window's ends decide which
-        jumps go. Every kink stays, and a shape of steps skips the kink loop.
-        Beyond the window, and at a NaN q, it reads ``at``."""
-        c, inv_m, kinks, at = self.c, self.inv_m, self.kinks, self.at
+        On ``window`` it sums only the ``acting`` jumps: a far one's terms
+        are exact zeros there, so it adds the same floats in the same order.
+        Every kink stays, and a shape of steps skips the kink loop. Beyond
+        the window, and at a NaN q, it reads ``at``."""
+        c, inv_m, kinks, jumps, at = self.c, self.inv_m, self.kinks, self.acting, self.at
         lo, hi = self.window
         exp, erf = math.exp, math.erf
-        jumps = [jump for jump in self.jumps
-                 if c * (lo - jump[0]) < U_UNDERFLOW and c * (hi - jump[0]) > -U_UNDERFLOW]
 
         def rhs(q, p):
             if not lo <= q <= hi:
@@ -181,12 +190,53 @@ class Profile:
     def newtonian_rhs(self, eps: float):
         """The Newtonian equations of motion at energy eps,
         (q, dq/dt) -> (dq/dt, -VQ'/m) with VQ' = m (V' M^-1 + (V - eps) (M^-1)'),
-        as one closure over ``at``."""
-        at = self.at
+        as one closure on Python floats whose values are bitwise those of
+        ``at``. It sums every kink as ``at`` does, then the jumps in
+        breakpoint order on ``window``: a far one adds its exact +-J/2 to V,
+        one addition each, and no erf or exp (V already carries the kinks'
+        share, and floating addition does not associate, so the far halves
+        are never summed first); an ``acting`` one adds its terms. An empty
+        list's loop is skipped: on the square at hbar >= 2 the three empty
+        loops cost about a tenth of a call. Beyond the window, and at a NaN
+        q, it reads ``at``."""
+        c, inv_m, level, tail, at = self.c, self.inv_m, self.level, self.tail, self.at
+        kinks, left, jumps, right = self.kinks, self.far_left, self.acting, self.far_right
+        lo, hi = self.window
+        exp, erf = math.exp, math.erf
 
         def rhs(q, dq):
-            v, vp, minv, minvp = at(q)
-            return dq, -(vp * minv + (v - eps) * minvp)
+            if not lo <= q <= hi:
+                v, vp, minv, minvp = at(q)
+                return dq, -(vp * minv + (v - eps) * minvp)
+            v = vp = mi = mip = 0.0
+            e_prev = 1.0
+            if kinks:
+                for x, value, slope, bend, km, km_p in kinks:
+                    d = q - x
+                    u = c * d
+                    e = erf(u)
+                    g = exp(-u * u)
+                    de = e_prev - e
+                    v = v + (value + slope * d) * de + bend * g
+                    vp = vp + slope * de
+                    mi = mi + km * g
+                    mip = mip + km_p * u * g
+                    e_prev = e
+            if left:
+                for half in left:
+                    v = v + half
+            for x, half, grad, jm, jm_p in jumps:
+                u = c * (q - x)
+                uu = u * u
+                g = exp(-uu)
+                v = v + half * erf(u)
+                vp = vp + grad * g
+                mi = mi + jm * u * g
+                mip = mip + jm_p * ((0.5 - uu) * g)
+            if right:
+                for half in right:
+                    v = v + half
+            return dq, -(vp * (inv_m + mi) + (level + (v + tail * e_prev) - eps) * mip)
 
         return rhs
 

@@ -227,6 +227,11 @@ def test_newtonian_rhs_is_bitwise_the_at_route(shape, hbar, origin, eps, u):
 # four zones: a wall, a wall and a ramp, two walls; each window drops jumps
 @example(Shape(0.0, (0.0, 1.0, 1.2, 2.5, 3.5), (1.0, 0.5, 0.0, -0.5), (1.0, 0.0, 0.0, -0.5)),
          0.05, 1.3, 0.2)
+# two walls, a ramp and a wall: the ramp's window holds its kinks and has two
+# walls far left, and the first wall's has two far right, so their +-J/2 are
+# added one by one to a V that already carries the kinks' share
+@example(Shape(0.0, (0.0, 1.0, 2.0, 3.0, 4.0), (0.3, 1.1, 1.1, 0.2), (0.3, 1.1, 0.2, 0.2)),
+         0.05, 1.3, 0.2)
 def test_zone_closures_are_bitwise_the_at_route(shape, hbar, p, eps):
     # each zone's canonical right-hand side leaves out the other zones' jumps
     # on its window, and reads every corner beyond it
@@ -267,6 +272,28 @@ def test_thin_wall_zones_sum_their_own_jump(monkeypatch):
     calls.clear()
     Profile(model.params, BARRIER).canonical_rhs()(0.0, 1.0)  # no window: both walls
     assert len(calls) == 2
+
+
+def test_thin_wall_newtonian_zones_sum_their_own_jump(monkeypatch):
+    # the Newtonian closure forms V as well: on each zone's window the other
+    # wall adds its exact -+J/2, so a call costs one exp and one erf
+    model = LowMomentumModel(_params(0.05), BARRIER)
+    calls = []
+    exp, erf = math.exp, math.erf
+    monkeypatch.setattr(math, "exp", lambda x: calls.append("exp") or exp(x))
+    monkeypatch.setattr(math, "erf", lambda x: calls.append("erf") or erf(x))
+    zones = dynamics._zones(model)
+    assert len(zones) == 2
+    for zone in zones:
+        rhs = dynamics._rhs(zone.profile, 0.9)
+        lo, hi = zone.profile.window
+        for q in np.linspace(lo, hi, 21).tolist():
+            calls.clear()
+            rhs(q, 1.0)
+            assert sorted(calls) == ["erf", "exp"], q
+    calls.clear()
+    model.profile.newtonian_rhs(0.9)(0.0, 1.0)  # no window: both walls
+    assert sorted(calls) == ["erf", "erf", "exp", "exp"]
 
 
 def test_brent_returns_a_root_at_the_first_end():

@@ -56,6 +56,24 @@ def test_expansion_order(capsys):
     ("expansion_order", ["--pmin", "-0.1"]),
     ("expansion_order", ["--pmin", "0.4", "--pmax", "0.05"]),
     ("expansion_order", ["--pmax", "inf"]),
+    # physical parameters the records refuse, and the expansion's own bounds
+    ("ensemble_transport", ["--n", "4", "--hbar", "nan"]),
+    ("ensemble_transport", ["--n", "4", "--hbar", "inf"]),
+    ("ensemble_transport", ["--n", "4", "--hbar", "-1"]),
+    ("ensemble_transport", ["--n", "4", "--hbar", "3", "nan"]),
+    ("ensemble_transport", ["--n", "4", "--m", "0"]),
+    ("ensemble_transport", ["--n", "4", "--beta", "nan"]),
+    ("ensemble_transport", ["--n", "4", "--L", "inf"]),
+    ("ensemble_transport", ["--n", "4", "--V0", "-1"]),
+    ("expansion_order", ["--hbar", "nan"]),
+    ("expansion_order", ["--hbar", "-2"]),
+    ("expansion_order", ["--hbar", "0"]),
+    ("expansion_order", ["--q", "nan"]),
+    ("expansion_order", ["--q", "0", "inf"]),
+    ("expansion_order", ["--m", "inf"]),
+    ("expansion_order", ["--beta", "0"]),
+    ("expansion_order", ["--L", "nan"]),
+    ("expansion_order", ["--V0", "0"]),
 ])
 def test_bad_sweep_argument_is_a_usage_error(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
