@@ -13,6 +13,7 @@ import math
 import random
 import sys
 
+from effpot.errors import EffpotError
 from effpot.lowmomentum import LowMomentumModel
 from effpot.physical import PhysicalParams, dimensionless
 from effpot.potential import SquareBarrier
@@ -44,15 +45,23 @@ def main(argv=None) -> int:
     else:
         draw = random.Random(args.seed).random
         quantiles = [draw() for _ in range(args.n)]
-    print("hbar,H,t_closed,fraction,binomial_3sigma")
-    for params in per_hbar:
-        model = LowMomentumModel(params, barrier)
-        frac = surpass_fraction(model, quantiles)
-        t = effective_coefficients(model).t
-        err = 3.0 * math.sqrt(t * (1.0 - t) / args.n)
-        H = dimensionless(params, barrier).H
-        print(f"{params.hbar:g},{H:.6g},{t:.6g},{frac:.6g},{err:.3g}")
+    try:  # every row before any output, so a failed run prints nothing
+        rows = [_row(params, barrier, quantiles) for params in per_hbar]
+    except EffpotError as exc:  # a computational failure: one line, as effpot reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print("hbar,H,t_closed,fraction,binomial_3sigma", *rows, sep="\n")
     return 0
+
+
+def _row(params, barrier, quantiles) -> str:
+    """The CSV row of one hbar: closed coefficient against the beam's fraction."""
+    model = LowMomentumModel(params, barrier)
+    frac = surpass_fraction(model, quantiles)
+    t = effective_coefficients(model).t
+    err = 3.0 * math.sqrt(t * (1.0 - t) / len(quantiles))
+    H = dimensionless(params, barrier).H
+    return f"{params.hbar:g},{H:.6g},{t:.6g},{frac:.6g},{err:.3g}"
 
 
 if __name__ == "__main__":

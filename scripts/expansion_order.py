@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from effpot.errors import EffpotError
 from effpot.kernel import effective_potential
 from effpot.lowmomentum import LowMomentumModel, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
@@ -47,23 +48,29 @@ def main(argv=None) -> int:
     if args.hbar == 0:
         ap.error("--hbar must be positive: at hbar = 0 there is no momentum expansion")
 
-    model = LowMomentumModel(params, barrier)
     qs = args.q if args.q is not None else [0.0, args.L, 2.0 * args.L]
     ps = np.linspace(args.pmin, args.pmax, args.n) * math.sqrt(args.m / args.beta)
-
+    try:  # every row before any output, so a failed run prints nothing
+        model = LowMomentumModel(params, barrier)
+        rows = [_row(model, q, ps) for q in qs]
+    except EffpotError as exc:  # a computational failure: one line, as effpot reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"# m={args.m:g} beta={args.beta:g} hbar={args.hbar:g} L={args.L:g} V0={args.V0:g}")
-    print("q,slope,remainder_at_pmax")
-    for q in qs:
-        v0 = smoothed_potential(model, q)
-        dm = inverse_mass(model, q) - 1.0 / args.m
-        veff = np.array([effective_potential(params, barrier, q, p) for p in ps])
-        deltas = np.abs(veff - (v0 + 0.5 * ps * ps * dm))
-        if np.any(deltas <= 0.0):
-            print(f"{q:.6g},nan,{deltas[-1]:.6g}")
-            continue
-        slope = float(np.polyfit(np.log(ps), np.log(deltas), 1)[0])
-        print(f"{q:.6g},{slope:.4f},{deltas[-1]:.6g}")
+    print("q,slope,remainder_at_pmax", *rows, sep="\n")
     return 0
+
+
+def _row(model, q, ps) -> str:
+    """The fitted remainder slope at q over the momenta ps."""
+    v0 = smoothed_potential(model, q)
+    dm = inverse_mass(model, q) - 1.0 / model.params.m
+    veff = np.array([effective_potential(model.params, model.pot, q, p) for p in ps])
+    deltas = np.abs(veff - (v0 + 0.5 * ps * ps * dm))
+    if np.any(deltas <= 0.0):
+        return f"{q:.6g},nan,{deltas[-1]:.6g}"
+    slope = float(np.polyfit(np.log(ps), np.log(deltas), 1)[0])
+    return f"{q:.6g},{slope:.4f},{deltas[-1]:.6g}"
 
 
 if __name__ == "__main__":

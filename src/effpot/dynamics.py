@@ -33,14 +33,16 @@ function, and the Newtonian one (``Profile.newtonian_rhs``) adds a far
 jump's exact +-J/2 to V. The segment ends when the state
 leaves downward through the zone's low surface or upward through its high
 one, each the zone edge clipped to the evaluation domain; leaving through a
-domain edge decides the outcome. The stepper follows
-scipy's DOP853 rule for rule (tableau, first step, step control, dense output
-and event location), so its steps are scipy's to roundoff, at a fraction of
-the per-step cost. At the tolerance REL_TOL an eighth-order step is about
-four times the length of a fifth-order one, so it crosses a zone in about a
-quarter of the steps at twice the calls per step. Where the max step, not
-the tolerance, sets the step (narrow walls, hbar well below 1) that trade
-is lost: each clamped step costs twelve calls.
+domain edge decides the outcome. The stepper follows scipy's DOP853 rule
+for rule (first step, step control, dense output and event location), so
+its steps are scipy's to roundoff, at a fraction of the per-step cost. Its
+tableau is one module table in scipy's layout, each coefficient written
+once (a test pins it to scipy's); the unrolled stages read it through local
+names bound once per run. At the tolerance REL_TOL an eighth-order step is
+about four times the length of a fifth-order one, so it crosses a zone in
+about a quarter of the steps at twice the calls per step. Where the max
+step, not the tolerance, sets the step (narrow walls, hbar well below 1)
+that trade is lost: each clamped step costs twelve calls.
 
 ``classify_traversal`` runs a launched trajectory only to its first turning
 point or over the top of V. By time reversal the way back retraces the way
@@ -129,12 +131,48 @@ def hamiltonian(model: LowMomentumModel, q: float, p: float) -> float:
 
 # ------------------------------------------------------- Dormand-Prince 8(5,3)
 
-# Coefficients of DOP853 as scipy's dop853_coefficients holds them, indexed
-# by its stage rows: stages 0-11 make a step and stage 12, the derivative at
-# its end, is the next step's stage 0. The dense output adds stages 13-15
-# (_A_EXTRA, as (stage, coefficient) pairs) and forms the interpolant's top
-# four coefficients from all sixteen (_D).
-_A_EXTRA = (
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
+# scipy's dop853_coefficients holds it, each coefficient once. _A[i] lists the
+# nonzero entries of A's row i as (stage j, A[i, j]) pairs: stages 1-11 make a
+# step, row 12 is B, the weights of the eighth-order solution (its derivative
+# is the next step's stage 0), and the dense output adds stages 13-15. E5 and
+# E3 weigh the fifth- and third-order error estimates; E3 is B less three
+# third-order weights, formed as scipy forms it. _D gives the interpolant's top
+# four coefficients from all sixteen stages.
+_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+    ((0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+     (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+     (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+     (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)),
     ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
      (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
      (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
@@ -147,6 +185,17 @@ _A_EXTRA = (
      (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
      (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
      (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)),
+)
+_E5 = (
+    (0, 0.1312004499419488073250102996e-1), (5, -0.1225156446376204440720569753e+1),
+    (6, -0.4957589496572501915214079952), (7, 0.1664377182454986536961530415e+1),
+    (8, -0.3503288487499736816886487290), (9, 0.3341791187130174790297318841),
+    (10, 0.8192320648511571246570742613e-1), (11, -0.2235530786388629525884427845e-1),
+)
+_E3 = tuple(
+    (j, b - {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+             11: 0.220588235294117647058823529412e-1}.get(j, 0.0))
+    for j, b in _A[12]
 )
 _D = (
     ((0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
@@ -174,6 +223,9 @@ _D = (
      (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
      (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)),
 )
+# the step's coefficients without their stage indices, in the order solve_ivp
+# binds them: A's rows 1-11, B, E5 and E3
+_STEP = tuple(tuple(a for _, a in row) for row in (*_A[1:13], _E5, _E3))
 
 
 class Segment(NamedTuple):
@@ -223,6 +275,11 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Se
     degree-7 dense output, whose three extra stages are computed only on a
     step that needs it; the exit time is its root by Brent's method to
     EVENT_TOL.
+
+    The coefficients come from the module's one tableau (_A, _E5, _E3, _D).
+    A step's are bound to local names once per call, a<i>_<j> for A[i, j]
+    and b<j>, e5_<j>, e3_<j> for B, E5, E3 at stage j, and the unrolled
+    stages sum k_j a_ij term by term in stage order, then multiply by h.
     """
     t, t_end = t_span
     q, s = y0
@@ -251,6 +308,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Se
         h1 = (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, interval, max_step)
 
+    ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3), (a5_0, a5_3, a5_4),
+     (a6_0, a6_3, a6_4, a6_5), (a7_0, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, a8_3, a8_4, a8_5, a8_6, a8_7), (a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+     (b0, b5, b6, b7, b8, b9, b10, b11), (e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11),
+     (e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11)) = _STEP
+
     # The hot loop calls no max, min or abs: each is a comparison that picks
     # the operand the builtin would, ties and NaN included (max(a, b) is a
     # unless b > a, min(a, b) is a unless b < a).
@@ -272,176 +337,52 @@ def solve_ivp(fun, t_span, y0, *, t_eval, max_step, low, high, turn=False) -> Se
             if t_end < t_new:
                 t_new = t_end
             h = t_new - t
-            # stages 0-11, the rows of scipy's A, each summed term by term in stage order
+            # stages 0-11, each summed term by term in stage order
             k0q, k0s = fq, fs
-            k1q, k1s = fun(
-                q + (k0q * 5.26001519587677318785587544488e-2) * h,
-                s + (k0s * 5.26001519587677318785587544488e-2) * h,
-            )
-            k2q, k2s = fun(
-                q + (k0q * 1.97250569845378994544595329183e-2
-                     + k1q * 5.91751709536136983633785987549e-2) * h,
-                s + (k0s * 1.97250569845378994544595329183e-2
-                     + k1s * 5.91751709536136983633785987549e-2) * h,
-            )
-            k3q, k3s = fun(
-                q + (k0q * 2.95875854768068491816892993775e-2
-                     + k2q * 8.87627564304205475450678981324e-2) * h,
-                s + (k0s * 2.95875854768068491816892993775e-2
-                     + k2s * 8.87627564304205475450678981324e-2) * h,
-            )
-            k4q, k4s = fun(
-                q + (k0q * 2.41365134159266685502369798665e-1
-                     + k2q * -8.84549479328286085344864962717e-1
-                     + k3q * 9.24834003261792003115737966543e-1) * h,
-                s + (k0s * 2.41365134159266685502369798665e-1
-                     + k2s * -8.84549479328286085344864962717e-1
-                     + k3s * 9.24834003261792003115737966543e-1) * h,
-            )
-            k5q, k5s = fun(
-                q + (k0q * 3.7037037037037037037037037037e-2
-                     + k3q * 1.70828608729473871279604482173e-1
-                     + k4q * 1.25467687566822425016691814123e-1) * h,
-                s + (k0s * 3.7037037037037037037037037037e-2
-                     + k3s * 1.70828608729473871279604482173e-1
-                     + k4s * 1.25467687566822425016691814123e-1) * h,
-            )
-            k6q, k6s = fun(
-                q + (k0q * 3.7109375e-2 + k3q * 1.70252211019544039314978060272e-1
-                     + k4q * 6.02165389804559606850219397283e-2 + k5q * -1.7578125e-2) * h,
-                s + (k0s * 3.7109375e-2 + k3s * 1.70252211019544039314978060272e-1
-                     + k4s * 6.02165389804559606850219397283e-2 + k5s * -1.7578125e-2) * h,
-            )
-            k7q, k7s = fun(
-                q + (k0q * 3.70920001185047927108779319836e-2
-                     + k3q * 1.70383925712239993810214054705e-1
-                     + k4q * 1.07262030446373284651809199168e-1
-                     + k5q * -1.53194377486244017527936158236e-2
-                     + k6q * 8.27378916381402288758473766002e-3) * h,
-                s + (k0s * 3.70920001185047927108779319836e-2
-                     + k3s * 1.70383925712239993810214054705e-1
-                     + k4s * 1.07262030446373284651809199168e-1
-                     + k5s * -1.53194377486244017527936158236e-2
-                     + k6s * 8.27378916381402288758473766002e-3) * h,
-            )
-            k8q, k8s = fun(
-                q + (k0q * 6.24110958716075717114429577812e-1
-                     + k3q * -3.36089262944694129406857109825
-                     + k4q * -8.68219346841726006818189891453e-1
-                     + k5q * 2.75920996994467083049415600797e1
-                     + k6q * 2.01540675504778934086186788979e1
-                     + k7q * -4.34898841810699588477366255144e1) * h,
-                s + (k0s * 6.24110958716075717114429577812e-1
-                     + k3s * -3.36089262944694129406857109825
-                     + k4s * -8.68219346841726006818189891453e-1
-                     + k5s * 2.75920996994467083049415600797e1
-                     + k6s * 2.01540675504778934086186788979e1
-                     + k7s * -4.34898841810699588477366255144e1) * h,
-            )
-            k9q, k9s = fun(
-                q + (k0q * 4.77662536438264365890433908527e-1
-                     + k3q * -2.48811461997166764192642586468
-                     + k4q * -5.90290826836842996371446475743e-1
-                     + k5q * 2.12300514481811942347288949897e1
-                     + k6q * 1.52792336328824235832596922938e1
-                     + k7q * -3.32882109689848629194453265587e1
-                     + k8q * -2.03312017085086261358222928593e-2) * h,
-                s + (k0s * 4.77662536438264365890433908527e-1
-                     + k3s * -2.48811461997166764192642586468
-                     + k4s * -5.90290826836842996371446475743e-1
-                     + k5s * 2.12300514481811942347288949897e1
-                     + k6s * 1.52792336328824235832596922938e1
-                     + k7s * -3.32882109689848629194453265587e1
-                     + k8s * -2.03312017085086261358222928593e-2) * h,
-            )
-            k10q, k10s = fun(
-                q + (k0q * -9.3714243008598732571704021658e-1
-                     + k3q * 5.18637242884406370830023853209
-                     + k4q * 1.09143734899672957818500254654
-                     + k5q * -8.14978701074692612513997267357
-                     + k6q * -1.85200656599969598641566180701e1
-                     + k7q * 2.27394870993505042818970056734e1
-                     + k8q * 2.49360555267965238987089396762
-                     + k9q * -3.0467644718982195003823669022) * h,
-                s + (k0s * -9.3714243008598732571704021658e-1
-                     + k3s * 5.18637242884406370830023853209
-                     + k4s * 1.09143734899672957818500254654
-                     + k5s * -8.14978701074692612513997267357
-                     + k6s * -1.85200656599969598641566180701e1
-                     + k7s * 2.27394870993505042818970056734e1
-                     + k8s * 2.49360555267965238987089396762
-                     + k9s * -3.0467644718982195003823669022) * h,
-            )
-            k11q, k11s = fun(
-                q + (k0q * 2.27331014751653820792359768449
-                     + k3q * -1.05344954667372501984066689879e1
-                     + k4q * -2.00087205822486249909675718444
-                     + k5q * -1.79589318631187989172765950534e1
-                     + k6q * 2.79488845294199600508499808837e1
-                     + k7q * -2.85899827713502369474065508674
-                     + k8q * -8.87285693353062954433549289258
-                     + k9q * 1.23605671757943030647266201528e1
-                     + k10q * 6.43392746015763530355970484046e-1) * h,
-                s + (k0s * 2.27331014751653820792359768449
-                     + k3s * -1.05344954667372501984066689879e1
-                     + k4s * -2.00087205822486249909675718444
-                     + k5s * -1.79589318631187989172765950534e1
-                     + k6s * 2.79488845294199600508499808837e1
-                     + k7s * -2.85899827713502369474065508674
-                     + k8s * -8.87285693353062954433549289258
-                     + k9s * 1.23605671757943030647266201528e1
-                     + k10s * 6.43392746015763530355970484046e-1) * h,
-            )
-            q_new = q + h * (k0q * 5.42937341165687622380535766363e-2
-                           + k5q * 4.45031289275240888144113950566
-                           + k6q * 1.89151789931450038304281599044
-                           + k7q * -5.8012039600105847814672114227
-                           + k8q * 3.1116436695781989440891606237e-1
-                           + k9q * -1.52160949662516078556178806805e-1
-                           + k10q * 2.01365400804030348374776537501e-1
-                           + k11q * 4.47106157277725905176885569043e-2)
-            s_new = s + h * (k0s * 5.42937341165687622380535766363e-2
-                           + k5s * 4.45031289275240888144113950566
-                           + k6s * 1.89151789931450038304281599044
-                           + k7s * -5.8012039600105847814672114227
-                           + k8s * 3.1116436695781989440891606237e-1
-                           + k9s * -1.52160949662516078556178806805e-1
-                           + k10s * 2.01365400804030348374776537501e-1
-                           + k11s * 4.47106157277725905176885569043e-2)
-            e5q = (k0q * 0.1312004499419488073250102996e-1
-                   + k5q * -0.1225156446376204440720569753e+1
-                   + k6q * -0.4957589496572501915214079952
-                   + k7q * 0.1664377182454986536961530415e+1
-                   + k8q * -0.3503288487499736816886487290
-                   + k9q * 0.3341791187130174790297318841
-                   + k10q * 0.8192320648511571246570742613e-1
-                   + k11q * -0.2235530786388629525884427845e-1)
-            e5s = (k0s * 0.1312004499419488073250102996e-1
-                   + k5s * -0.1225156446376204440720569753e+1
-                   + k6s * -0.4957589496572501915214079952
-                   + k7s * 0.1664377182454986536961530415e+1
-                   + k8s * -0.3503288487499736816886487290
-                   + k9s * 0.3341791187130174790297318841
-                   + k10s * 0.8192320648511571246570742613e-1
-                   + k11s * -0.2235530786388629525884427845e-1)
-            e3q = (k0q * (5.42937341165687622380535766363e-2 - 0.244094488188976377952755905512)
-                   + k5q * 4.45031289275240888144113950566
-                   + k6q * 1.89151789931450038304281599044
-                   + k7q * -5.8012039600105847814672114227
-                   + k8q * (3.1116436695781989440891606237e-1 - 0.733846688281611857341361741547)
-                   + k9q * -1.52160949662516078556178806805e-1
-                   + k10q * 2.01365400804030348374776537501e-1
-                   + k11q * (4.47106157277725905176885569043e-2
-                               - 0.220588235294117647058823529412e-1))
-            e3s = (k0s * (5.42937341165687622380535766363e-2 - 0.244094488188976377952755905512)
-                   + k5s * 4.45031289275240888144113950566
-                   + k6s * 1.89151789931450038304281599044
-                   + k7s * -5.8012039600105847814672114227
-                   + k8s * (3.1116436695781989440891606237e-1 - 0.733846688281611857341361741547)
-                   + k9s * -1.52160949662516078556178806805e-1
-                   + k10s * 2.01365400804030348374776537501e-1
-                   + k11s * (4.47106157277725905176885569043e-2
-                               - 0.220588235294117647058823529412e-1))
+            k1q, k1s = fun(q + (k0q * a1_0) * h,
+                           s + (k0s * a1_0) * h)
+            k2q, k2s = fun(q + (k0q * a2_0 + k1q * a2_1) * h,
+                           s + (k0s * a2_0 + k1s * a2_1) * h)
+            k3q, k3s = fun(q + (k0q * a3_0 + k2q * a3_2) * h,
+                           s + (k0s * a3_0 + k2s * a3_2) * h)
+            k4q, k4s = fun(q + (k0q * a4_0 + k2q * a4_2 + k3q * a4_3) * h,
+                           s + (k0s * a4_0 + k2s * a4_2 + k3s * a4_3) * h)
+            k5q, k5s = fun(q + (k0q * a5_0 + k3q * a5_3 + k4q * a5_4) * h,
+                           s + (k0s * a5_0 + k3s * a5_3 + k4s * a5_4) * h)
+            k6q, k6s = fun(q + (k0q * a6_0 + k3q * a6_3 + k4q * a6_4 + k5q * a6_5) * h,
+                           s + (k0s * a6_0 + k3s * a6_3 + k4s * a6_4 + k5s * a6_5) * h)
+            k7q, k7s = fun(q + (k0q * a7_0 + k3q * a7_3 + k4q * a7_4 + k5q * a7_5 + k6q * a7_6) * h,
+                           s + (k0s * a7_0 + k3s * a7_3 + k4s * a7_4 + k5s * a7_5 + k6s * a7_6) * h)
+            k8q, k8s = fun(q + (k0q * a8_0 + k3q * a8_3 + k4q * a8_4 + k5q * a8_5 + k6q * a8_6
+                                + k7q * a8_7) * h,
+                           s + (k0s * a8_0 + k3s * a8_3 + k4s * a8_4 + k5s * a8_5 + k6s * a8_6
+                                + k7s * a8_7) * h)
+            k9q, k9s = fun(q + (k0q * a9_0 + k3q * a9_3 + k4q * a9_4 + k5q * a9_5 + k6q * a9_6
+                                + k7q * a9_7 + k8q * a9_8) * h,
+                           s + (k0s * a9_0 + k3s * a9_3 + k4s * a9_4 + k5s * a9_5 + k6s * a9_6
+                                + k7s * a9_7 + k8s * a9_8) * h)
+            k10q, k10s = fun(q + (k0q * a10_0 + k3q * a10_3 + k4q * a10_4 + k5q * a10_5
+                                  + k6q * a10_6 + k7q * a10_7 + k8q * a10_8 + k9q * a10_9) * h,
+                             s + (k0s * a10_0 + k3s * a10_3 + k4s * a10_4 + k5s * a10_5
+                                  + k6s * a10_6 + k7s * a10_7 + k8s * a10_8 + k9s * a10_9) * h)
+            k11q, k11s = fun(q + (k0q * a11_0 + k3q * a11_3 + k4q * a11_4 + k5q * a11_5
+                                  + k6q * a11_6 + k7q * a11_7 + k8q * a11_8 + k9q * a11_9
+                                  + k10q * a11_10) * h,
+                             s + (k0s * a11_0 + k3s * a11_3 + k4s * a11_4 + k5s * a11_5
+                                  + k6s * a11_6 + k7s * a11_7 + k8s * a11_8 + k9s * a11_9
+                                  + k10s * a11_10) * h)
+            q_new = q + h * (k0q * b0 + k5q * b5 + k6q * b6 + k7q * b7 + k8q * b8 + k9q * b9
+                             + k10q * b10 + k11q * b11)
+            s_new = s + h * (k0s * b0 + k5s * b5 + k6s * b6 + k7s * b7 + k8s * b8 + k9s * b9
+                             + k10s * b10 + k11s * b11)
+            e5q = (k0q * e5_0 + k5q * e5_5 + k6q * e5_6 + k7q * e5_7 + k8q * e5_8 + k9q * e5_9
+                   + k10q * e5_10 + k11q * e5_11)
+            e5s = (k0s * e5_0 + k5s * e5_5 + k6s * e5_6 + k7s * e5_7 + k8s * e5_8 + k9s * e5_9
+                   + k10s * e5_10 + k11s * e5_11)
+            e3q = (k0q * e3_0 + k5q * e3_5 + k6q * e3_6 + k7q * e3_7 + k8q * e3_8 + k9q * e3_9
+                   + k10q * e3_10 + k11q * e3_11)
+            e3s = (k0s * e3_0 + k5s * e3_5 + k6s * e3_6 + k7s * e3_7 + k8s * e3_8 + k9s * e3_9
+                   + k10s * e3_10 + k11s * e3_11)
             k12q, k12s = fun(q_new, s_new)  # stage 0 of the next step
             nfev += 12
             # the sign of a zero or a NaN in |y| cannot reach the scale
@@ -527,7 +468,7 @@ def _dense_output(fun, t_old, h, y_old, y, k):
     t_old to y, built as scipy's DOP853 builds it from the step's thirteen
     stages k, (q, s) pairs, and three extra ones: three more calls of fun."""
     k = list(k)
-    for row in _A_EXTRA:
+    for row in _A[13:]:
         k.append(fun(y_old[0] + _stage_sum(k, row, 0) * h, y_old[1] + _stage_sum(k, row, 1) * h))
     coeffs = []
     for c in (0, 1):

@@ -984,6 +984,30 @@ def test_exit_time_is_the_transit_quadrature(pot, hbar):
 # that their test ids stay stable.
 
 
+def test_tableau_is_scipys_dop853():
+    # The stepper's one table against scipy's dop853_coefficients, entry by
+    # entry with ==: each stated entry is scipy's float, and every entry the
+    # table leaves out is 0 there. A's row 12 is B.
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    def filled(rows, shape):
+        out = np.zeros(shape)
+        for i, row in enumerate(rows):
+            stages = [j for j, _ in row]
+            assert stages == sorted(set(stages)), (i, stages)
+            for j, a in row:
+                assert a != 0.0, (i, j)
+                out[i, j] = a
+        return out
+
+    assert len(dynamics._A) == ref.N_STAGES_EXTENDED
+    np.testing.assert_array_equal(filled(dynamics._A, ref.A.shape), ref.A)
+    np.testing.assert_array_equal(filled(dynamics._A[12:13], (1, ref.N_STAGES))[0], ref.B)
+    np.testing.assert_array_equal(filled((dynamics._E5,), (1, ref.E5.size))[0], ref.E5)
+    np.testing.assert_array_equal(filled((dynamics._E3,), (1, ref.E3.size))[0], ref.E3)
+    np.testing.assert_array_equal(filled(dynamics._D, ref.D.shape), ref.D)
+
+
 def _first_zone_run(hbar, eps, t_eval=None, t_end=50.0, max_step=None):
     """The in-house stepper and scipy's DOP853 across the model's first force
     zone, entered with the launch momentum, over (0, t_end): the merged zone
@@ -1068,7 +1092,7 @@ def test_stepper_takes_the_steps_of_scipy_rk45(monkeypatch, eps, hbar, sequentia
     # of terms summing to 6.5), and the step factor error^(-1/8) turns that
     # into a second step 10 % apart. There the BLAS run is held to the same
     # step count and to nfev and step times within 15 %, measured 0 steps,
-    # 9.2 % (857 against 785 calls) and 11 %.
+    # 0 % (821 calls each, at both energies) and 0.02 % and 10.5 %.
     if sequential:
         _scipy_sums_in_stage_order(monkeypatch)
     ours, ref = _first_zone_run(hbar, eps)

@@ -81,3 +81,24 @@ def test_bad_sweep_argument_is_a_usage_error(capsys, name, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, argv", [
+    # DomainError: the smoothing constants leave floating range
+    ("ensemble_transport", ["--n", "2", "--hbar", "1e-300"]),
+    # NonPositiveMass
+    ("ensemble_transport", ["--n", "2", "--beta", "20", "--hbar", "0.01", "--L", "100"]),
+    # StepFailure: the step size falls below 10 ulp of the time
+    ("ensemble_transport", ["--n", "2", "--hbar", "1e-14", "--stratified"]),
+    # DomainError: V_eff leaves floating range, after the model is built
+    ("expansion_order", ["--pmax", "1e3"]),
+    # NonPositiveMass
+    ("expansion_order", ["--V0", "1e300"]),
+])
+def test_computational_failure_is_one_error_line(capsys, name, argv):
+    # as effpot reports an EffpotError: exit 1 and one error line, with no
+    # row printed before the failure
+    assert _main(name)(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
