@@ -13,6 +13,8 @@ import math
 import random
 import sys
 
+from effpot.atomic import csv_text
+from effpot.cli import PARAMS
 from effpot.errors import EffpotError
 from effpot.lowmomentum import LowMomentumModel
 from effpot.physical import PhysicalParams, dimensionless
@@ -22,11 +24,10 @@ from effpot.transmission import effective_coefficients, surpass_fraction
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--m", type=float, default=1.0)
-    ap.add_argument("--beta", type=float, default=0.125)
+    for key in ("m", "beta", "L", "V0"):
+        default, text = PARAMS[key]
+        ap.add_argument(f"--{key}", type=float, default=default, help=f"{text} (default {default})")
     ap.add_argument("--hbar", type=float, nargs="+", default=[2.0, 4.0, 6.0])
-    ap.add_argument("--L", type=float, default=0.5)
-    ap.add_argument("--V0", type=float, default=1.0)
     ap.add_argument("--n", type=int, default=200, help="trajectories per hbar")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--stratified", action="store_true",
@@ -40,28 +41,24 @@ def main(argv=None) -> int:
     except ValueError as exc:  # the records' own checks: not finite, not positive
         ap.error(str(exc))
 
-    if args.stratified:
-        quantiles = [(i + 0.5) / args.n for i in range(args.n)]
-    else:
-        draw = random.Random(args.seed).random
-        quantiles = [draw() for _ in range(args.n)]
+    draw = random.Random(args.seed).random
+    quantiles = [(i + 0.5) / args.n if args.stratified else draw() for i in range(args.n)]
     try:  # every row before any output, so a failed run prints nothing
         rows = [_row(params, barrier, quantiles) for params in per_hbar]
     except EffpotError as exc:  # a computational failure: one line, as effpot reports it
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("hbar,H,t_closed,fraction,binomial_3sigma", *rows, sep="\n")
+    sys.stdout.write(csv_text({}, ("hbar", "H", "t_closed", "fraction", "binomial_3sigma"), rows))
     return 0
 
 
-def _row(params, barrier, quantiles) -> str:
-    """The CSV row of one hbar: closed coefficient against the beam's fraction."""
+def _row(params, barrier, quantiles) -> tuple:
+    """The row of one hbar: closed coefficient against the beam's fraction."""
     model = LowMomentumModel(params, barrier)
     frac = surpass_fraction(model, quantiles)
     t = effective_coefficients(model).t
-    err = 3.0 * math.sqrt(t * (1.0 - t) / len(quantiles))
-    H = dimensionless(params, barrier).H
-    return f"{params.hbar:g},{H:.6g},{t:.6g},{frac:.6g},{err:.3g}"
+    return (params.hbar, dimensionless(params, barrier).H, t, frac,
+            3.0 * math.sqrt(t * (1.0 - t) / len(quantiles)))
 
 
 if __name__ == "__main__":

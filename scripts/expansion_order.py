@@ -3,29 +3,34 @@
 
 Sweeps p at a few fixed positions, subtracts the quadratic-in-p model from
 the full effective potential, and fits the log-log slope of the remainder.
-A slope near 4 confirms the expansion drops only O(p^4) terms.
+A slope near 4 confirms the expansion drops only O(p^4) terms. A row with a
+remainder below NOISE_ULPS ulp(V0) e^{beta p^2/2m} reports the slope nan.
 """
 
 import argparse
 import math
+import statistics
 import sys
 
-import numpy as np
-
+from effpot.atomic import csv_text, linspace
+from effpot.cli import PARAMS
 from effpot.errors import EffpotError
 from effpot.kernel import effective_potential
 from effpot.lowmomentum import LowMomentumModel, inverse_mass, smoothed_potential
 from effpot.physical import PhysicalParams
 from effpot.potential import SquareBarrier
 
+# V_eff's closed form cancels terms up to V0 e^{beta p^2/2m}, leaving a few ulp of that as noise.
+# Remainders of 1e4 such ulp or more move the fitted slope by under 3e-4/ln(pmax/pmin): 1.4e-4
+# on the default sweep, whose smallest remainder is 6.6e7 ulp(V0).
+NOISE_ULPS = 1e4
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--m", type=float, default=1.0)
-    ap.add_argument("--beta", type=float, default=0.125)
-    ap.add_argument("--hbar", type=float, default=3.0)
-    ap.add_argument("--L", type=float, default=0.5)
-    ap.add_argument("--V0", type=float, default=1.0)
+    for key in ("m", "beta", "hbar", "L", "V0"):
+        default, text = PARAMS[key]
+        ap.add_argument(f"--{key}", type=float, default=default, help=f"{text} (default {default})")
     ap.add_argument("--pmin", type=float, default=0.05,
                     help="sweep start in units of sqrt(m/beta)")
     ap.add_argument("--pmax", type=float, default=0.4,
@@ -49,28 +54,29 @@ def main(argv=None) -> int:
         ap.error("--hbar must be positive: at hbar = 0 there is no momentum expansion")
 
     qs = args.q if args.q is not None else [0.0, args.L, 2.0 * args.L]
-    ps = np.linspace(args.pmin, args.pmax, args.n) * math.sqrt(args.m / args.beta)
+    ps = [p * math.sqrt(args.m / args.beta) for p in linspace(args.pmin, args.pmax, args.n)]
     try:  # every row before any output, so a failed run prints nothing
         model = LowMomentumModel(params, barrier)
         rows = [_row(model, q, ps) for q in qs]
     except EffpotError as exc:  # a computational failure: one line, as effpot reports it
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"# m={args.m:g} beta={args.beta:g} hbar={args.hbar:g} L={args.L:g} V0={args.V0:g}")
-    print("q,slope,remainder_at_pmax", *rows, sep="\n")
+    meta = {key: value for key, value in vars(args).items() if key in PARAMS}
+    sys.stdout.write(csv_text(meta, ("q", "slope", "remainder_at_pmax"), rows))
     return 0
 
 
-def _row(model, q, ps) -> str:
-    """The fitted remainder slope at q over the momenta ps."""
-    v0 = smoothed_potential(model, q)
-    dm = inverse_mass(model, q) - 1.0 / model.params.m
-    veff = np.array([effective_potential(model.params, model.pot, q, p) for p in ps])
-    deltas = np.abs(veff - (v0 + 0.5 * ps * ps * dm))
-    if np.any(deltas <= 0.0):
-        return f"{q:.6g},nan,{deltas[-1]:.6g}"
-    slope = float(np.polyfit(np.log(ps), np.log(deltas), 1)[0])
-    return f"{q:.6g},{slope:.4f},{deltas[-1]:.6g}"
+def _row(model, q, ps) -> tuple:
+    """(q, fitted remainder slope over the momenta ps, remainder at the last p)."""
+    params, floor = model.params, NOISE_ULPS * math.ulp(model.pot.v0)
+    v0, dm = smoothed_potential(model, q), inverse_mass(model, q) - 1.0 / params.m
+    deltas = [abs(effective_potential(params, model.pot, q, p) - (v0 + 0.5 * p * p * dm))
+              for p in ps]
+    if any(d * math.exp(-params.beta * p * p / (2.0 * params.m)) < floor  # never overflows
+           for p, d in zip(ps, deltas)):
+        return q, math.nan, deltas[-1]
+    fit = statistics.linear_regression(list(map(math.log, ps)), list(map(math.log, deltas)))
+    return q, fit.slope, deltas[-1]
 
 
 if __name__ == "__main__":

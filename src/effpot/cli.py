@@ -183,20 +183,13 @@ def _load_pot(args, cfg: RunConfig):
 
 
 def _cmd_model(args) -> int:
-    from .lowmomentum import _smoothed
+    from .lowmomentum import _reduced
 
     _require_grid_size("--n", args.n)
     cfg = _build_config(args)
     model = cfg.model(_load_pot(args, cfg))
-    m, eps = model.params.m, cfg.eps
-
-    def row(q):
-        # one profile evaluation per row; M and VQ are formed as
-        # lowmomentum.mass and vq_potential form them
-        v, m_inv = _smoothed(model, q)
-        return q, v, 1.0 / m_inv, m * m_inv * (v - eps) + eps
-
-    rows = map(row, linspace(args.qmin, args.qmax, args.n))
+    eps = cfg.eps
+    rows = ((q, *_reduced(model, q, eps)) for q in linspace(args.qmin, args.qmax, args.n))
     _emit(args, csv_text(_metadata(cfg, args.potential_csv, eps=eps), ("q", "V", "M", "VQ"), rows))
     return 0
 
@@ -257,9 +250,7 @@ def _cmd_coeff(args) -> int:
 def _cmd_figures(args) -> int:
     from .figures import emit_all
 
-    paths = emit_all(args.out)
-    for p in paths:
-        print(p)
+    print(*emit_all(args.out), sep="\n")
     return 0
 
 

@@ -366,8 +366,7 @@ def inverse_mass(model: LowMomentumModel, q: float) -> float:
 
 
 def _smoothed(model: LowMomentumModel, q: float):
-    """(V(q), 1/M(q)) from one profile evaluation; NonPositiveMass when
-    1/M <= 0."""
+    """(V(q), 1/M(q)) from one profile evaluation; NonPositiveMass when 1/M <= 0."""
     if model.profile is None:
         v, val = eval_classical(model.pot, q), 1.0 / model.params.m
     else:
@@ -385,8 +384,13 @@ def mass(model: LowMomentumModel, q: float) -> float:
 def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     """Reduced potential for Newtonian motion at conserved energy eps:
     (m/M(q)) (V(q) - eps) + eps. Equals the bare potential when hbar = 0."""
+    return _reduced(model, q, eps)[2]
+
+
+def _reduced(model: LowMomentumModel, q: float, eps: float):
+    """(V(q), M(q), V^Q(q)) at energy eps from one profile evaluation."""
     v, m_inv = _smoothed(model, q)
-    return model.params.m * m_inv * (v - eps) + eps
+    return v, 1.0 / m_inv, model.params.m * m_inv * (v - eps) + eps
 
 
 def _brent(f, xa: float, xb: float) -> float:

@@ -56,6 +56,14 @@ def effective_t_of_H(H: float) -> float:
     return 1.0 - math.erf(math.sqrt(2.0) / H)
 
 
+def _beam(pot: Shape):
+    """(base, max V) of the uniform beam; DomainError when no barrier rises above base."""
+    base, top = asymptotic_level(pot), classical_max(pot)
+    if top <= base:
+        raise DomainError("potential has no barrier above its asymptotic level")
+    return base, top
+
+
 def effective_coefficients(model: LowMomentumModel) -> CoefficientPair:
     """Threshold-based coefficients for a uniform beam on (base, max V).
 
@@ -64,14 +72,9 @@ def effective_coefficients(model: LowMomentumModel) -> CoefficientPair:
     1 - erf(sqrt(2)/H) of effective_t_of_H, to roundoff. At hbar = 0 the
     threshold is the bare barrier top, so t is exactly 0.
     """
-    pot = model.pot
-    base = asymptotic_level(pot)
-    top = classical_max(pot)
-    if top <= base:
-        raise DomainError("potential has no barrier above its asymptotic level")
-    threshold = tunneling_threshold(model)
-    t = max(0.0, 1.0 - (threshold - base) / (top - base))
-    return CoefficientPair(min(1.0, t))
+    base, top = _beam(model.pot)
+    t = 1.0 - (tunneling_threshold(model) - base) / (top - base)
+    return CoefficientPair(min(1.0, max(0.0, t)))
 
 
 # ------------------------------------------------------------- quantum routes
@@ -210,8 +213,7 @@ def surpass_fraction(model: LowMomentumModel, quantiles) -> float:
     """
     from .dynamics import SURPASSED, classify_traversal
 
-    lo = asymptotic_level(model.pot)
-    hi = classical_max(model.pot)
+    lo, hi = _beam(model.pot)
     energies = [lo + u * (hi - lo) for u in map(float, quantiles)]
     if not energies:
         raise ValueError("need at least one quantile")

@@ -152,6 +152,25 @@ def test_model_rows_sit_on_the_np_linspace_grid(run, tmp_path, n, hbar, tent):
     assert _data_lines(res.stdout)[1:] == rows
 
 
+@pytest.mark.parametrize("n,hbar,eps,tent", [(201, 3.0, 0.25, False), (801, 0.0, 0.25, False),
+                                              (41, 0.05, 0.7, False), (801, 3.0, 0.25, True)])
+def test_model_rows_are_the_lowmomentum_profiles_bitwise(run, monkeypatch, tmp_path, n, hbar, eps, tent):
+    # every row is (q, smoothed_potential, mass, vq_potential) as floats, before formatting
+    argv = ["model", "--n", str(n), "--hbar", repr(hbar), "--eps", repr(eps)]
+    pot = SquareBarrier(1.0, 0.5)
+    if tent:
+        csv = _tent_csv(tmp_path)
+        argv += ["--potential-csv", str(csv)]
+        pot = load_tabulated_csv(csv)
+    printed = []
+    monkeypatch.setattr(cli, "csv_text", lambda meta, header, rows: printed.extend(rows) or "")
+    assert run(*argv).returncode == 0
+    model = LowMomentumModel(PhysicalParams(1.0, 0.125, hbar), pot)
+    want = [(q, smoothed_potential(model, q), mass(model, q), vq_potential(model, q, eps))
+            for q in linspace(-4.0, 4.0, n)]
+    assert [[x.hex() for x in row] for row in printed] == [[x.hex() for x in row] for row in want]
+
+
 @pytest.mark.parametrize("argv,q_grid,p_grid", [
     (("--nq", "81", "--np", "9"), (-2.0, 2.0, 81), (0.0, 2.0, 9)),
     (("--qmin", "-4", "--qmax", "4", "--nq", "201", "--np", "1", "--pmax", "0"), (-4.0, 4.0, 201), (0.0, 0.0, 1)),

@@ -1,11 +1,15 @@
 """Smoke runs of the command-line scripts under scripts/."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def _main(name):
@@ -102,3 +106,49 @@ def test_computational_failure_is_one_error_line(capsys, name, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # remainders of 1-2 ulp of V
+    ["--pmin", "1e-300", "--pmax", "2e-300"],
+    # remainders of about ulp(V0) = ulp(1) while V_eff is about 1e-300
+    ["--L", "1e-300"],
+    # the smallest momenta's remainders lie far below ulp(V0)
+    ["--pmin", "1e-4", "--pmax", "1e-3"],
+])
+def test_expansion_order_refuses_to_fit_rounding_noise(capsys, argv):
+    assert _main("expansion_order")(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 3
+    assert all(slope == "nan" for _, slope, _ in rows)
+
+
+def test_expansion_order_prints_through_csv_text(capsys):
+    assert _main("expansion_order")(["--n", "4", "--q", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == ["# m=1", "# beta=0.125", "# hbar=3", "# L=0.5", "# V0=1",
+                         "q,slope,remainder_at_pmax"]
+    ((q, slope, remainder),) = _rows("\n".join(lines))
+    assert q == "0.25" and abs(float(slope) - 4.0) < 0.1
+    # 12 significant digits, as every effpot output (trailing zeros dropped)
+    digits = remainder.partition("e")[0].replace(".", "").lstrip("-0")
+    assert 6 < len(digits) <= 12
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("ensemble_transport", ["--n", "8", "--hbar", "3", "--stratified"]),
+    ("ensemble_transport", ["--n", "8", "--hbar", "3"]),
+    ("expansion_order", []),
+])
+def test_scripts_run_without_numpy_or_scipy(name, argv):
+    # a None entry in sys.modules makes any import of the name fail
+    code = ("import runpy, sys\n"
+            "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+            f"sys.argv = [{name!r}, *{argv!r}]\n"
+            f"runpy.run_path({str(SCRIPTS / f'{name}.py')!r}, run_name='__main__')\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "" and len(_rows(res.stdout)) >= 1

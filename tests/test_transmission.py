@@ -388,6 +388,17 @@ def test_surpass_fraction_validation():
         surpass_fraction(model, [])
 
 
+@pytest.mark.parametrize("hbar", [0.0, 0.5, 2.0])
+def test_surpass_fraction_refuses_a_well_as_effective_coefficients_does(hbar):
+    # a well has no barrier above its asymptotic level, so there is no beam
+    well = PiecewiseConstantPotential((-0.1, 0.1), (0.0, -1.0, 0.0))
+    model = LowMomentumModel(_params(hbar), well)
+    with pytest.raises(DomainError, match="no barrier above its asymptotic level"):
+        effective_coefficients(model)
+    with pytest.raises(DomainError, match="no barrier above its asymptotic level"):
+        surpass_fraction(model, [0.25, 0.5, 0.75])
+
+
 def _midpoints(n):
     return [(i + 0.5) / n for i in range(n)]
 
