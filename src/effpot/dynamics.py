@@ -78,6 +78,7 @@ from .lowmomentum import (
     _smoothed,
     corner_groups,
     evaluation_domain,
+    inverse_mass,
     tunneling_threshold,
 )
 from .physical import Record
@@ -122,10 +123,13 @@ class Trajectory(Record):
 
 
 def hamiltonian(model: LowMomentumModel, q: float, p: float) -> float:
-    """Conserved energy p^2/(2 M(q)) + V(q)."""
+    """Conserved energy p^2/(2 M(q)) + V(q); ValueError when q or p is not
+    finite."""
+    if not (-math.inf < q < math.inf and -math.inf < p < math.inf):
+        raise ValueError(f"position and momentum must be finite, got {q!r} and {p!r}")
     if model.profile is None:
         return 0.5 * p * p / model.params.m + eval_classical(model.pot, q)
-    v, _, minv, _ = model.profile.at(q)
+    v, minv = model.profile.v_minv_at(q)
     return 0.5 * p * p * minv + v
 
 
@@ -604,7 +608,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
     _require_finite(what, (q0, s0, eps if newton else 0.0, 0.0 if t_end is None else t_end))
     lo_edge, hi_edge = evaluation_domain(model)
     if t_end is None:
-        speed = s0 if newton else s0 * _smoothed(model, q0)[1]
+        speed = s0 if newton else s0 * inverse_mass(model, q0)
         if speed == 0.0:
             raise ValueError("an explicit t_end is required when the initial velocity is zero")
         t_end = T_END_TRANSITS * (hi_edge - lo_edge) / abs(speed)
@@ -647,7 +651,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
 
     def zone_state(profile, xi, s):
         """p and energy of a zone state, from V and 1/M at xi."""
-        v, _, minv, _ = profile.at(xi)
+        v, minv = profile.v_minv_at(xi)
         if newton:
             return s / minv, 0.5 * s * s / minv + v
         return s, 0.5 * s * s * minv + v
@@ -701,7 +705,7 @@ def _propagate(model, q0, s0, eps=None, t_end=None, t_eval=None, turn=False) -> 
             exit_state = p, p * p / (2.0 * m) + levels[gap]
         else:
             xi = q - z.origin
-            v = s if newton else s * z.profile.at(xi)[2]
+            v = s if newton else s * z.profile.minv_at(xi)
             low, high = max(z.lo, lo_edge) - z.origin, min(z.hi, hi_edge, top) - z.origin
 
             seg = solve_ivp(

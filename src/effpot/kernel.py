@@ -145,7 +145,7 @@ def effective_potential(params: PhysicalParams, pot: Shape, q, p) -> float:
     a = abs(float(p)) * (params.beta * params.hbar / (2.0 * params.m))
     c, corners, profile = _prepared(params, pot)
     if a == 0.0:
-        value = profile.at(q)[0]
+        value = profile.v_at(q)
     else:
         try:
             value = eval_classical(pot, q) + _corrections(c, corners, q, a)

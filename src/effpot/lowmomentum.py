@@ -14,9 +14,12 @@ changes by K. Smoothing turns each corner into one error function and one
 Gaussian, so V, V', 1/M and (1/M)' are closed-form sums over the corners
 (``Profile``); the kinks' share of V and V' is summed by parts, which keeps
 its digits far from the shape. One scalar sum on ``math.erf``
-(``Profile.at``) forms all four. The trajectory right-hand sides repeat its
-terms on a zone's window for the jumps that act there: the canonical one
-without V, the Newtonian one with a far jump's exact +-J/2 in V.
+(``Profile.at``) forms all four, for the threshold and mass scan. A read
+that needs only V, only 1/M or both sums just those columns of its terms
+(``v_at``, ``minv_at``, ``v_minv_at``), bitwise ``at``'s. The trajectory
+right-hand sides repeat its terms on a zone's window for the jumps that act
+there: the canonical one without V, the Newtonian one with a far jump's
+exact +-J/2 in V.
 The model is only meaningful while M(q) stays positive. Both that and the
 tunneling threshold, the maximum of V, are found at construction zone by
 zone: every extremum lies within ZONE_SIGMAS smoothing widths of a corner,
@@ -73,8 +76,15 @@ class Profile:
     erf, which V' reads. The Newtonian one (``newtonian_rhs``) forms V, so a
     far jump costs it one addition. Every kink stays in both. ``at`` has no
     window: on the square at hbar >= 2, where no jump is far, the test cost
-    a windowed copy of it 10-20 % a call. It serves everything else: the
-    trajectory samples and exits, the threshold and the mass check.
+    a windowed copy of it 10-20 % a call. It serves the threshold and mass
+    scan (``_extrema``) and the right-hand sides beyond their window.
+
+    Reads of V and 1/M without the slopes sum ``at``'s terms in ``at``'s
+    order, so their values are bitwise its columns, and skip the rest:
+    ``v_at`` (V: a jump's erf, a kink's erf and Gaussian) for
+    ``smoothed_potential`` and V_eff at p = 0, ``minv_at`` (1/M: Gaussians
+    only) for ``inverse_mass`` and a run's speeds, and ``v_minv_at`` for
+    ``vq_potential``, the energy and each trajectory sample and exit.
     """
 
     def __init__(self, params: PhysicalParams, shape: Shape, origin: float = 0.0,
@@ -146,6 +156,58 @@ class Profile:
             mi = mi + jm * u * g
             mip = mip + jm_p * ((0.5 - uu) * g)
         return self.level + (v + self.tail * e_prev), vp, self.inv_m + mi, mip
+
+    def v_at(self, q: float) -> float:
+        """V at one position: ``at``'s V term for term, so bitwise its first
+        column, with a jump's erf and no Gaussian."""
+        c = self.c
+        exp, erf = math.exp, math.erf
+        v = 0.0
+        e_prev = 1.0
+        for x, value, slope, bend, _, _ in self.kinks:
+            d = q - x
+            u = c * d
+            e = erf(u)
+            v = v + (value + slope * d) * (e_prev - e) + bend * exp(-u * u)
+            e_prev = e
+        for x, half, _, _, _ in self.jumps:
+            v = v + half * erf(c * (q - x))
+        return self.level + (v + self.tail * e_prev)
+
+    def minv_at(self, q: float) -> float:
+        """1/M at one position: ``at``'s third column bitwise, from Gaussians
+        alone."""
+        c = self.c
+        exp = math.exp
+        mi = 0.0
+        for x, _, _, _, km, _ in self.kinks:
+            u = c * (q - x)
+            mi = mi + km * exp(-u * u)
+        for x, _, _, jm, _ in self.jumps:
+            u = c * (q - x)
+            mi = mi + jm * u * exp(-u * u)
+        return self.inv_m + mi
+
+    def v_minv_at(self, q: float):
+        """(V, 1/M) at one position: ``at``'s first and third columns
+        bitwise, without V' and (1/M)'."""
+        c = self.c
+        exp, erf = math.exp, math.erf
+        v = mi = 0.0
+        e_prev = 1.0
+        for x, value, slope, bend, km, _ in self.kinks:
+            d = q - x
+            u = c * d
+            e = erf(u)
+            g = exp(-u * u)
+            v = v + (value + slope * d) * (e_prev - e) + bend * g
+            mi = mi + km * g
+            e_prev = e
+        for x, half, _, jm, _ in self.jumps:
+            u = c * (q - x)
+            v = v + half * erf(u)
+            mi = mi + jm * u * exp(-u * u)
+        return self.level + (v + self.tail * e_prev), self.inv_m + mi
 
     def canonical_rhs(self):
         """The canonical equations of motion (q, p) -> (p/M, -V' - (1/2) (1/M)' p^2)
@@ -354,15 +416,24 @@ def _extrema(model: LowMomentumModel):
 
 
 def smoothed_potential(model: LowMomentumModel, q: float) -> float:
-    """Gaussian-smoothed potential V(q); the bare potential when hbar = 0."""
+    """Gaussian-smoothed potential V(q); the bare potential when hbar = 0.
+    ValueError at a q that is not finite."""
+    if not -math.inf < q < math.inf:
+        raise ValueError(f"position must be finite, got {q!r}")
     if model.profile is None:
         return eval_classical(model.pot, q)
-    return model.profile.at(q)[0]
+    return model.profile.v_at(q)
 
 
 def inverse_mass(model: LowMomentumModel, q: float) -> float:
-    """1/M(q). Raises NonPositiveMass when the reduced model breaks down."""
-    return _smoothed(model, q)[1]
+    """1/M(q). Raises NonPositiveMass when the reduced model breaks down, and
+    ValueError at a q that is not finite."""
+    if not -math.inf < q < math.inf:
+        raise ValueError(f"position must be finite, got {q!r}")
+    val = 1.0 / model.params.m if model.profile is None else model.profile.minv_at(q)
+    if val <= 0:
+        raise NonPositiveMass(f"inverse mass {val!r} at q = {q!r}")
+    return val
 
 
 def _smoothed(model: LowMomentumModel, q: float):
@@ -370,7 +441,7 @@ def _smoothed(model: LowMomentumModel, q: float):
     if model.profile is None:
         v, val = eval_classical(model.pot, q), 1.0 / model.params.m
     else:
-        v, _, val, _ = model.profile.at(q)
+        v, val = model.profile.v_minv_at(q)
     if val <= 0:
         raise NonPositiveMass(f"inverse mass {val!r} at q = {q!r}")
     return v, val
@@ -383,7 +454,10 @@ def mass(model: LowMomentumModel, q: float) -> float:
 
 def vq_potential(model: LowMomentumModel, q: float, eps: float) -> float:
     """Reduced potential for Newtonian motion at conserved energy eps:
-    (m/M(q)) (V(q) - eps) + eps. Equals the bare potential when hbar = 0."""
+    (m/M(q)) (V(q) - eps) + eps. Equals the bare potential when hbar = 0.
+    ValueError when q or eps is not finite."""
+    if not (-math.inf < q < math.inf and -math.inf < eps < math.inf):
+        raise ValueError(f"position and energy must be finite, got {q!r} and {eps!r}")
     return _reduced(model, q, eps)[2]
 
 

@@ -210,19 +210,41 @@ def test_nan_energy_sample_breaches_the_drift_gate(monkeypatch):
     # passes over a NaN that is not the first sample
     model = _model(3.0)
     q0, p0 = launch_state(model, 0.9)
-    at, calls = Profile.at, []
+    read, calls = Profile.v_minv_at, []
 
     def nan_once(self, q):
-        # calls 1-3 read 1/M for the time budget, the launch energy and the
-        # zone entry; then one call per zone sample
+        # call 1 reads the launch energy; then one call per zone sample
         calls.append(q)
-        v, dv, minv, dminv = at(self, q)
-        return (math.nan if len(calls) == 10 else v), dv, minv, dminv
+        v, minv = read(self, q)
+        return (math.nan if len(calls) == 10 else v), minv
 
-    monkeypatch.setattr(Profile, "at", nan_once)
+    monkeypatch.setattr(Profile, "v_minv_at", nan_once)
     with pytest.raises(StepFailure, match="energy drift nan breaches"):
         integrate_hamiltonian(model, q0, p0)
     assert len(calls) > 10
+
+
+def test_reads_of_v_and_inverse_mass_never_sum_the_slopes(monkeypatch):
+    # at's four columns serve only the extremum scan and the closures beyond
+    # their window: every scalar read of V, 1/M or both, V_eff at p = 0 and
+    # a run in either form on the square go through the column readers
+    model = _model(2.0)
+    dynamics._zones(model)
+
+    def refuse(self, q):
+        raise AssertionError(f"Profile.at read at q = {q!r}")
+
+    monkeypatch.setattr(Profile, "at", refuse)
+    for q in (-3.0, -0.5, 0.0, 0.3, 4.0):
+        smoothed_potential(model, q)
+        inverse_mass(model, q)
+        vq_potential(model, q, 0.5)
+        hamiltonian(model, q, 0.7)
+        effective_potential(model.params, BARRIER, q, 0.0)
+    q0, p0 = launch_state(model, 0.9)
+    assert integrate_hamiltonian(model, q0, p0).outcome == SURPASSED
+    traj = integrate_newtonian(model, q0, p0 * inverse_mass(model, q0), 0.9)
+    assert traj.outcome == SURPASSED
 
 
 @pytest.mark.parametrize("hbar", [0.0, 0.05, 2.0])

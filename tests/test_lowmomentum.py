@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ _LONG_GRID = np.concatenate(([-50.0], np.sort(_RNG.uniform(-50.0, 50.0, 198)), [
 _LONG_VALUES = _RNG.uniform(-1.0, 2.0, 200)
 _LONG_VALUES[-1] = _LONG_VALUES[0]
 LONG_TABLE = TabulatedPotential(tuple(_LONG_GRID), tuple(_LONG_VALUES))  # 200 random samples
+TENT3 = TabulatedPotential((-1.0, 0.0, 1.0), (0.0, 0.8, 0.0))
 
 
 def _params(hbar):
@@ -174,6 +176,15 @@ def test_corner_sum_matches_segment_form_where_the_deviation_cancels():
     _assert_matches_segment_form(Shape(level=-1.0, x=(0.0, 0.125), left=(0.0,), right=(-2.0,)), 4.0, 1.0)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="known defect: V at q = 2.09 is 1.03 times its gate off the segment "
+                          "form, from the tail digits of its erf sum")
+def test_corner_sum_matches_segment_form_on_a_late_step():
+    shape = Shape(level=0.03125, x=(0.0, 0.25, 0.5, 0.75, 0.875, 0.9375), left=(0.0,) * 5,
+                  right=(0.0, 0.0, 0.0, 0.0, 1.0))
+    _assert_matches_segment_form(shape, 5.561538461538461, -3.0)
+
+
 @pytest.mark.parametrize("hbar", [0.3, 3.0, 6.0])
 def test_corner_sum_matches_segment_form_on_a_long_table(hbar):
     _assert_matches_segment_form(LONG_TABLE, hbar, 0.0)
@@ -234,7 +245,8 @@ def test_newtonian_rhs_is_bitwise_the_at_route(shape, hbar, origin, eps, u):
          0.05, 1.3, 0.2)
 def test_zone_closures_are_bitwise_the_at_route(shape, hbar, p, eps):
     # each zone's canonical right-hand side leaves out the other zones' jumps
-    # on its window, and reads every corner beyond it
+    # on its window, and reads every corner beyond it; the zone's V and 1/M
+    # readers are at's columns there too
     try:
         model = LowMomentumModel(_params(hbar), shape)
     except (DomainError, NonPositiveMass):
@@ -247,9 +259,62 @@ def test_zone_closures_are_bitwise_the_at_route(shape, hbar, p, eps):
                     (dynamics._rhs(profile, eps), newtonian_rhs_from_at(profile, eps), p))
         near = (x - zone.origin + k * sigma for x in shape.x for k in (-1.0, 0.0, 0.5))
         beyond = (lo - 3.0 * sigma, hi + 3.0 * sigma)
-        for q in (*np.linspace(lo, hi, 101).tolist(), *near, *beyond):
+        qs = (*np.linspace(lo, hi, 101).tolist(), *near, *beyond)
+        for q in qs:
             for rhs, oracle, s in closures:
                 assert rhs(q, s) == oracle(q, s), q
+        _assert_readers_are_at(profile, qs)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _assert_readers_are_at(profile, qs):
+    for q in qs:
+        v, _, minv, _ = profile.at(q)
+        assert _bits(profile.v_at(q)) == _bits(v), q
+        assert _bits(profile.minv_at(q)) == _bits(minv), q
+        assert tuple(map(_bits, profile.v_minv_at(q))) == (_bits(v), _bits(minv)), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_shapes(), st.floats(min_value=0.05, max_value=6.0),
+       st.floats(min_value=-3.0, max_value=3.0).filter(lambda origin: origin != 0.0))
+@example(Shape(0.0, (3.0, 4.0), (0.0,), (1.0,)), 1.0, 1.0)  # the last kink also jumps
+def test_readers_are_bitwise_the_at_columns(shape, hbar, origin):
+    # V, 1/M and (V, 1/M) sum at's terms in at's order: across the domain,
+    # near every corner, in the far tails (erf +-1 and Gaussians 0, then u^2
+    # overflowing) and at a NaN q
+    profile = Profile(_params(hbar), shape, origin)
+    sigma = profile.sigma
+    a, b = shape.x[0] - origin, shape.x[-1] - origin
+    pad = (b - a) + 6.0 * sigma
+    near = (x - origin + k * sigma for x in shape.x for k in (-3.0, -1.0, -0.25, 0.0, 0.5, 2.0))
+    far = (a - 40.0 * sigma, b + 40.0 * sigma, -1e3, 1e3, -1e200, 1e200, math.nan)
+    _assert_readers_are_at(profile, (*np.linspace(a - pad, b + pad, 101).tolist(), *near, *far))
+
+
+_FINITE_READS = {
+    "smoothed_potential": smoothed_potential,
+    "inverse_mass": inverse_mass,
+    "mass": mass,
+    "vq_potential-q": lambda model, x: vq_potential(model, x, 0.5),
+    "vq_potential-eps": lambda model, x: vq_potential(model, 0.1, x),
+    "hamiltonian-q": lambda model, x: dynamics.hamiltonian(model, x, 0.5),
+    "hamiltonian-p": lambda model, x: dynamics.hamiltonian(model, 0.1, x),
+}
+
+
+@pytest.mark.parametrize("read", _FINITE_READS.values(), ids=_FINITE_READS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pot, hbar", [(BARRIER, 3.0), (TENT3, 3.0), (BARRIER, 0.0)],
+                         ids=["square", "tent3", "square-hbar0"])
+def test_scalar_reads_refuse_a_non_finite_argument(pot, hbar, value, read):
+    # the corner sums give nan there: on the square 1/M's jump term is
+    # inf * 0 at q = +-inf, on the tent V's kink term
+    with pytest.raises(ValueError, match="must be finite"):
+        read(LowMomentumModel(_params(hbar), pot), value)
 
 
 def test_thin_wall_zones_sum_their_own_jump(monkeypatch):
